@@ -8,9 +8,12 @@ Subpackages:
 * ``baselines`` dense-lifting reference algorithms (IRLS, AP, SVT, SVT+UV)
 * ``models``    synthetic signals, sampling masks, noise, error metrics
 * ``cli``       gen / recover / bench / compare command line tools
+
+``cli`` (which needs jsonschema) is not imported with the package; import
+``cslr.cli`` to use it.
 """
 
-from . import baselines, cli, giraf, grids, lifting, models
+from . import baselines, giraf, grids, lifting, models
 
 __version__ = "0.1.0"
 

@@ -22,6 +22,9 @@ from .giraf import (
     ConfigError,
     IterationRecord,
     RecoveryTrace,
+    _cg_normal,
+    _smoothed_schatten_eigs,
+    eps_schedule,
     schatten_weight,
 )
 from .grids import ComplexGrid
@@ -97,6 +100,12 @@ class BaselineConfig:
             raise ConfigError("eta must exceed 1")
 
 
+def _check_config(config: BaselineConfig, algorithm: str) -> None:
+    config.validate()
+    if config.algorithm != algorithm:
+        raise ConfigError(f"config.algorithm must be {algorithm!r}")
+
+
 def schatten_p(m: np.ndarray, p: float) -> float:
     """Schatten-p norm for p in (0, 1], log-determinant surrogate for p=0
     (sum of log singular values; error if the matrix is rank-deficient)."""
@@ -115,16 +124,13 @@ def smoothed_schatten(m: np.ndarray, p: float, eps: float) -> float:
     limit 1/2 sum log(sigma^2 + eps)."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    s2 = np.linalg.svd(m, compute_uv=False) ** 2
-    # pad with implicit zero singular values: the penalty counts all
-    # min(shape) of them, which svd already returns
-    if p == 0:
-        if eps == 0 and s2[-1] <= 0:
-            raise ValueError("log-det Schatten value is -inf for a singular matrix")
-        return float(0.5 * np.sum(np.log(s2 + eps)))
-    if not 0 < p <= 1:
+    if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
-    return float(np.sum((s2 + eps) ** (p / 2)))
+    # the penalty counts all min(shape) singular values, which svd returns
+    s2 = np.linalg.svd(m, compute_uv=False) ** 2
+    if p == 0 and eps == 0 and s2[-1] <= 0:
+        raise ValueError("log-det Schatten value is -inf for a singular matrix")
+    return _smoothed_schatten_eigs(s2, p, eps)
 
 
 def majorizer_gap(X: np.ndarray, X0: np.ndarray, p: float, eps: float) -> float:
@@ -156,12 +162,31 @@ def _truncate_svd(T: np.ndarray, r: int):
     return X, s
 
 
+def _diagonal_solve(rhs: np.ndarray, denom: np.ndarray,
+                    fallback: np.ndarray) -> np.ndarray:
+    """Entrywise rhs / denom; entries with a zero denominator keep fallback."""
+    live = denom > 0
+    return np.where(live, rhs / np.where(live, denom, 1.0), fallback)
+
+
 def _structured_average(spec: LiftingSpec, X: np.ndarray,
                         diag: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     """Pseudo-inverse of the lifting: multiplicity-weighted averaging.
     Entries the lifting never touches keep their current value."""
-    adj = lift_adjoint(spec, X).values
-    return np.where(diag > 0, adj / np.where(diag > 0, diag, 1.0), fallback)
+    return _diagonal_solve(lift_adjoint(spec, X).values, diag, fallback)
+
+
+def _fit_lifted(spec: LiftingSpec, sampling: SamplingOp, X: np.ndarray,
+                diag: np.ndarray, x: np.ndarray, weight: float | None) -> np.ndarray:
+    """Grid whose exact lifting best fits the stacked matrix X: the
+    minimizer of ||A x - b||^2 + weight ||T(x) - X||^2, diagonal because T*T
+    is, or with weight=None the structured average of X with the measured
+    samples put back. diag is lift_normal_diagonal(spec); entries with no
+    equation keep their value in x."""
+    if weight is None:
+        return sampling.insert_data(_structured_average(spec, X, diag, x))
+    rhs = sampling.b.values + weight * lift_adjoint(spec, X).values
+    return _diagonal_solve(rhs, sampling.mask.astype(float) + weight * diag, x)
 
 
 def _trace_record(i, nmse_val, cost, s, t0):
@@ -182,9 +207,7 @@ def ap_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
              x0: ComplexGrid | None = None) -> RecoveryTrace:
     """Alternating projections (Cadzow): rank-r truncation of the lifted
     matrix, structured-space averaging, measured-data re-insertion."""
-    config.validate()
-    if config.algorithm != "ap":
-        raise ConfigError("config.algorithm must be 'ap'")
+    _check_config(config, "ap")
     box = spec.data_box
     diag = lift_normal_diagonal(spec)
     x = (x0.values if x0 is not None else sampling.b.values).copy()
@@ -196,8 +219,7 @@ def ap_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
         X, s = _truncate_svd(materialize_exact(spec, ComplexGrid(box, x.copy())), config.rank_r)
         tp = time.perf_counter()
         phases["svd"] += tp - ts
-        y = _structured_average(spec, X, diag, x)
-        x_new = sampling.insert_data(y)
+        x_new = _fit_lifted(spec, sampling, X, diag, x, None)
         phases["projection"] += time.perf_counter() - tp
         cost = float(np.sum(s[config.rank_r:] ** 2))
         records.append(_trace_record(i, _maybe_nmse(x_new, box, ground_truth), cost, s, t0))
@@ -215,15 +237,10 @@ def ap_prox_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfi
     """Proximal relaxation of alternating projections: penalize the
     distance of the lifted matrix to the rank-r set with weight lam instead
     of enforcing the rank constraint."""
-    config.validate()
-    if config.algorithm != "ap_prox":
-        raise ConfigError("config.algorithm must be 'ap_prox'")
+    _check_config(config, "ap_prox")
     box = spec.data_box
     diag = lift_normal_diagonal(spec)
-    maskf = sampling.mask.astype(float)
     bvals = sampling.b.values
-    denom = maskf + config.lam * diag
-    live = denom > 0
     x = (x0.values if x0 is not None else bvals).copy()
     records = []
     phases = {"svd": 0.0, "least_squares": 0.0}
@@ -234,8 +251,7 @@ def ap_prox_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfi
         X, s = _truncate_svd(T, config.rank_r)
         tp = time.perf_counter()
         phases["svd"] += tp - ts
-        rhs = bvals + config.lam * lift_adjoint(spec, X).values
-        x_new = np.where(live, rhs / np.where(live, denom, 1.0), x)
+        x_new = _fit_lifted(spec, sampling, X, diag, x, config.lam)
         phases["least_squares"] += time.perf_counter() - tp
         resid = float(np.linalg.norm((x_new - bvals)[sampling.mask]) ** 2)
         cost = resid + config.lam * float(np.sum(s[config.rank_r:] ** 2))
@@ -259,17 +275,13 @@ def svt_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
               x0: ComplexGrid | None = None) -> RecoveryTrace:
     """Nuclear-norm recovery by ADMM with singular-value soft-thresholding
     of the lifted matrix; threshold lam/beta."""
-    config.validate()
-    if config.algorithm != "svt":
-        raise ConfigError("config.algorithm must be 'svt'")
+    _check_config(config, "svt")
     box = spec.data_box
     diag = lift_normal_diagonal(spec)
-    maskf = sampling.mask.astype(float)
     bvals = sampling.b.values
     beta = config.beta
     tau = config.lam / beta
-    denom = maskf + (beta / 2.0) * diag
-    live = denom > 0
+    weight = None if config.equality else beta / 2.0
     x = (x0.values if x0 is not None else bvals).copy()
     U = np.zeros(spec.shape_exact, dtype=np.complex128)
     T = materialize_exact(spec, ComplexGrid(box, x.copy()))
@@ -281,13 +293,7 @@ def svt_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
         X, s, kept = _soft_threshold_svd(T + U, tau)
         tp = time.perf_counter()
         phases["svd"] += tp - ts
-        target = lift_adjoint(spec, X - U).values
-        if config.equality:
-            y = np.where(diag > 0, target / np.where(diag > 0, diag, 1.0), x)
-            x_new = sampling.insert_data(y)
-        else:
-            rhs = bvals + (beta / 2.0) * target
-            x_new = np.where(live, rhs / np.where(live, denom, 1.0), x)
+        x_new = _fit_lifted(spec, sampling, X - U, diag, x, weight)
         T = materialize_exact(spec, ComplexGrid(box, x_new.copy()))
         U = U + T - X
         phases["least_squares"] += time.perf_counter() - tp
@@ -315,18 +321,14 @@ def svt_uv_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig
     """Nuclear-norm recovery through the factorization penalty
     (lam/2)(|U|_F^2 + |V|_F^2) with U V* pinned to the lifted matrix by
     ADMM; the SVD is replaced by two ridge solves of width rank_r."""
-    config.validate()
-    if config.algorithm != "svt_uv":
-        raise ConfigError("config.algorithm must be 'svt_uv'")
+    _check_config(config, "svt_uv")
     box = spec.data_box
     diag = lift_normal_diagonal(spec)
-    maskf = sampling.mask.astype(float)
     bvals = sampling.b.values
     beta = config.beta
     lam = config.lam
     R = config.rank_r
-    denom = maskf + (beta / 2.0) * diag
-    live = denom > 0
+    weight = None if config.equality else beta / 2.0
     x = (x0.values if x0 is not None else bvals).copy()
     rows, cols = spec.shape_exact
     rng = np.random.default_rng(config.seed)
@@ -345,13 +347,7 @@ def svt_uv_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig
         X = U @ V.conj().T
         tp = time.perf_counter()
         phases["factor"] += tp - ts
-        target = lift_adjoint(spec, X - L).values
-        if config.equality:
-            y = np.where(diag > 0, target / np.where(diag > 0, diag, 1.0), x)
-            x_new = sampling.insert_data(y)
-        else:
-            rhs = bvals + (beta / 2.0) * target
-            x_new = np.where(live, rhs / np.where(live, denom, 1.0), x)
+        x_new = _fit_lifted(spec, sampling, X - L, diag, x, weight)
         T = materialize_exact(spec, ComplexGrid(box, x_new.copy()))
         L = L + T - X
         phases["least_squares"] += time.perf_counter() - tp
@@ -390,23 +386,18 @@ def irls_direct(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
     weighted least-squares problem by conjugate gradients where the penalty
     applies each filter through the exact (valid-set restricted) lifting.
     """
-    config.validate()
-    if config.algorithm != "irls":
-        raise ConfigError("config.algorithm must be 'irls'")
+    _check_config(config, "irls")
     box = spec.data_box
     axes = tuple(range(1, box.ndim + 1))
     ws = [w.weights_on(box) for w in spec.weightings]
-    maskf = sampling.mask.astype(float)
     bvals = sampling.b.values
-    cp = schatten_weight(config.p)
+    lam = None if config.equality else config.lam
     q = 1.0 - config.p / 2.0
     gate = np.zeros(box.extent)
     roff = np.asarray(spec.valid_box.offset) - np.asarray(box.offset)
     gate[tuple(slice(o, o + e) for o, e in zip(roff, spec.valid_box.extent))] = 1.0
 
     x = bvals.copy()
-    eps0 = None if config.eps0 == "auto" else float(config.eps0)
-    eps_min = config.eps_min
     records = []
     phases = {"filter_update": 0.0, "least_squares": 0.0}
     t0 = time.perf_counter()
@@ -414,7 +405,7 @@ def irls_direct(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
     def finish_record(rec, s2_now):
         rec.sigma_min = math.sqrt(max(float(s2_now[-1]), 0.0))
         rec.sigma_max = math.sqrt(max(float(s2_now[0]), 0.0))
-        sch = _smoothed_from_sq(s2_now, config.p, rec.eps)
+        sch = _smoothed_schatten_eigs(s2_now, config.p, rec.eps)
         rec.cost = sch if config.equality else rec.data_term + config.lam * sch
 
     n_outer = config.max_iters
@@ -426,13 +417,9 @@ def irls_direct(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
         if records:
             finish_record(records[-1], s2)
         if n == 1:
-            if eps0 is None:
-                if s2[0] <= 0:
-                    raise ConfigError("first iterate has an identically zero lifting")
-                eps0 = s2[0] / 100.0
-            if eps_min is None:
-                eps_min = max(eps0 * config.eta ** (-n_outer), 1e-9 * eps0)
-        eps_n = max(eps0 * config.eta ** (-(n - 1)), eps_min)
+            eps0, schedule = eps_schedule(s2[0], n_outer, config.eps0,
+                                          config.eta, config.eps_min)
+        eps_n = schedule[n - 1]
         filters = Vh.conj().T * (s2 + eps_n) ** (-q / 2.0)
         bank = _wrapped_filter_bank(spec, filters)
         tp = time.perf_counter()
@@ -447,38 +434,8 @@ def irls_direct(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
                 out += np.conj(w) * np.fft.ifftn(back.sum(axis=0))
             return out
 
-        if config.equality:
-            free = ~sampling.mask
-            xb = np.where(free, 0.0, bvals)
-
-            def operator(v):
-                return np.where(free, penalty_op(v), 0.0)
-
-            rhs = np.where(free, -penalty_op(xb), 0.0)
-            xv = np.where(free, x, 0.0)
-        else:
-
-            def operator(v):
-                return maskf * v + config.lam * cp * penalty_op(v)
-
-            rhs = bvals.copy()
-            xv = x.copy()
-
-        r = rhs - operator(xv)
-        pvec = r.copy()
-        rs = np.vdot(r, r).real
-        rhs_norm = math.sqrt(np.vdot(rhs, rhs).real) or 1.0
-        for _ in range(config.inner_iters):
-            if math.sqrt(rs) <= config.cg_tol * rhs_norm:
-                break
-            Ap = operator(pvec)
-            alpha = rs / np.vdot(pvec, Ap).real
-            xv = xv + alpha * pvec
-            r = r - alpha * Ap
-            rs_new = np.vdot(r, r).real
-            pvec = r + (rs_new / rs) * pvec
-            rs = rs_new
-        x_new = np.where(sampling.mask, bvals, xv) if config.equality else xv
+        x_new = _cg_normal(penalty_op, sampling, lam, config.p, x,
+                           config.inner_iters, config.cg_tol)
         phases["least_squares"] += time.perf_counter() - tp
 
         resid = float(np.linalg.norm((x_new - bvals)[sampling.mask]) ** 2)
@@ -496,9 +453,3 @@ def irls_direct(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
     return RecoveryTrace(x=ComplexGrid(box, x), records=records,
                          algorithm=f"irls{config.p:g}", eps0=eps0,
                          phase_seconds=phases)
-
-
-def _smoothed_from_sq(s2: np.ndarray, p: float, eps: float) -> float:
-    if p > 0:
-        return float(np.sum((s2 + eps) ** (p / 2)))
-    return float(0.5 * np.sum(np.log(s2 + eps)))

@@ -16,7 +16,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import jsonschema
@@ -36,6 +36,7 @@ from .giraf import (
     SolverError,
     admm_ls,
     cg_ls,
+    eps_schedule,
     filter_update,
     giraf_solve,
 )
@@ -139,7 +140,6 @@ _SOLVER_SCHEMA = {
         "cg_tol": {"type": "number"},
         "oversample": {"type": "boolean"},
         "oversample_factor": {"type": ["number", "null"]},
-        "track_cost": {"type": "boolean"},
         "seed": {"type": "integer"},
     },
     "required": ["algorithm"],
@@ -197,11 +197,8 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
-_GIRAF_KEYS = {"p", "lam", "eps0", "eta", "eps_min", "outer_iters", "ls_solver",
-               "inner_iters", "delta", "cg_tol", "oversample",
-               "oversample_factor", "track_cost"}
-_BASELINE_KEYS = {"p", "lam", "rank_r", "beta", "equality", "max_iters", "tol",
-                  "eps0", "eta", "eps_min", "inner_iters", "cg_tol", "seed"}
+_GIRAF_KEYS = {f.name for f in fields(SolverConfig)}
+_BASELINE_KEYS = {f.name for f in fields(BaselineConfig)} - {"algorithm"}
 _BASELINE_SOLVERS = {
     "irls": irls_direct,
     "ap": ap_solve,
@@ -336,6 +333,14 @@ def _resolved_config(config: dict, shift: int) -> dict:
     return out
 
 
+def _write_manifest(out: Path, command: str, config: dict, shift: int,
+                    outputs: list, **extra) -> None:
+    """manifest.json: everything needed to reproduce the run, no timestamps."""
+    _write_json(out / "manifest.json", {
+        "command": command, "config": _resolved_config(config, shift),
+        "seed_shift": shift, "outputs": outputs, **extra})
+
+
 def _entry_label(entry: dict) -> str:
     if "label" in entry:
         return entry["label"]
@@ -348,18 +353,18 @@ def _entry_label(entry: dict) -> str:
 def _resolve_solver(entry: dict):
     """Solver entry -> (callable, config dataclass)."""
     alg = entry["algorithm"]
-    fields = {k: v for k, v in entry.items() if k not in ("algorithm", "label")}
+    given = {k: v for k, v in entry.items() if k not in ("algorithm", "label")}
     if alg == "giraf":
-        unknown = sorted(set(fields) - _GIRAF_KEYS)
+        unknown = sorted(set(given) - _GIRAF_KEYS)
         if unknown:
             raise ConfigurationError(f"fields {unknown} not valid for giraf")
-        cfg = SolverConfig(**fields)
+        cfg = SolverConfig(**given)
         cfg.validate()
         return giraf_solve, cfg
-    unknown = sorted(set(fields) - _BASELINE_KEYS)
+    unknown = sorted(set(given) - _BASELINE_KEYS)
     if unknown:
         raise ConfigurationError(f"fields {unknown} not valid for {alg}")
-    cfg = BaselineConfig(algorithm=alg, **fields)
+    cfg = BaselineConfig(algorithm=alg, **given)
     cfg.validate()
     return _BASELINE_SOLVERS[alg], cfg
 
@@ -404,13 +409,7 @@ def cmd_gen(config: dict, out: Path, shift: int) -> int:
     mask_grid = ComplexGrid(truth.box, sampling.mask.astype(np.complex128))
     save_grid(mask_grid, out / "mask.cslr")
     save_grid(sampling.b, out / "measured.cslr")
-    manifest = {
-        "command": "gen",
-        "config": _resolved_config(config, shift),
-        "seed_shift": shift,
-        "outputs": ["mask.cslr", "measured.cslr", "truth.cslr"],
-    }
-    _write_json(out / "manifest.json", manifest)
+    _write_manifest(out, "gen", config, shift, ["mask.cslr", "measured.cslr", "truth.cslr"])
     return EXIT_OK
 
 
@@ -430,15 +429,10 @@ def cmd_recover(config: dict, out: Path, shift: int) -> int:
               else "iter,eps,cost,sigma_min,sigma_max,seconds")
     _write_csv(out / "trace.csv", header, _trace_rows(trace, with_nmse))
     _write_json(out / "summary.json", _summary(trace, truth))
-    manifest = {
-        "command": "recover",
-        "config": _resolved_config(config, shift),
-        "seed_shift": shift,
-        "resolved_solver": {"algorithm": config["solver"]["algorithm"],
-                            **asdict(solver_cfg)},
-        "outputs": ["recovered.cslr", "summary.json", "trace.csv"],
-    }
-    _write_json(out / "manifest.json", manifest)
+    _write_manifest(out, "recover", config, shift,
+                    ["recovered.cslr", "summary.json", "trace.csv"],
+                    resolved_solver={"algorithm": config["solver"]["algorithm"],
+                                     **asdict(solver_cfg)})
     return EXIT_OK
 
 
@@ -490,16 +484,8 @@ def _bench_tol(config: dict, out: Path, shift: int, threads: int) -> int:
     out.mkdir(parents=True, exist_ok=True)
     header = "dataset,algorithm,p,usf,seed,iters_to_tol,seconds_to_tol,final_nmse"
     _write_csv(out / "bench.csv", header, rows)
-    manifest = {
-        "command": "bench",
-        "config": _resolved_config(config, shift),
-        "seed_shift": shift,
-        "protocol": "tol",
-        "tol": tol,
-        "outputs": ["bench.csv"],
-        "rows": len(rows),
-    }
-    _write_json(out / "manifest.json", manifest)
+    _write_manifest(out, "bench", config, shift, ["bench.csv"],
+                    protocol="tol", tol=tol, rows=len(rows))
     return EXIT_OK
 
 
@@ -521,11 +507,9 @@ def _bench_subproblem(config: dict, out: Path, shift: int) -> int:
     spec = _build_spec(config)
     truth, sampling = _build_instance(config, shift)
     x0 = sampling.zero_filled()
-    eps0 = base.get("eps0", "auto")
-    if eps0 == "auto":
-        w = np.linalg.eigvalsh(gram_surrogate(spec, x0))
-        eps0 = max(float(w[-1]), 0.0) / 100.0
-    state = filter_update(spec, x0, float(eps0), p)
+    lam_max = float(np.linalg.eigvalsh(gram_surrogate(spec, x0))[-1])
+    eps0, _ = eps_schedule(lam_max, 1, base.get("eps0", "auto"))
+    state = filter_update(spec, x0, eps0, p)
     ref_iters = sweep.get("reference_iters", 4000)
     reference = cg_ls(spec, sampling, state.d, lam, p, iters=ref_iters, tol=1e-16)
     ref_vals = reference.values
@@ -565,17 +549,9 @@ def _bench_subproblem(config: dict, out: Path, shift: int) -> int:
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "subproblem.csv", "dataset,solver,iter,seconds,nmsd", rows)
-    manifest = {
-        "command": "bench",
-        "config": _resolved_config(config, shift),
-        "seed_shift": shift,
-        "protocol": "subproblem",
-        "eps0": float(eps0),
-        "reference_iters": ref_iters,
-        "outputs": ["subproblem.csv"],
-        "rows": len(rows),
-    }
-    _write_json(out / "manifest.json", manifest)
+    _write_manifest(out, "bench", config, shift, ["subproblem.csv"],
+                    protocol="subproblem", eps0=eps0,
+                    reference_iters=ref_iters, rows=len(rows))
     return EXIT_OK
 
 

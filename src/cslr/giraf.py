@@ -35,7 +35,7 @@ from .grids import (
     restrict,
     wrap_embed,
 )
-from .lifting import LiftingSpec, gram_surrogate
+from .lifting import LiftingSpec, diff_index, gram_surrogate
 from .models import SamplingOp, nmse
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "filter_update",
     "admm_ls",
     "cg_ls",
+    "eps_schedule",
     "giraf_solve",
     "oversampled_box",
 ]
@@ -84,7 +85,6 @@ class SolverConfig:
     cg_tol: float = 1e-12
     oversample: bool = False
     oversample_factor: float | None = None
-    track_cost: bool = True
 
     def validate(self) -> None:
         if not 0.0 <= self.p <= 1.0:
@@ -172,11 +172,8 @@ def _filter_from_eig(spec: LiftingSpec, eigvals: np.ndarray, V: np.ndarray,
     weights = (eigvals + eps) ** (-q)
     H = (V * weights) @ V.conj().T
 
-    lam_idx = spec.filter_box.indices()
     diff_box = minkowski_sum(spec.filter_box, reflect(spec.filter_box))
-    rel = lam_idx[:, None, :] - lam_idx[None, :, :] - np.asarray(diff_box.offset)
-    flat = np.ravel_multi_index(
-        tuple(rel[..., a] for a in range(diff_box.ndim)), diff_box.extent).ravel()
+    flat = diff_index(spec.filter_box, spec.filter_box, diff_box).ravel()
     hr = np.bincount(flat, weights=H.real.ravel(), minlength=diff_box.size)
     hi = np.bincount(flat, weights=H.imag.ravel(), minlength=diff_box.size)
     h = ComplexGrid(diff_box, (hr + 1j * hi).reshape(diff_box.extent))
@@ -276,9 +273,7 @@ def cg_ls(spec: LiftingSpec, sampling: SamplingOp, d: ComplexGrid,
     if float(np.max(dvals)) <= 0 or (lam is not None and lam * schatten_weight(p) == 0):
         return ComplexGrid(spec.data_box, bvals.copy())
 
-    ws, wsq = _block_weights(spec)
-    maskf = sampling.mask.astype(float)
-    cp = schatten_weight(p)
+    ws, _ = _block_weights(spec)
 
     def reg_op(v):
         out = np.zeros_like(v)
@@ -286,22 +281,42 @@ def cg_ls(spec: LiftingSpec, sampling: SamplingOp, d: ComplexGrid,
             out += np.conj(w) * np.fft.fftn(dvals * np.fft.ifftn(w * v))
         return out
 
+    x = _cg_normal(reg_op, sampling, lam, p, None if x0 is None else x0.values,
+                   iters, tol, callback)
+    return ComplexGrid(spec.data_box, x)
+
+
+def _cg_normal(penalty, sampling: SamplingOp, lam: float | None, p: float,
+               x0: np.ndarray | None, iters: int, tol: float,
+               callback=None) -> np.ndarray:
+    """Conjugate gradients for min ||A x - b||^2 + lam C_p <x, penalty(x)>,
+    penalty a Hermitian positive semidefinite operator on grid arrays.
+    lam=None pins the measured samples and solves for the others only.
+    callback(it, x) sees every iterate with the samples reinserted."""
+    bvals = sampling.b.values
     if lam is None:
         free = ~sampling.mask
 
         def operator(v):
-            return np.where(free, reg_op(v), 0.0)
+            return np.where(free, penalty(v), 0.0)
 
-        xb = np.where(free, 0.0, bvals)
-        rhs = np.where(free, -reg_op(xb), 0.0)
-        x = np.where(free, x0.values, 0.0) if x0 is not None else np.zeros_like(bvals)
+        def full(v):
+            return np.where(free, v, bvals)
+
+        rhs = np.where(free, -penalty(np.where(free, 0.0, bvals)), 0.0)
+        x = np.where(free, x0, 0.0) if x0 is not None else np.zeros_like(bvals)
     else:
+        maskf = sampling.mask.astype(float)
+        weight = lam * schatten_weight(p)
 
         def operator(v):
-            return maskf * v + lam * cp * reg_op(v)
+            return maskf * v + weight * penalty(v)
+
+        def full(v):
+            return v
 
         rhs = bvals.copy()
-        x = (x0.values if x0 is not None else bvals).copy()
+        x = (x0 if x0 is not None else bvals).copy()
 
     r = rhs - operator(x)
     pvec = r.copy()
@@ -318,10 +333,8 @@ def cg_ls(spec: LiftingSpec, sampling: SamplingOp, d: ComplexGrid,
         pvec = r + (rs_new / rs) * pvec
         rs = rs_new
         if callback is not None:
-            callback(it + 1, x if lam is not None else np.where(free, x, bvals))
-    if lam is None:
-        x = np.where(free, x, bvals)
-    return ComplexGrid(spec.data_box, x)
+            callback(it + 1, full(x))
+    return full(x)
 
 
 def oversampled_box(box: IndexBox, filter_box: IndexBox,
@@ -338,9 +351,29 @@ def oversampled_box(box: IndexBox, filter_box: IndexBox,
 
 
 def _smoothed_schatten_eigs(eigvals: np.ndarray, p: float, eps: float) -> float:
+    """Smoothed Schatten penalty from squared singular values (equivalently
+    Gram eigenvalues): sum (lambda + eps)^(p/2), or 1/2 sum log(lambda + eps)
+    for p = 0. Summed in the order given."""
     if p > 0:
         return float(np.sum((eigvals + eps) ** (p / 2)))
     return float(0.5 * np.sum(np.log(eigvals + eps)))
+
+
+def eps_schedule(lam_max: float, n_outer: int, eps0: float | str = "auto",
+                 eta: float = 1.2, eps_min: float | None = None):
+    """Smoothing schedule of a reweighted solve, set from the largest Gram
+    eigenvalue lam_max of the first iterate's lifting.
+
+    Returns (eps0, [eps_1, ..., eps_n_outer]) with eps_n = max(eps0 *
+    eta^-(n-1), eps_min). eps0="auto" means lam_max/100; eps_min=None means
+    eps0 * eta^-n_outer, floored at 1e-9 * eps0.
+    """
+    if lam_max <= 0:
+        raise SolverError("first iterate has an identically zero lifting")
+    eps0 = lam_max / 100.0 if eps0 == "auto" else float(eps0)
+    if eps_min is None:
+        eps_min = max(eps0 * eta ** (-n_outer), 1e-9 * eps0)
+    return eps0, [max(eps0 * eta ** (-(n - 1)), eps_min) for n in range(1, n_outer + 1)]
 
 
 def giraf_solve(spec: LiftingSpec, sampling: SamplingOp, config: SolverConfig,
@@ -359,8 +392,6 @@ def giraf_solve(spec: LiftingSpec, sampling: SamplingOp, config: SolverConfig,
     _check_coverage(work_spec, samp)
 
     x = samp.zero_filled()
-    eps0 = None if config.eps0 == "auto" else float(config.eps0)
-    eps_min = config.eps_min
     records: list[IterationRecord] = []
     t0 = time.perf_counter()
 
@@ -370,9 +401,8 @@ def giraf_solve(spec: LiftingSpec, sampling: SamplingOp, config: SolverConfig,
     def finish_record(rec, eigvals):
         rec.sigma_min = math.sqrt(max(eigvals[0], 0.0))
         rec.sigma_max = math.sqrt(max(eigvals[-1], 0.0))
-        if config.track_cost:
-            sch = _smoothed_schatten_eigs(eigvals, config.p, rec.eps)
-            rec.cost = sch if config.equality else rec.data_term + config.lam * sch
+        sch = _smoothed_schatten_eigs(eigvals, config.p, rec.eps)
+        rec.cost = sch if config.equality else rec.data_term + config.lam * sch
 
     phases = {"filter_update": 0.0, "least_squares": 0.0}
     n_outer = config.outer_iters
@@ -382,14 +412,9 @@ def giraf_solve(spec: LiftingSpec, sampling: SamplingOp, config: SolverConfig,
         if records:
             finish_record(records[-1], w)
         if n == 1:
-            lam_max = float(w[-1])
-            if lam_max <= 0:
-                raise SolverError("first iterate has an identically zero lifting")
-            if eps0 is None:
-                eps0 = lam_max / 100.0
-            if eps_min is None:
-                eps_min = max(eps0 * config.eta ** (-n_outer), 1e-9 * eps0)
-        eps_n = max(eps0 * config.eta ** (-(n - 1)), eps_min)
+            eps0, schedule = eps_schedule(float(w[-1]), n_outer, config.eps0,
+                                          config.eta, config.eps_min)
+        eps_n = schedule[n - 1]
         fs = _filter_from_eig(work_spec, w, V, eps_n, config.p)
         tl = time.perf_counter()
         phases["filter_update"] += tl - tf

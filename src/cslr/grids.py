@@ -3,8 +3,8 @@
 This module is the coordinate layer everything else builds on: rectangular
 index boxes with arbitrary integer offsets, complex-valued grids over a box,
 the unitary DFT pair on a box, zero padding / restriction / periodized
-embedding between boxes, and the circular and valid-region convolutions that
-realize multi-level Toeplitz products. A small binary file format (CSLR1)
+embedding between boxes, and the circular convolution that realizes
+multi-level Toeplitz products. A small binary file format (CSLR1)
 serializes grids for the command line tools.
 
 Conventions:
@@ -40,8 +40,6 @@ __all__ = [
     "restrict",
     "wrap_embed",
     "circ_conv",
-    "linear_conv_valid",
-    "reverse_conjugate",
     "save_grid",
     "load_grid",
 ]
@@ -205,28 +203,6 @@ def circ_conv(y: ComplexGrid, h: ComplexGrid) -> ComplexGrid:
     hw = wrap_embed(h, y.box)
     out = np.fft.ifftn(np.fft.fftn(y.values) * np.fft.fftn(hw.values))
     return ComplexGrid(y.box, out)
-
-
-def linear_conv_valid(y: ComplexGrid, h: ComplexGrid) -> ComplexGrid:
-    """Valid-region linear convolution, by direct summation.
-
-    out[k] = sum over filter indices l of y[k - l] h[l], for every k such
-    that all k - l stay inside the data box. Serves as the dense oracle the
-    FFT paths are checked against.
-    """
-    gamma = valid_set(y.box, h.box)
-    kk = gamma.indices()[:, None, :] - h.box.indices()[None, :, :]
-    kk -= np.asarray(y.box.offset)
-    flat = np.ravel_multi_index(tuple(kk[..., a] for a in range(y.box.ndim)),
-                                y.box.extent)
-    out = y.values.ravel()[flat] @ h.values.ravel()
-    return ComplexGrid(gamma, out.reshape(gamma.extent))
-
-
-def reverse_conjugate(h: ComplexGrid) -> ComplexGrid:
-    """Conjugate reversal g[k] = conj(h[-k]), on the reflected box."""
-    vals = np.conj(h.values[tuple(slice(None, None, -1) for _ in range(h.box.ndim))])
-    return ComplexGrid(reflect(h.box), vals.copy())
 
 
 # CSLR1 binary format: magic "CSLR", u32 version, u32 ndim, then per axis

@@ -42,7 +42,7 @@ __all__ = [
     "materialize_exact",
     "materialize_surrogate",
     "gram_surrogate",
-    "singular_values_dense",
+    "diff_index",
     "lift_adjoint",
     "lift_normal_diagonal",
 ]
@@ -160,27 +160,27 @@ def _check_budget(rows: int, cols: int) -> None:
 
 
 @lru_cache(maxsize=32)
+def diff_index(a: IndexBox, b: IndexBox, target: IndexBox, wrap: bool = False) -> np.ndarray:
+    """Flat indices into the target box of the differences a_i - b_j over
+    all index pairs, shape (a.size, b.size). With wrap the differences are
+    taken mod the target extent (relative to its offset) instead of having
+    to fall inside it. The result is cached, so it is returned read-only."""
+    diff = a.indices()[:, None, :] - b.indices()[None, :, :] - np.asarray(target.offset)
+    if wrap:
+        diff = np.mod(diff, np.asarray(target.extent))
+    flat = np.ravel_multi_index(tuple(diff[..., k] for k in range(target.ndim)),
+                                target.extent)
+    flat.flags.writeable = False
+    return flat
+
+
+@lru_cache(maxsize=32)
 def _valid_gather(data_box: IndexBox, filter_box: IndexBox) -> np.ndarray:
     """Flat indices into the data array for the exact lifted matrix:
     entry [row k, col l] reads the data at k - l."""
     gamma = valid_set(data_box, filter_box)
     _check_budget(gamma.size, filter_box.size)
-    diff = gamma.indices()[:, None, :] - filter_box.indices()[None, :, :]
-    diff -= np.asarray(data_box.offset)
-    return np.ravel_multi_index(
-        tuple(diff[..., a] for a in range(data_box.ndim)), data_box.extent)
-
-
-@lru_cache(maxsize=32)
-def _wrap_gather(data_box: IndexBox, filter_box: IndexBox) -> np.ndarray:
-    """Flat indices for the surrogate: row position m reads the data at
-    position (m - l) mod extent, l the absolute filter index."""
-    _check_budget(data_box.size, filter_box.size)
-    pos = data_box.indices() - np.asarray(data_box.offset)
-    diff = pos[:, None, :] - filter_box.indices()[None, :, :]
-    diff = np.mod(diff, np.asarray(data_box.extent))
-    return np.ravel_multi_index(
-        tuple(diff[..., a] for a in range(data_box.ndim)), data_box.extent)
+    return diff_index(gamma, filter_box, data_box)
 
 
 def apply_lift(spec: LiftingSpec, x: ComplexGrid, h: ComplexGrid) -> list[ComplexGrid]:
@@ -208,7 +208,8 @@ def materialize_surrogate(spec: LiftingSpec, x: ComplexGrid) -> np.ndarray:
     """Dense circulant surrogate, blocks stacked vertically."""
     rows, cols = spec.shape_surrogate
     _check_budget(rows, cols)
-    flat = _wrap_gather(spec.data_box, spec.filter_box)
+    # row position m reads the data at position (m - l) mod extent
+    flat = diff_index(spec.data_box, spec.filter_box, spec.data_box, wrap=True)
     return np.concatenate([y.ravel()[flat] for y in spec.weighted_data(x)], axis=0)
 
 
@@ -220,23 +221,13 @@ def gram_surrogate(spec: LiftingSpec, x: ComplexGrid) -> np.ndarray:
     windowed once: G[a, b] = g[(k_a - k_b) mod extent] over absolute filter
     indices k_a, k_b.
     """
-    ext = np.asarray(spec.data_box.extent)
     g = np.zeros(spec.data_box.extent, dtype=np.complex128)
     for y in spec.weighted_data(x):
         spectrum = np.fft.fftn(y)
         g += np.fft.ifftn(np.abs(spectrum) ** 2)
-    lam = spec.filter_box.indices()
-    diff = np.mod(lam[:, None, :] - lam[None, :, :], ext)
-    flat = np.ravel_multi_index(
-        tuple(diff[..., a] for a in range(spec.data_box.ndim)),
-        spec.data_box.extent)
-    G = g.ravel()[flat]
+    lags = IndexBox((0,) * spec.data_box.ndim, spec.data_box.extent)
+    G = g.ravel()[diff_index(spec.filter_box, spec.filter_box, lags, wrap=True)]
     return 0.5 * (G + G.conj().T)
-
-
-def singular_values_dense(a: np.ndarray) -> np.ndarray:
-    """Singular values of a dense matrix, descending."""
-    return np.linalg.svd(a, compute_uv=False)
 
 
 def lift_adjoint(spec: LiftingSpec, X: np.ndarray) -> ComplexGrid:

@@ -6,7 +6,7 @@ index tuples, explicit O(L^2) transform matrices, and elementwise loops.
 
 import numpy as np
 
-from cslr.grids import ComplexGrid, IndexBox
+from cslr.grids import ComplexGrid, IndexBox, reflect, valid_set
 
 
 def random_box(rng, ndim, min_extent=1, max_extent=9, max_abs_offset=6):
@@ -74,3 +74,25 @@ def dense_dft_matrix(box):
     for a in range(box.ndim):
         phase += np.multiply.outer(pos[:, a], pos[:, a]) / box.extent[a]
     return np.exp(-2j * np.pi * phase) / np.sqrt(box.size)
+
+
+def linear_conv_valid(y, h):
+    """Valid-region linear convolution, by direct summation.
+
+    out[k] = sum over filter indices l of y[k - l] h[l], for every k such
+    that all k - l stay inside the data box. Serves as the dense oracle the
+    FFT paths are checked against.
+    """
+    gamma = valid_set(y.box, h.box)
+    kk = gamma.indices()[:, None, :] - h.box.indices()[None, :, :]
+    kk -= np.asarray(y.box.offset)
+    flat = np.ravel_multi_index(tuple(kk[..., a] for a in range(y.box.ndim)),
+                                y.box.extent)
+    out = y.values.ravel()[flat] @ h.values.ravel()
+    return ComplexGrid(gamma, out.reshape(gamma.extent))
+
+
+def reverse_conjugate(h):
+    """Conjugate reversal g[k] = conj(h[-k]), on the reflected box."""
+    vals = np.conj(h.values[tuple(slice(None, None, -1) for _ in range(h.box.ndim))])
+    return ComplexGrid(reflect(h.box), vals.copy())

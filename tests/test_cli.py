@@ -2,13 +2,22 @@
 CSV/JSON output contracts, and rerun determinism."""
 
 import csv
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cslr
+from cslr import cli
+from cslr.baselines import BaselineConfig
 from cslr.cli import main
-from cslr.grids import load_grid
+from cslr.giraf import SolverConfig
+from cslr.grids import ComplexGrid, IndexBox, load_grid, save_grid
 
 
 def _write_config(path, **overrides):
@@ -295,3 +304,55 @@ def test_manifests_have_no_timestamps(tmp_path):
     assert "time" not in blob.replace("timing", "").replace("max_iters", "")
     assert manifest["resolved_solver"]["inner_iters"] == 30
     assert manifest["resolved_solver"]["algorithm"] == "giraf"
+
+
+@pytest.mark.parametrize("solver", [
+    {"algorithm": "giraf", "p": 0, "outer_iters": 3, "inner_iters": 5},
+    {"algorithm": "irls", "p": 0, "max_iters": 3, "inner_iters": 5},
+])
+def test_zero_measurements_exit_4(tmp_path, capsys, solver):
+    # an all-zero first iterate has an identically zero lifting, so no
+    # smoothing schedule exists: a solver failure for every reweighted solver
+    box = IndexBox((-31,), (63,))
+    mask = np.zeros(box.extent)
+    mask[::2] = 1.0
+    save_grid(ComplexGrid(box, mask), tmp_path / "mask.cslr")
+    save_grid(ComplexGrid.zeros(box), tmp_path / "measured.cslr")
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg, solver=solver, signal={
+        "kind": "file",
+        "mask": str(tmp_path / "mask.cslr"),
+        "measured": str(tmp_path / "measured.cslr"),
+    })
+    assert main(["recover", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == {"exit_code": 4, "type": "SolverError",
+                            "message": "first iterate has an identically zero lifting"}
+
+
+def test_solver_schema_matches_config_fields():
+    giraf_fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    baseline_fields = {f.name for f in dataclasses.fields(BaselineConfig)}
+    assert set(cli._SOLVER_SCHEMA["properties"]) == (
+        giraf_fields | baseline_fields | {"algorithm", "label"})
+
+
+def _python(*args, cwd=None):
+    src = str(Path(cslr.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_cslr_leaves_cli_dependencies_unloaded():
+    run = _python("-c", "import sys, cslr; "
+                        "print('jsonschema' in sys.modules, 'cslr.cli' in sys.modules)")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "False"]
+
+
+def test_module_entry_point_runs_without_warning():
+    run = _python("-W", "error::RuntimeWarning", "-m", "cslr.cli", "--help")
+    assert run.returncode == 0, run.stderr
+    assert "usage: cslr" in run.stdout

@@ -14,7 +14,7 @@ from cslr.giraf import (
     oversampled_box,
     schatten_weight,
 )
-from cslr.grids import ComplexGrid, IndexBox, idft, reverse_conjugate, zero_pad
+from cslr.grids import ComplexGrid, IndexBox, idft, zero_pad
 from cslr.lifting import LiftingSpec, gram_surrogate
 from cslr.models import (
     SamplingOp,
@@ -26,7 +26,7 @@ from cslr.models import (
     pwc_phantom,
 )
 
-from oracles import dense_dft_matrix
+from oracles import dense_dft_matrix, reverse_conjugate
 
 
 def _random_grid(box, rng):

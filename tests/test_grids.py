@@ -10,12 +10,10 @@ from cslr.grids import (
     circ_conv,
     dft,
     idft,
-    linear_conv_valid,
     load_grid,
     minkowski_sum,
     reflect,
     restrict,
-    reverse_conjugate,
     save_grid,
     valid_set,
     wrap_embed,
@@ -25,8 +23,10 @@ from oracles import (
     brute_circ_conv,
     brute_valid_conv,
     dense_dft_matrix,
+    linear_conv_valid,
     random_box,
     random_grid,
+    reverse_conjugate,
 )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cslr.grids import ComplexGrid, IndexBox
-from cslr.lifting import LiftingSpec, materialize_exact, singular_values_dense
+from cslr.lifting import LiftingSpec, materialize_exact
 from cslr.models import (
     DiracSignal,
     RectPhantom,
@@ -160,7 +160,7 @@ def test_dirac_rank_law_and_annihilation():
     box = IndexBox((-63,), (127,))
     x = dirac_fourier(sig, box)
     spec = LiftingSpec(box, IndexBox((-7,), (15,)))
-    s = singular_values_dense(materialize_exact(spec, x))
+    s = np.linalg.svd(materialize_exact(spec, x), compute_uv=False)
     assert s[4] / s[0] < 1e-8
     assert s[3] / s[0] > 1e-4
     h = dirac_annihilator(sig, spec.filter_box)
@@ -174,7 +174,7 @@ def test_pwc_phantom_rank_and_annihilation():
     box = IndexBox((-32, -32), (65, 65))
     x = rect_fourier(ph, box)
     spec = LiftingSpec(box, IndexBox((-4, -4), (9, 9)), gradient_weighting(2))
-    s = singular_values_dense(materialize_exact(spec, x))
+    s = np.linalg.svd(materialize_exact(spec, x), compute_uv=False)
     # exactly rank 32: a 3 x 3 separable annihilator leaves a 49-dim nullspace
     assert s[32] / s[0] < 1e-12
     assert s[31] / s[0] > 1e-8
@@ -193,6 +193,6 @@ def test_rank_is_amplitude_invariant():
     for scale in (1.0, 37.5):
         x = rect_fourier(ph, box)
         x = ComplexGrid(box, scale * x.values)
-        s = singular_values_dense(materialize_exact(spec, x))
+        s = np.linalg.svd(materialize_exact(spec, x), compute_uv=False)
         ranks.append(int(np.sum(s / s[0] > 1e-8)))
     assert ranks[0] == ranks[1]
