@@ -5,16 +5,27 @@ Driving experiments from the command line
 The packaged ``cslr`` command turns a JSON config into datasets, recovery
 runs, benchmark sweeps, and byte-level result comparisons.  This script
 exercises the full loop in a temporary directory using the same entry
-point the installed console script calls.
+point the installed console script calls, and stops with an error if any
+step returns an unexpected exit code.
 """
 
 import json
+import sys
 import tempfile
 from pathlib import Path
 
 from cslr.cli import main
 
-work = Path(tempfile.mkdtemp(prefix="cslr-demo-"))
+
+def run(args, expected):
+    code = main(args)
+    if code != expected:
+        sys.exit(f"cslr {args[0]} exited {code}, expected {expected}")
+    return code
+
+
+tmp = tempfile.TemporaryDirectory(prefix="cslr-demo-")
+work = Path(tmp.name)
 print(f"working in {work}\n")
 
 # ----------------------------------------------------------------------
@@ -51,7 +62,7 @@ for args in (
     ["recover", "--config", str(cfg), "--out", str(work / "run")],
     ["bench", "--config", str(cfg), "--out", str(work / "bench")],
 ):
-    code = main(args)
+    code = run(args, 0)
     print(f"$ cslr {' '.join(args[:1])} ... -> exit {code}")
 
 summary = json.loads((work / "run" / "summary.json").read_text())
@@ -66,13 +77,14 @@ print((work / "bench" / "bench.csv").read_text())
 # compare checks recovered grids against each other and optionally a
 # truth grid; exit code 1 flags a tolerance violation without crashing.
 
-code = main(["compare", str(work / "run" / "recovered.cslr"),
-             str(work / "run" / "recovered.cslr"),
-             "--truth", str(work / "data" / "truth.cslr"),
-             "--tol", "1e-3"])
+code = run(["compare", str(work / "run" / "recovered.cslr"),
+            str(work / "run" / "recovered.cslr"),
+            "--truth", str(work / "data" / "truth.cslr"),
+            "--tol", "1e-3"], 0)
 print(f"compare within tolerance -> exit {code}")
-code = main(["compare", str(work / "run" / "recovered.cslr"),
-             str(work / "data" / "truth.cslr"),
-             "--truth", str(work / "data" / "truth.cslr"),
-             "--tol", "1e-12"])
+code = run(["compare", str(work / "run" / "recovered.cslr"),
+            str(work / "data" / "truth.cslr"),
+            "--truth", str(work / "data" / "truth.cslr"),
+            "--tol", "1e-12"], 1)
 print(f"compare too strict -> exit {code}")
+tmp.cleanup()

@@ -23,8 +23,8 @@ from .giraf import (
     IterationRecord,
     RecoveryTrace,
     _cg_normal,
+    _reweighted_loop,
     _smoothed_schatten_eigs,
-    eps_schedule,
     schatten_weight,
 )
 from .grids import ComplexGrid
@@ -156,10 +156,13 @@ def _relative_step(new: np.ndarray, old: np.ndarray) -> float:
     return float(np.linalg.norm(new - old) ** 2) / denom
 
 
-def _truncate_svd(T: np.ndarray, r: int):
-    U, s, Vh = np.linalg.svd(T, full_matrices=False)
-    X = (U[:, :r] * s[:r]) @ Vh[:r]
-    return X, s
+def _truncate_svd(r: int, scale: float):
+    """Low-rank step of ap and ap_prox: the best rank-r approximation of W,
+    penalized by scale times the energy it discards."""
+    def step(W):
+        U, s, Vh = np.linalg.svd(W, full_matrices=False)
+        return (U[:, :r] * s[:r]) @ Vh[:r], s, scale * float(np.sum(s[r:] ** 2))
+    return step
 
 
 def _diagonal_solve(rhs: np.ndarray, denom: np.ndarray,
@@ -189,17 +192,55 @@ def _fit_lifted(spec: LiftingSpec, sampling: SamplingOp, X: np.ndarray,
     return _diagonal_solve(rhs, sampling.mask.astype(float) + weight * diag, x)
 
 
-def _trace_record(i, nmse_val, cost, s, t0):
-    return IterationRecord(
-        iteration=i, eps=0.0, nmse=nmse_val, cost=cost,
-        sigma_min=float(s[-1]), sigma_max=float(s[0]),
-        seconds=time.perf_counter() - t0)
+def _lifted_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
+                  algorithm: str, step, phases: tuple[str, str], weight: float | None,
+                  dual: bool, ground_truth: ComplexGrid | None,
+                  x0: ComplexGrid | None) -> RecoveryTrace:
+    """Iteration shared by the lifted-matrix solvers.
 
-
-def _maybe_nmse(x_vals, box, ground_truth):
-    if ground_truth is None:
-        return None
-    return nmse(ComplexGrid(box, x_vals.copy()), ground_truth)
+    Each iteration applies the low-rank step W -> (X, sigmas, penalty), the
+    sigmas in descending order, to the exact lifting W of the iterate, fits
+    the grid to X with _fit_lifted's weight and re-lifts it. With dual set,
+    W and the fit target carry a scaled dual, which then moves by the lifting
+    residual (ADMM). The cost is the penalty plus, unless in equality mode,
+    the data residual; the run stops once the relative step drops below
+    config.tol. phases names the timers of the low-rank step and of the fit.
+    """
+    _check_config(config, algorithm)
+    box = spec.data_box
+    diag = lift_normal_diagonal(spec)
+    bvals = sampling.b.values
+    x = (x0.values if x0 is not None else bvals).copy()
+    T = materialize_exact(spec, ComplexGrid(box, x.copy()))
+    D = np.zeros(spec.shape_exact, dtype=np.complex128) if dual else None
+    records = []
+    low_rank, fit = phases
+    seconds = {low_rank: 0.0, fit: 0.0}
+    t0 = time.perf_counter()
+    for i in range(1, config.max_iters + 1):
+        ts = time.perf_counter()
+        X, s, penalty = step(T if D is None else T + D)
+        tp = time.perf_counter()
+        seconds[low_rank] += tp - ts
+        x_new = _fit_lifted(spec, sampling, X if D is None else X - D, diag, x, weight)
+        T = materialize_exact(spec, ComplexGrid(box, x_new.copy()))
+        if D is not None:
+            D = D + T - X
+        seconds[fit] += time.perf_counter() - tp
+        cost = penalty
+        if not config.equality:
+            cost = float(np.linalg.norm((x_new - bvals)[sampling.mask]) ** 2) + penalty
+        err = None if ground_truth is None else nmse(ComplexGrid(box, x_new.copy()), ground_truth)
+        records.append(IterationRecord(
+            iteration=i, eps=0.0, nmse=err, cost=cost,
+            sigma_min=float(s[-1]), sigma_max=float(s[0]),
+            seconds=time.perf_counter() - t0))
+        change = _relative_step(x_new, x)
+        x = x_new
+        if change < config.tol:
+            break
+    return RecoveryTrace(x=ComplexGrid(box, x), records=records,
+                         algorithm=algorithm, phase_seconds=seconds)
 
 
 def ap_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
@@ -207,28 +248,8 @@ def ap_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
              x0: ComplexGrid | None = None) -> RecoveryTrace:
     """Alternating projections (Cadzow): rank-r truncation of the lifted
     matrix, structured-space averaging, measured-data re-insertion."""
-    _check_config(config, "ap")
-    box = spec.data_box
-    diag = lift_normal_diagonal(spec)
-    x = (x0.values if x0 is not None else sampling.b.values).copy()
-    records = []
-    phases = {"svd": 0.0, "projection": 0.0}
-    t0 = time.perf_counter()
-    for i in range(1, config.max_iters + 1):
-        ts = time.perf_counter()
-        X, s = _truncate_svd(materialize_exact(spec, ComplexGrid(box, x.copy())), config.rank_r)
-        tp = time.perf_counter()
-        phases["svd"] += tp - ts
-        x_new = _fit_lifted(spec, sampling, X, diag, x, None)
-        phases["projection"] += time.perf_counter() - tp
-        cost = float(np.sum(s[config.rank_r:] ** 2))
-        records.append(_trace_record(i, _maybe_nmse(x_new, box, ground_truth), cost, s, t0))
-        step = _relative_step(x_new, x)
-        x = x_new
-        if step < config.tol:
-            break
-    return RecoveryTrace(x=ComplexGrid(box, x), records=records,
-                         algorithm="ap", phase_seconds=phases)
+    return _lifted_solve(spec, sampling, config, "ap", _truncate_svd(config.rank_r, 1.0),
+                         ("svd", "projection"), None, False, ground_truth, x0)
 
 
 def ap_prox_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
@@ -237,31 +258,9 @@ def ap_prox_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfi
     """Proximal relaxation of alternating projections: penalize the
     distance of the lifted matrix to the rank-r set with weight lam instead
     of enforcing the rank constraint."""
-    _check_config(config, "ap_prox")
-    box = spec.data_box
-    diag = lift_normal_diagonal(spec)
-    bvals = sampling.b.values
-    x = (x0.values if x0 is not None else bvals).copy()
-    records = []
-    phases = {"svd": 0.0, "least_squares": 0.0}
-    t0 = time.perf_counter()
-    for i in range(1, config.max_iters + 1):
-        ts = time.perf_counter()
-        T = materialize_exact(spec, ComplexGrid(box, x.copy()))
-        X, s = _truncate_svd(T, config.rank_r)
-        tp = time.perf_counter()
-        phases["svd"] += tp - ts
-        x_new = _fit_lifted(spec, sampling, X, diag, x, config.lam)
-        phases["least_squares"] += time.perf_counter() - tp
-        resid = float(np.linalg.norm((x_new - bvals)[sampling.mask]) ** 2)
-        cost = resid + config.lam * float(np.sum(s[config.rank_r:] ** 2))
-        records.append(_trace_record(i, _maybe_nmse(x_new, box, ground_truth), cost, s, t0))
-        step = _relative_step(x_new, x)
-        x = x_new
-        if step < config.tol:
-            break
-    return RecoveryTrace(x=ComplexGrid(box, x), records=records,
-                         algorithm="ap_prox", phase_seconds=phases)
+    return _lifted_solve(spec, sampling, config, "ap_prox",
+                         _truncate_svd(config.rank_r, config.lam),
+                         ("svd", "least_squares"), config.lam, False, ground_truth, x0)
 
 
 def _soft_threshold_svd(Y: np.ndarray, tau: float):
@@ -275,38 +274,13 @@ def svt_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
               x0: ComplexGrid | None = None) -> RecoveryTrace:
     """Nuclear-norm recovery by ADMM with singular-value soft-thresholding
     of the lifted matrix; threshold lam/beta."""
-    _check_config(config, "svt")
-    box = spec.data_box
-    diag = lift_normal_diagonal(spec)
-    bvals = sampling.b.values
-    beta = config.beta
-    tau = config.lam / beta
-    weight = None if config.equality else beta / 2.0
-    x = (x0.values if x0 is not None else bvals).copy()
-    U = np.zeros(spec.shape_exact, dtype=np.complex128)
-    T = materialize_exact(spec, ComplexGrid(box, x.copy()))
-    records = []
-    phases = {"svd": 0.0, "least_squares": 0.0}
-    t0 = time.perf_counter()
-    for i in range(1, config.max_iters + 1):
-        ts = time.perf_counter()
-        X, s, kept = _soft_threshold_svd(T + U, tau)
-        tp = time.perf_counter()
-        phases["svd"] += tp - ts
-        x_new = _fit_lifted(spec, sampling, X - U, diag, x, weight)
-        T = materialize_exact(spec, ComplexGrid(box, x_new.copy()))
-        U = U + T - X
-        phases["least_squares"] += time.perf_counter() - tp
-        resid = float(np.linalg.norm((x_new - bvals)[sampling.mask]) ** 2)
-        nuc = config.lam * float(np.sum(kept))
-        cost = nuc if config.equality else resid + nuc
-        records.append(_trace_record(i, _maybe_nmse(x_new, box, ground_truth), cost, s, t0))
-        step = _relative_step(x_new, x)
-        x = x_new
-        if step < config.tol:
-            break
-    return RecoveryTrace(x=ComplexGrid(box, x), records=records,
-                         algorithm="svt", phase_seconds=phases)
+    def threshold(W):
+        X, s, kept = _soft_threshold_svd(W, config.lam / config.beta)
+        return X, s, config.lam * float(np.sum(kept))
+
+    weight = None if config.equality else config.beta / 2.0
+    return _lifted_solve(spec, sampling, config, "svt", threshold,
+                         ("svd", "least_squares"), weight, True, ground_truth, x0)
 
 
 def _factor_sigmas(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -321,47 +295,25 @@ def svt_uv_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig
     """Nuclear-norm recovery through the factorization penalty
     (lam/2)(|U|_F^2 + |V|_F^2) with U V* pinned to the lifted matrix by
     ADMM; the SVD is replaced by two ridge solves of width rank_r."""
-    _check_config(config, "svt_uv")
-    box = spec.data_box
-    diag = lift_normal_diagonal(spec)
-    bvals = sampling.b.values
-    beta = config.beta
-    lam = config.lam
-    R = config.rank_r
-    weight = None if config.equality else beta / 2.0
-    x = (x0.values if x0 is not None else bvals).copy()
-    rows, cols = spec.shape_exact
     rng = np.random.default_rng(config.seed)
-    V = (rng.standard_normal((cols, R)) + 1j * rng.standard_normal((cols, R))) / math.sqrt(2 * cols)
-    L = np.zeros((rows, cols), dtype=np.complex128)
-    eye = np.eye(R)
-    T = materialize_exact(spec, ComplexGrid(box, x.copy()))
-    records = []
-    phases = {"factor": 0.0, "least_squares": 0.0}
-    t0 = time.perf_counter()
-    for i in range(1, config.max_iters + 1):
-        ts = time.perf_counter()
-        W = T + L
+    V = None
+
+    def factor(W):
+        nonlocal V
+        beta, lam, R = config.beta, config.lam, config.rank_r
+        if V is None:  # drawn at the first step, once the config is checked
+            cols = W.shape[1]
+            V = (rng.standard_normal((cols, R))
+                 + 1j * rng.standard_normal((cols, R))) / math.sqrt(2 * cols)
+        eye = np.eye(R)
         U = beta * (W @ V) @ np.linalg.inv(lam * eye + beta * (V.conj().T @ V))
         V = beta * (W.conj().T @ U) @ np.linalg.inv(lam * eye + beta * (U.conj().T @ U))
-        X = U @ V.conj().T
-        tp = time.perf_counter()
-        phases["factor"] += tp - ts
-        x_new = _fit_lifted(spec, sampling, X - L, diag, x, weight)
-        T = materialize_exact(spec, ComplexGrid(box, x_new.copy()))
-        L = L + T - X
-        phases["least_squares"] += time.perf_counter() - tp
-        resid = float(np.linalg.norm((x_new - bvals)[sampling.mask]) ** 2)
         pen = (lam / 2.0) * float(np.linalg.norm(U) ** 2 + np.linalg.norm(V) ** 2)
-        cost = pen if config.equality else resid + pen
-        s = _factor_sigmas(U, V)
-        records.append(_trace_record(i, _maybe_nmse(x_new, box, ground_truth), cost, s, t0))
-        step = _relative_step(x_new, x)
-        x = x_new
-        if step < config.tol:
-            break
-    return RecoveryTrace(x=ComplexGrid(box, x), records=records,
-                         algorithm="svt_uv", phase_seconds=phases)
+        return U @ V.conj().T, _factor_sigmas(U, V), pen
+
+    weight = None if config.equality else config.beta / 2.0
+    return _lifted_solve(spec, sampling, config, "svt_uv", factor,
+                         ("factor", "least_squares"), weight, True, ground_truth, x0)
 
 
 def _wrapped_filter_bank(spec: LiftingSpec, filters: np.ndarray) -> np.ndarray:
@@ -390,41 +342,23 @@ def irls_direct(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
     box = spec.data_box
     axes = tuple(range(1, box.ndim + 1))
     ws = [w.weights_on(box) for w in spec.weightings]
-    bvals = sampling.b.values
     lam = None if config.equality else config.lam
     q = 1.0 - config.p / 2.0
     gate = np.zeros(box.extent)
     roff = np.asarray(spec.valid_box.offset) - np.asarray(box.offset)
     gate[tuple(slice(o, o + e) for o, e in zip(roff, spec.valid_box.extent))] = 1.0
 
-    x = bvals.copy()
-    records = []
-    phases = {"filter_update": 0.0, "least_squares": 0.0}
-    t0 = time.perf_counter()
-
-    def finish_record(rec, s2_now):
-        rec.sigma_min = math.sqrt(max(float(s2_now[-1]), 0.0))
-        rec.sigma_max = math.sqrt(max(float(s2_now[0]), 0.0))
-        sch = _smoothed_schatten_eigs(s2_now, config.p, rec.eps)
-        rec.cost = sch if config.equality else rec.data_term + config.lam * sch
-
-    n_outer = config.max_iters
-    for n in range(1, n_outer + 1):
-        ts = time.perf_counter()
-        T = materialize_exact(spec, ComplexGrid(box, x.copy()))
+    def spectrum(x, vectors):
+        T = materialize_exact(spec, x)
+        if not vectors:
+            return np.linalg.svd(T, compute_uv=False) ** 2, None
         _, s, Vh = np.linalg.svd(T, full_matrices=False)
-        s2 = s ** 2
-        if records:
-            finish_record(records[-1], s2)
-        if n == 1:
-            eps0, schedule = eps_schedule(s2[0], n_outer, config.eps0,
-                                          config.eta, config.eps_min)
-        eps_n = schedule[n - 1]
-        filters = Vh.conj().T * (s2 + eps_n) ** (-q / 2.0)
-        bank = _wrapped_filter_bank(spec, filters)
-        tp = time.perf_counter()
-        phases["filter_update"] += tp - ts
+        return s ** 2, Vh
 
+    def reweight(s2, Vh, eps):
+        return _wrapped_filter_bank(spec, Vh.conj().T * (s2 + eps) ** (-q / 2.0))
+
+    def least_squares(bank, x):
         def penalty_op(v):
             out = np.zeros(box.extent, dtype=np.complex128)
             for w in ws:
@@ -434,22 +368,10 @@ def irls_direct(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
                 out += np.conj(w) * np.fft.ifftn(back.sum(axis=0))
             return out
 
-        x_new = _cg_normal(penalty_op, sampling, lam, config.p, x,
-                           config.inner_iters, config.cg_tol)
-        phases["least_squares"] += time.perf_counter() - tp
+        return ComplexGrid(box, _cg_normal(penalty_op, sampling, lam, config.p, x.values,
+                                           config.inner_iters, config.cg_tol))
 
-        resid = float(np.linalg.norm((x_new - bvals)[sampling.mask]) ** 2)
-        records.append(IterationRecord(
-            iteration=n, eps=eps_n, nmse=_maybe_nmse(x_new, box, ground_truth),
-            cost=None, sigma_min=float("nan"), sigma_max=float("nan"),
-            seconds=time.perf_counter() - t0, data_term=resid))
-        x = x_new
-
-    ts = time.perf_counter()
-    s_fin = np.linalg.svd(materialize_exact(spec, ComplexGrid(box, x.copy())),
-                          compute_uv=False)
-    phases["filter_update"] += time.perf_counter() - ts
-    finish_record(records[-1], s_fin ** 2)
-    return RecoveryTrace(x=ComplexGrid(box, x), records=records,
-                         algorithm=f"irls{config.p:g}", eps0=eps0,
-                         phase_seconds=phases)
+    error = None if ground_truth is None else (lambda x: nmse(x, ground_truth))
+    return _reweighted_loop(config, config.max_iters, lam, sampling.b.copy(), sampling,
+                            spectrum, reweight, least_squares, error,
+                            algorithm=f"irls{config.p:g}")

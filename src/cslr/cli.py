@@ -34,14 +34,15 @@ from .giraf import (
     ConfigError,
     SolverConfig,
     SolverError,
+    _filter_from_eig,
+    _gram_eig,
     admm_ls,
     cg_ls,
     eps_schedule,
-    filter_update,
     giraf_solve,
 )
 from .grids import ComplexGrid, GridFormatError, IndexBox, load_grid, save_grid
-from .lifting import BudgetError, LiftingSpec, gram_surrogate
+from .lifting import BudgetError, LiftingSpec
 from .models import (
     RectPhantom,
     SamplingOp,
@@ -506,10 +507,9 @@ def _bench_subproblem(config: dict, out: Path, shift: int) -> int:
 
     spec = _build_spec(config)
     truth, sampling = _build_instance(config, shift)
-    x0 = sampling.zero_filled()
-    lam_max = float(np.linalg.eigvalsh(gram_surrogate(spec, x0))[-1])
-    eps0, _ = eps_schedule(lam_max, 1, base.get("eps0", "auto"))
-    state = filter_update(spec, x0, eps0, p)
+    w, V = _gram_eig(spec, sampling.zero_filled())
+    eps0, _ = eps_schedule(float(w[-1]), 1, base.get("eps0", "auto"))
+    state = _filter_from_eig(spec, w, V, eps0, p)
     ref_iters = sweep.get("reference_iters", 4000)
     reference = cg_ls(spec, sampling, state.d, lam, p, iters=ref_iters, tol=1e-16)
     ref_vals = reference.values
@@ -608,8 +608,11 @@ def cmd_compare(paths, truth_path, tol, max_diff, nmse_diff) -> int:
 
 
 def _emit_error(code: int, exc: Exception) -> None:
+    # str() of a schema error embeds the whole schema and instance
+    message = (f"{exc.json_path}: {exc.message}"
+               if isinstance(exc, jsonschema.ValidationError) else str(exc))
     payload = {"error": {"exit_code": code, "type": type(exc).__name__,
-                         "message": str(exc)}}
+                         "message": message}}
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 

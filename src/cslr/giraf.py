@@ -137,7 +137,6 @@ class IterationRecord:
     sigma_min: float
     sigma_max: float
     seconds: float
-    data_term: float = field(default=0.0, repr=False)
 
 
 @dataclass
@@ -376,6 +375,64 @@ def eps_schedule(lam_max: float, n_outer: int, eps0: float | str = "auto",
     return eps0, [max(eps0 * eta ** (-(n - 1)), eps_min) for n in range(1, n_outer + 1)]
 
 
+def _reweighted_loop(config, n_outer: int, lam: float | None, x: ComplexGrid,
+                     sampling: SamplingOp, spectrum, reweight, least_squares,
+                     error, algorithm: str) -> RecoveryTrace:
+    """Outer iteration shared by GIRAF and direct IRLS.
+
+    Each iteration takes the spectrum of the current lifting,
+    spectrum(x, vectors) -> (eigenvalues, basis), sets the smoothing schedule
+    from the first one, forms the reweighted penalty reweight(eigenvalues,
+    basis, eps) and solves least_squares(penalty, x) -> x. The cost and the
+    singular-value range of an iterate come from the spectrum taken at the
+    start of the next iteration, or from a closing eigenvalue-only spectrum
+    (vectors=False) after the last one. config supplies p, eps0, eta and
+    eps_min; lam=None is equality mode; error(x) gives the NMSE or is None.
+    """
+    records: list[IterationRecord] = []
+    phases = {"filter_update": 0.0, "least_squares": 0.0}
+    t0 = time.perf_counter()
+    data_term = 0.0
+
+    def finish_record(rec, eigvals):
+        rec.sigma_min = math.sqrt(max(float(np.min(eigvals)), 0.0))
+        rec.sigma_max = math.sqrt(max(float(np.max(eigvals)), 0.0))
+        sch = _smoothed_schatten_eigs(eigvals, config.p, rec.eps)
+        rec.cost = sch if lam is None else data_term + lam * sch
+
+    for n in range(1, n_outer + 1):
+        tf = time.perf_counter()
+        eigvals, basis = spectrum(x, True)
+        if records:
+            finish_record(records[-1], eigvals)
+        if n == 1:
+            eps0, schedule = eps_schedule(float(np.max(eigvals)), n_outer, config.eps0,
+                                          config.eta, config.eps_min)
+        eps_n = schedule[n - 1]
+        smallest = np.min(eigvals) + eps_n
+        with np.errstate(divide="ignore", over="ignore"):
+            if not np.isfinite(smallest ** (config.p / 2 - 1)):
+                raise SolverError(f"reweighting overflowed at iteration {n}: smallest "
+                                  f"eigenvalue plus eps is {smallest:g}")
+        penalty = reweight(eigvals, basis, eps_n)
+        tl = time.perf_counter()
+        phases["filter_update"] += tl - tf
+        x = least_squares(penalty, x)
+        phases["least_squares"] += time.perf_counter() - tl
+        data_term = float(np.linalg.norm((x.values - sampling.b.values)[sampling.mask]) ** 2)
+        records.append(IterationRecord(
+            iteration=n, eps=eps_n, nmse=None if error is None else error(x), cost=None,
+            sigma_min=float("nan"), sigma_max=float("nan"),
+            seconds=time.perf_counter() - t0))
+
+    tf = time.perf_counter()
+    eigvals, _ = spectrum(x, False)
+    phases["filter_update"] += time.perf_counter() - tf
+    finish_record(records[-1], eigvals)
+    return RecoveryTrace(x=x, records=records, algorithm=algorithm, eps0=eps0,
+                         phase_seconds=phases)
+
+
 def giraf_solve(spec: LiftingSpec, sampling: SamplingOp, config: SolverConfig,
                 ground_truth: ComplexGrid | None = None) -> RecoveryTrace:
     """Run the full reweighted recovery; returns the iterate restricted to
@@ -391,54 +448,23 @@ def giraf_solve(spec: LiftingSpec, sampling: SamplingOp, config: SolverConfig,
         samp = sampling.embed(big)
     _check_coverage(work_spec, samp)
 
-    x = samp.zero_filled()
-    records: list[IterationRecord] = []
-    t0 = time.perf_counter()
-
-    def data_term(grid):
-        return float(np.linalg.norm((grid.values - samp.b.values)[samp.mask]) ** 2)
-
-    def finish_record(rec, eigvals):
-        rec.sigma_min = math.sqrt(max(eigvals[0], 0.0))
-        rec.sigma_max = math.sqrt(max(eigvals[-1], 0.0))
-        sch = _smoothed_schatten_eigs(eigvals, config.p, rec.eps)
-        rec.cost = sch if config.equality else rec.data_term + config.lam * sch
-
-    phases = {"filter_update": 0.0, "least_squares": 0.0}
-    n_outer = config.outer_iters
-    for n in range(1, n_outer + 1):
-        tf = time.perf_counter()
-        w, V = _gram_eig(work_spec, x)
-        if records:
-            finish_record(records[-1], w)
-        if n == 1:
-            eps0, schedule = eps_schedule(float(w[-1]), n_outer, config.eps0,
-                                          config.eta, config.eps_min)
-        eps_n = schedule[n - 1]
-        fs = _filter_from_eig(work_spec, w, V, eps_n, config.p)
-        tl = time.perf_counter()
-        phases["filter_update"] += tl - tf
+    def least_squares(d, x):
         if config.ls_solver == "admm":
-            x = admm_ls(work_spec, samp, fs.d, config.lam, config.p,
+            x = admm_ls(work_spec, samp, d, config.lam, config.p,
                         iters=config.inner_iters, delta=config.delta, x0=x)
         else:
-            x = cg_ls(work_spec, samp, fs.d, config.lam, config.p,
+            x = cg_ls(work_spec, samp, d, config.lam, config.p,
                       iters=config.inner_iters, tol=config.cg_tol, x0=x)
         if config.equality:
             x = ComplexGrid(work_spec.data_box, samp.insert_data(x.values))
-        phases["least_squares"] += time.perf_counter() - tl
-        err = None
-        if ground_truth is not None:
-            err = nmse(restrict(x, spec.data_box), ground_truth)
-        records.append(IterationRecord(
-            iteration=n, eps=eps_n, nmse=err, cost=None,
-            sigma_min=float("nan"), sigma_max=float("nan"),
-            seconds=time.perf_counter() - t0, data_term=data_term(x)))
+        return x
 
-    tf = time.perf_counter()
-    w, _ = _gram_eig(work_spec, x)
-    phases["filter_update"] += time.perf_counter() - tf
-    finish_record(records[-1], w)
-    return RecoveryTrace(x=restrict(x, spec.data_box), records=records,
-                         algorithm=f"giraf{config.p:g}", eps0=eps0,
-                         phase_seconds=phases)
+    error = None if ground_truth is None else (
+        lambda x: nmse(restrict(x, spec.data_box), ground_truth))
+    trace = _reweighted_loop(
+        config, config.outer_iters, config.lam, samp.zero_filled(), samp,
+        spectrum=lambda x, vectors: _gram_eig(work_spec, x),
+        reweight=lambda w, V, eps: _filter_from_eig(work_spec, w, V, eps, config.p).d,
+        least_squares=least_squares, error=error, algorithm=f"giraf{config.p:g}")
+    trace.x = restrict(trace.x, spec.data_box)
+    return trace

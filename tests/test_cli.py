@@ -138,6 +138,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
     base["surprise"] = 1
     cfg.write_text(json.dumps(base))
     assert main(["recover", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    line = capsys.readouterr().err
+    assert len(line.encode()) < 1024
+    assert "'surprise'" in json.loads(line)["error"]["message"]
 
     # field that belongs to a different solver family
     _write_config(cfg, solver={"algorithm": "giraf", "rank_r": 4})
@@ -259,6 +262,23 @@ def test_bench_subproblem_protocol(tmp_path):
     assert by_solver["cg"][-1] < 1e-12
 
 
+def test_subproblem_eps0_matches_recover(tmp_path):
+    # the subproblem bench freezes the first reweighting step of the solve,
+    # so its automatic eps0 must be the solver's, to the last bit
+    cfg = tmp_path / "cfg.json"
+    base = _write_config(cfg, noise={"snr_db": 30.0, "seed": 17}, solver={
+        "algorithm": "giraf", "p": 0, "lam": 0.05, "outer_iters": 1})
+    base["sweep"] = {"protocol": "subproblem", "reference_iters": 50,
+                     "solvers": [{"algorithm": "giraf", "ls_solver": "cg",
+                                  "inner_iters": 5}]}
+    cfg.write_text(json.dumps(base))
+    assert main(["recover", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert manifest["eps0"] == summary["eps0"]
+
+
 def test_compare_exit_codes(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     _write_config(cfg)
@@ -306,28 +326,40 @@ def test_manifests_have_no_timestamps(tmp_path):
     assert manifest["resolved_solver"]["algorithm"] == "giraf"
 
 
-@pytest.mark.parametrize("solver", [
-    {"algorithm": "giraf", "p": 0, "outer_iters": 3, "inner_iters": 5},
-    {"algorithm": "irls", "p": 0, "max_iters": 3, "inner_iters": 5},
+_GIRAF_SHORT = {"algorithm": "giraf", "p": 0, "outer_iters": 3, "inner_iters": 5}
+_IRLS_SHORT = {"algorithm": "irls", "p": 0, "max_iters": 3, "inner_iters": 5}
+
+
+@pytest.mark.parametrize("solver, scale", [
+    pytest.param(_GIRAF_SHORT, 0.0, id="solver0"),
+    pytest.param(_IRLS_SHORT, 0.0, id="solver1"),
+    pytest.param(_GIRAF_SHORT, 1e-160, id="solver0-scaled1e-160"),
+    pytest.param(_IRLS_SHORT, 1e-160, id="solver1-scaled1e-160"),
 ])
-def test_zero_measurements_exit_4(tmp_path, capsys, solver):
+def test_zero_measurements_exit_4(tmp_path, capsys, solver, scale):
     # an all-zero first iterate has an identically zero lifting, so no
-    # smoothing schedule exists: a solver failure for every reweighted solver
-    box = IndexBox((-31,), (63,))
-    mask = np.zeros(box.extent)
-    mask[::2] = 1.0
-    save_grid(ComplexGrid(box, mask), tmp_path / "mask.cslr")
-    save_grid(ComplexGrid.zeros(box), tmp_path / "measured.cslr")
+    # smoothing schedule exists; measurements scaled by 1e-160 leave a lifting
+    # so small that the weights (lambda + eps)^(p/2 - 1) overflow. Both are
+    # solver failures for every reweighted solver, not config errors.
     cfg = tmp_path / "cfg.json"
+    _write_config(cfg)
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "gen")]) == 0
+    measured = load_grid(tmp_path / "gen" / "measured.cslr")
+    save_grid(ComplexGrid(measured.box, measured.values * scale),
+              tmp_path / "scaled.cslr")
     _write_config(cfg, solver=solver, signal={
         "kind": "file",
-        "mask": str(tmp_path / "mask.cslr"),
-        "measured": str(tmp_path / "measured.cslr"),
+        "mask": str(tmp_path / "gen" / "mask.cslr"),
+        "measured": str(tmp_path / "scaled.cslr"),
     })
     assert main(["recover", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == {"exit_code": 4, "type": "SolverError",
-                            "message": "first iterate has an identically zero lifting"}
+    assert err["error"]["exit_code"] == 4
+    assert err["error"]["type"] == "SolverError"
+    if scale == 0:
+        assert err["error"]["message"] == "first iterate has an identically zero lifting"
+    else:
+        assert "overflow" in err["error"]["message"]
 
 
 def test_solver_schema_matches_config_fields():

@@ -28,3 +28,4 @@ def test_demo_runs(tmp_path, name):
                          env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr[-2000:]
     assert run.stdout.strip()
+    assert not list(tmp_path.glob("cslr-demo-*"))
