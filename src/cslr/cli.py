@@ -34,8 +34,9 @@ from .giraf import (
     ConfigError,
     SolverConfig,
     SolverError,
-    _filter_from_eig,
-    _gram_eig,
+    _gram_spectrum,
+    _reweight,
+    _working_problem,
     admm_ls,
     cg_ls,
     eps_schedule,
@@ -502,14 +503,16 @@ def _bench_subproblem(config: dict, out: Path, shift: int) -> int:
         raise ConfigurationError("subproblem bench needs solver.lam")
     sweep = config["sweep"]
     timing = config.get("timing", "wall")
-    lam = float(base["lam"])
-    p = float(base.get("p", 0.0))
+    _, solver_cfg = _resolve_solver(base)
+    lam = float(solver_cfg.lam)
+    p = float(solver_cfg.p)
 
-    spec = _build_spec(config)
-    truth, sampling = _build_instance(config, shift)
-    w, V = _gram_eig(spec, sampling.zero_filled())
-    eps0, _ = eps_schedule(float(w[-1]), 1, base.get("eps0", "auto"))
-    state = _filter_from_eig(spec, w, V, eps0, p)
+    # the first reweighting step of giraf_solve, on its working grid
+    _, sampling = _build_instance(config, shift)
+    spec, sampling = _working_problem(_build_spec(config), sampling, solver_cfg)
+    w, basis = _gram_spectrum(spec, sampling.zero_filled(), p, True)
+    eps0, _ = eps_schedule(float(np.max(w)), 1, solver_cfg.eps0)
+    state = _reweight(spec, w, basis, eps0, p)
     ref_iters = sweep.get("reference_iters", 4000)
     reference = cg_ls(spec, sampling, state.d, lam, p, iters=ref_iters, tol=1e-16)
     ref_vals = reference.values

@@ -2,11 +2,15 @@
 
 The solver alternates two matrix-free steps on gridded Fourier data:
 
-1. Filter update. Eigendecompose the small Gram matrix of the circulant
-   surrogate lifting at the current iterate. The reweighted annihilating
-   filter is the eigenvalue-weighted sum of eigenvector autocorrelations,
-   and one inverse FFT of that filter gives a nonnegative spatial weight
-   image d (the annihilation weights).
+1. Filter update. Form the small Gram matrix G of the circulant surrogate
+   lifting at the current iterate and its weight matrix
+   H = (G + eps I)^(p/2 - 1): one matrix inverse for p = 0, an
+   eigendecomposition for p > 0. The reweighted annihilating filter sums H
+   along its filter-difference diagonals (the eigenvalue-weighted sum of
+   eigenvector autocorrelations), and one inverse FFT of that filter gives
+   a nonnegative spatial weight image d (the annihilation weights). The
+   eigenvalues of G, computed without eigenvectors for p = 0, set the
+   smoothing schedule, the cost and the singular-value range.
 
 2. Least squares. Minimize ||A x - b||^2 + lam * C_p * sum_j ||D^{1/2} F^*
    M_j x||^2 with D = diag(d), solved either by ADMM with a splitting
@@ -154,23 +158,26 @@ class RecoveryTrace:
         return self.records[-1].nmse if self.records else None
 
 
-def _gram_eig(spec: LiftingSpec, x: ComplexGrid):
+def _gram_spectrum(spec: LiftingSpec, x: ComplexGrid, p: float, vectors: bool):
+    """Spectrum of the surrogate Gram matrix G at x: (eigenvalues clipped at
+    zero, basis). The basis is what _reweight needs, so only p > 0 pays for
+    eigenvectors: the eigenvectors for p > 0, G itself for p = 0 (its
+    weight matrix (G + eps I)^-1 is one inverse), None when vectors is
+    false."""
     G = gram_surrogate(spec, x)
     try:
-        w, V = np.linalg.eigh(G)
+        if vectors and p > 0:
+            w, basis = np.linalg.eigh(G)
+        else:
+            w, basis = np.linalg.eigvalsh(G), G if vectors else None
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"Gram eigendecomposition failed: {exc}") from exc
-    return np.maximum(w, 0.0), V
+    return np.maximum(w, 0.0), basis
 
 
-def _filter_from_eig(spec: LiftingSpec, eigvals: np.ndarray, V: np.ndarray,
-                     eps: float, p: float) -> FilterState:
-    if eps <= 0:
-        raise SolverError("filter update needs a positive epsilon")
-    q = 1.0 - p / 2.0
-    weights = (eigvals + eps) ** (-q)
-    H = (V * weights) @ V.conj().T
-
+def _filter_from_H(spec: LiftingSpec, H: np.ndarray, eigvals: np.ndarray) -> FilterState:
+    """Filter and spatial weights of the Hermitian weight matrix H, indexed
+    by pairs of filter-box positions."""
     diff_box = minkowski_sum(spec.filter_box, reflect(spec.filter_box))
     flat = diff_index(spec.filter_box, spec.filter_box, diff_box).ravel()
     hr = np.bincount(flat, weights=H.real.ravel(), minlength=diff_box.size)
@@ -190,10 +197,32 @@ def _filter_from_eig(spec: LiftingSpec, eigvals: np.ndarray, V: np.ndarray,
     return FilterState(h=h, d=d, eigvals=eigvals)
 
 
+def _filter_from_eig(spec: LiftingSpec, eigvals: np.ndarray, V: np.ndarray,
+                     eps: float, p: float) -> FilterState:
+    """Weight matrix V diag((eigvals + eps)^-q) V^*, q = 1 - p/2, for any p."""
+    q = 1.0 - p / 2.0
+    weights = (eigvals + eps) ** (-q)
+    return _filter_from_H(spec, (V * weights) @ V.conj().T, eigvals)
+
+
+def _reweight(spec: LiftingSpec, eigvals: np.ndarray, basis: np.ndarray,
+              eps: float, p: float) -> FilterState:
+    """Filter state from a _gram_spectrum result taken with vectors=True."""
+    if eps <= 0:
+        raise SolverError("filter update needs a positive epsilon")
+    if p > 0:
+        return _filter_from_eig(spec, eigvals, basis, eps, p)
+    try:
+        H = np.linalg.inv(basis + eps * np.eye(basis.shape[0]))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"Gram inverse failed: {exc}") from exc
+    return _filter_from_H(spec, (H + H.conj().T) / 2.0, eigvals)
+
+
 def filter_update(spec: LiftingSpec, x: ComplexGrid, eps: float, p: float) -> FilterState:
     """Annihilating filter and spatial weights for the current iterate."""
-    w, V = _gram_eig(spec, x)
-    return _filter_from_eig(spec, w, V, eps, p)
+    w, basis = _gram_spectrum(spec, x, p, True)
+    return _reweight(spec, w, basis, eps, p)
 
 
 def _block_weights(spec: LiftingSpec):
@@ -367,6 +396,8 @@ def eps_schedule(lam_max: float, n_outer: int, eps0: float | str = "auto",
     eta^-(n-1), eps_min). eps0="auto" means lam_max/100; eps_min=None means
     eps0 * eta^-n_outer, floored at 1e-9 * eps0.
     """
+    if not math.isfinite(lam_max):
+        raise SolverError(f"largest eigenvalue of the first iterate's lifting is {lam_max}")
     if lam_max <= 0:
         raise SolverError("first iterate has an identically zero lifting")
     eps0 = lam_max / 100.0 if eps0 == "auto" else float(eps0)
@@ -433,20 +464,24 @@ def _reweighted_loop(config, n_outer: int, lam: float | None, x: ComplexGrid,
                          phase_seconds=phases)
 
 
+def _working_problem(spec: LiftingSpec, sampling: SamplingOp, config: SolverConfig):
+    """Spec and sampling operator a solve works on: on the oversampled box
+    when config asks for it, checked for weighting coverage."""
+    if sampling.box != spec.data_box:
+        raise ConfigError("sampling operator does not live on the data box")
+    if config.oversample:
+        big = oversampled_box(spec.data_box, spec.filter_box, config.oversample_factor)
+        spec, sampling = spec.with_data_box(big), sampling.embed(big)
+    _check_coverage(spec, sampling)
+    return spec, sampling
+
+
 def giraf_solve(spec: LiftingSpec, sampling: SamplingOp, config: SolverConfig,
                 ground_truth: ComplexGrid | None = None) -> RecoveryTrace:
     """Run the full reweighted recovery; returns the iterate restricted to
     the original data box plus per-iteration diagnostics."""
     config.validate()
-    if sampling.box != spec.data_box:
-        raise ConfigError("sampling operator does not live on the data box")
-
-    work_spec, samp = spec, sampling
-    if config.oversample:
-        big = oversampled_box(spec.data_box, spec.filter_box, config.oversample_factor)
-        work_spec = spec.with_data_box(big)
-        samp = sampling.embed(big)
-    _check_coverage(work_spec, samp)
+    work_spec, samp = _working_problem(spec, sampling, config)
 
     def least_squares(d, x):
         if config.ls_solver == "admm":
@@ -463,8 +498,8 @@ def giraf_solve(spec: LiftingSpec, sampling: SamplingOp, config: SolverConfig,
         lambda x: nmse(restrict(x, spec.data_box), ground_truth))
     trace = _reweighted_loop(
         config, config.outer_iters, config.lam, samp.zero_filled(), samp,
-        spectrum=lambda x, vectors: _gram_eig(work_spec, x),
-        reweight=lambda w, V, eps: _filter_from_eig(work_spec, w, V, eps, config.p).d,
+        spectrum=lambda x, vectors: _gram_spectrum(work_spec, x, config.p, vectors),
+        reweight=lambda w, basis, eps: _reweight(work_spec, w, basis, eps, config.p).d,
         least_squares=least_squares, error=error, algorithm=f"giraf{config.p:g}")
     trace.x = restrict(trace.x, spec.data_box)
     return trace

@@ -262,12 +262,10 @@ def test_bench_subproblem_protocol(tmp_path):
     assert by_solver["cg"][-1] < 1e-12
 
 
-def test_subproblem_eps0_matches_recover(tmp_path):
-    # the subproblem bench freezes the first reweighting step of the solve,
-    # so its automatic eps0 must be the solver's, to the last bit
+def _subproblem_and_recover_eps0(tmp_path, **solver):
     cfg = tmp_path / "cfg.json"
     base = _write_config(cfg, noise={"snr_db": 30.0, "seed": 17}, solver={
-        "algorithm": "giraf", "p": 0, "lam": 0.05, "outer_iters": 1})
+        "algorithm": "giraf", "p": 0, "lam": 0.05, "outer_iters": 1, **solver})
     base["sweep"] = {"protocol": "subproblem", "reference_iters": 50,
                      "solvers": [{"algorithm": "giraf", "ls_solver": "cg",
                                   "inner_iters": 5}]}
@@ -276,7 +274,23 @@ def test_subproblem_eps0_matches_recover(tmp_path):
     assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
     summary = json.loads((tmp_path / "r" / "summary.json").read_text())
     manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
-    assert manifest["eps0"] == summary["eps0"]
+    return manifest["eps0"], summary["eps0"]
+
+
+def test_subproblem_eps0_matches_recover(tmp_path):
+    # the subproblem bench freezes the first reweighting step of the solve,
+    # so its automatic eps0 must be the solver's, to the last bit
+    bench, recover = _subproblem_and_recover_eps0(tmp_path)
+    assert bench == recover
+
+
+def test_subproblem_oversampled_eps0_matches_recover(tmp_path):
+    # ... on the solve's oversampled working grid when the solver asks for it
+    bench, recover = _subproblem_and_recover_eps0(tmp_path, oversample=True)
+    assert bench == recover
+    (tmp_path / "plain").mkdir()
+    plain, _ = _subproblem_and_recover_eps0(tmp_path / "plain")
+    assert plain != bench
 
 
 def test_compare_exit_codes(tmp_path, capsys):
@@ -335,12 +349,15 @@ _IRLS_SHORT = {"algorithm": "irls", "p": 0, "max_iters": 3, "inner_iters": 5}
     pytest.param(_IRLS_SHORT, 0.0, id="solver1"),
     pytest.param(_GIRAF_SHORT, 1e-160, id="solver0-scaled1e-160"),
     pytest.param(_IRLS_SHORT, 1e-160, id="solver1-scaled1e-160"),
+    pytest.param(_GIRAF_SHORT, 1e160, id="solver0-scaled1e160"),
+    pytest.param(_IRLS_SHORT, 1e160, id="solver1-scaled1e160"),
 ])
 def test_zero_measurements_exit_4(tmp_path, capsys, solver, scale):
     # an all-zero first iterate has an identically zero lifting, so no
     # smoothing schedule exists; measurements scaled by 1e-160 leave a lifting
-    # so small that the weights (lambda + eps)^(p/2 - 1) overflow. Both are
-    # solver failures for every reweighted solver, not config errors.
+    # so small that the weights (lambda + eps)^(p/2 - 1) overflow, and by
+    # 1e160 one whose spectrum overflows. All are solver failures for every
+    # reweighted solver, not config errors.
     cfg = tmp_path / "cfg.json"
     _write_config(cfg)
     assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "gen")]) == 0
@@ -358,8 +375,12 @@ def test_zero_measurements_exit_4(tmp_path, capsys, solver, scale):
     assert err["error"]["type"] == "SolverError"
     if scale == 0:
         assert err["error"]["message"] == "first iterate has an identically zero lifting"
-    else:
+    elif scale < 1:
         assert "overflow" in err["error"]["message"]
+    else:
+        assert err["error"]["message"] in (
+            "Gram eigendecomposition failed: Eigenvalues did not converge",
+            "largest eigenvalue of the first iterate's lifting is inf")
 
 
 def test_solver_schema_matches_config_fields():

@@ -7,6 +7,9 @@ import pytest
 from cslr.giraf import (
     ConfigError,
     SolverConfig,
+    _filter_from_eig,
+    _gram_spectrum,
+    _reweight,
     admm_ls,
     cg_ls,
     filter_update,
@@ -86,6 +89,47 @@ def test_weights_at_zero_iterate_are_uniform():
     # weight and the spatial sum collapses to N/L times eps^-q
     expect = eps ** (-(1.0 - p / 2.0)) * filt.size / data.size
     assert np.max(np.abs(fs.d.values.real - expect)) < 1e-12 * expect
+
+
+@pytest.mark.parametrize("data, filt, weighted", [
+    (IndexBox((-6,), (13,)), IndexBox((-2,), (5,)), False),
+    (IndexBox((-7,), (14,)), IndexBox((-3,), (6,)), True),
+    (IndexBox((-5, -4), (11, 8)), IndexBox((-2, -1), (4, 3)), True),
+    (IndexBox((-3, -2, -3), (6, 5, 7)), IndexBox((-1, -1, -1), (2, 3, 3)), False),
+    (IndexBox((-2, -3, -2), (5, 6, 4)), IndexBox((0, -1, 0), (3, 2, 2)), True),
+])
+def test_p0_inverse_matches_eigenvector_weights(data, filt, weighted):
+    # for p = 0 the weight matrix is (G + eps I)^-1: one inverse of the Gram
+    # matrix must give the eigenvector path's filter and weights
+    rng = np.random.default_rng(47)
+    spec = LiftingSpec(data, filt, gradient_weighting(data.ndim)) if weighted \
+        else LiftingSpec(data, filt)
+    for _ in range(3):
+        x = _random_grid(data, rng)
+        w, V = np.linalg.eigh(gram_surrogate(spec, x))
+        eps = 10.0 ** rng.uniform(-6, -2) * np.max(w)  # the schedule's range
+        want = _filter_from_eig(spec, np.maximum(w, 0.0), V, eps, 0.0)
+        eigvals, G = _gram_spectrum(spec, x, 0.0, True)
+        got = _reweight(spec, eigvals, G, eps, 0.0)
+        for a, b in ((got.d.values, want.d.values), (got.h.values, want.h.values)):
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5])
+def test_eigenvectors_only_where_weights_need_them(monkeypatch, p):
+    # p = 0 reweights with a matrix inverse and takes eigenvalues alone;
+    # p > 0 needs one eigendecomposition per outer iteration and none for
+    # the closing spectrum
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    box = IndexBox((-10,), (21,))
+    spec = LiftingSpec(box, IndexBox((-2,), (5,)))
+    truth = _random_grid(box, np.random.default_rng(48))
+    samp = SamplingOp.measure(truth, random_mask(box, 0.6, seed=20))
+    cfg = SolverConfig(p=p, lam=5.0, outer_iters=4, inner_iters=5)
+    giraf_solve(spec, samp, cfg)
+    assert len(calls) == (0 if p == 0 else cfg.outer_iters)
 
 
 def test_filter_is_conjugate_symmetric():
