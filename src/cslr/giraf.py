@@ -4,12 +4,16 @@ The solver alternates two matrix-free steps on gridded Fourier data:
 
 1. Filter update. Form the small Gram matrix G of the circulant surrogate
    lifting at the current iterate and its weight matrix
-   H = (G + eps I)^(p/2 - 1): one matrix inverse for p = 0, an
-   eigendecomposition for p > 0. The reweighted annihilating filter sums H
-   along its filter-difference diagonals (the eigenvalue-weighted sum of
-   eigenvector autocorrelations), and one inverse FFT of that filter gives
-   a nonnegative spatial weight image d (the annihilation weights). The
-   eigenvalues of G, computed without eigenvectors for p = 0, set the
+   H = (G + eps I)^(p/2 - 1). G is multi-level Toeplitz, hence
+   centrohermitian, so a sparse unitary Q turns it into a real symmetric
+   matrix R = Q^* G Q of the same order and the same eigenvalues; all the
+   linear algebra runs on R in real arithmetic (one matrix inverse for
+   p = 0, an eigendecomposition for p > 0) and the weight matrix comes back
+   as H = Q (R + eps I)^(p/2 - 1) Q^*. The reweighted annihilating filter
+   sums H along its filter-difference diagonals (the eigenvalue-weighted
+   sum of eigenvector autocorrelations), and one inverse FFT of that filter
+   gives a nonnegative spatial weight image d (the annihilation weights).
+   The eigenvalues of R, computed without eigenvectors for p = 0, set the
    smoothing schedule, the cost and the singular-value range.
 
 2. Least squares. Minimize ||A x - b||^2 + lam * C_p * sum_j ||D^{1/2} F^*
@@ -28,6 +32,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -158,28 +163,90 @@ class RecoveryTrace:
         return self.records[-1].nmse if self.records else None
 
 
+def _real_form(G: np.ndarray) -> np.ndarray:
+    """The real symmetric matrix R = Q^* G Q of a centrohermitian G
+    (G[::-1, ::-1] == conj(G), as for every Gram matrix of a lifting).
+
+    Q is unitary with two nonzeros per column, in this order, k < m = n // 2:
+    (e_k + e_{n-1-k}) / sqrt(2); e_m when n is odd; i (e_k - e_{n-1-k}) /
+    sqrt(2). With A = G[:m, :m] and P = G[:m, ::-1][:, :m] (symmetric) the
+    blocks of R are Re(A + P), Im(A + P)^T, Im(A + P) and Re(A - P), and for
+    odd n the middle row and column are sqrt(2) G[:m, m] split into real and
+    imaginary parts around G[m, m]. Every block is written in place: at
+    small orders the call count, not the arithmetic, is the cost."""
+    n = G.shape[0]
+    m, lo = n // 2, n - n // 2
+    A, P = G[:m, :m], G[:m, ::-1][:, :m]
+    R = np.empty((n, n))
+    np.add(A.real, P.real, out=R[:m, :m])
+    np.add(A.imag, P.imag, out=R[lo:, :m])
+    np.subtract(A.real, P.real, out=R[lo:, lo:])
+    R[:m, lo:] = R[lo:, :m].T
+    if n % 2:
+        np.multiply(G[:m, m].real, math.sqrt(2.0), out=R[:m, m])
+        np.multiply(G[:m, m].imag, math.sqrt(2.0), out=R[lo:, m])
+        R[m, m] = G[m, m].real
+        R[m] = R[:, m]
+    return R
+
+
+def _complex_form(M: np.ndarray) -> np.ndarray:
+    """The centrohermitian matrix Q S Q^* of the symmetric part S = (M +
+    M^T) / 2 of a real M, Q as in _real_form. The top rows (and the middle
+    one for odd n) come from the blocks of S, the bottom rows from
+    H[::-1, ::-1] == conj(H)."""
+    n = M.shape[0]
+    m, lo = n // 2, n - n // 2
+    S = M + M.T  # twice the symmetric part, exactly symmetric
+    S11, S13, S31, S33 = S[:m, :m], S[:m, lo:], S[lo:, :m], S[lo:, lo:]
+    H = np.empty((n, n), dtype=np.complex128)
+    top, right = H[:m], H[:m, lo:][:, ::-1]
+    np.add(S11, S33, out=top.real[:, :m])
+    np.subtract(S31, S13, out=top.imag[:, :m])
+    np.subtract(S11, S33, out=right.real)
+    np.add(S31, S13, out=right.imag)
+    if n % 2:
+        np.multiply(S[:m, m], math.sqrt(2.0), out=top.real[:, m])
+        np.multiply(S[lo:, m], math.sqrt(2.0), out=top.imag[:, m])
+    top *= 0.25
+    if n % 2:
+        np.conjugate(top[:, m], out=H[m, :m])
+        H[m, lo:] = top[::-1, m]
+        H[m, m] = 0.5 * S[m, m]
+    np.conjugate(top[::-1, ::-1], out=H[lo:])
+    return H
+
+
 def _gram_spectrum(spec: LiftingSpec, x: ComplexGrid, p: float, vectors: bool):
     """Spectrum of the surrogate Gram matrix G at x: (eigenvalues clipped at
-    zero, basis). The basis is what _reweight needs, so only p > 0 pays for
-    eigenvectors: the eigenvectors for p > 0, G itself for p = 0 (its
-    weight matrix (G + eps I)^-1 is one inverse), None when vectors is
-    false."""
-    G = gram_surrogate(spec, x)
+    zero, basis). Every decomposition runs on R = _real_form(G), the real
+    symmetric matrix of the same order and the same eigenvalues. The basis
+    is what _reweight needs, so only p > 0 pays for eigenvectors: the real
+    eigenvectors of R for p > 0, R itself for p = 0 (its weight matrix
+    (R + eps I)^-1 is one inverse), None when vectors is false."""
+    R = _real_form(gram_surrogate(spec, x))
     try:
         if vectors and p > 0:
-            w, basis = np.linalg.eigh(G)
+            w, basis = np.linalg.eigh(R)
         else:
-            w, basis = np.linalg.eigvalsh(G), G if vectors else None
+            w, basis = np.linalg.eigvalsh(R), R if vectors else None
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"Gram eigendecomposition failed: {exc}") from exc
     return np.maximum(w, 0.0), basis
 
 
+@lru_cache(maxsize=32)
+def _filter_gather(filter_box: IndexBox):
+    """Box of the filter-box differences, and the flat index into it of the
+    difference of every pair of filter-box positions."""
+    diff_box = minkowski_sum(filter_box, reflect(filter_box))
+    return diff_box, diff_index(filter_box, filter_box, diff_box).ravel()
+
+
 def _filter_from_H(spec: LiftingSpec, H: np.ndarray, eigvals: np.ndarray) -> FilterState:
     """Filter and spatial weights of the Hermitian weight matrix H, indexed
     by pairs of filter-box positions."""
-    diff_box = minkowski_sum(spec.filter_box, reflect(spec.filter_box))
-    flat = diff_index(spec.filter_box, spec.filter_box, diff_box).ravel()
+    diff_box, flat = _filter_gather(spec.filter_box)
     hr = np.bincount(flat, weights=H.real.ravel(), minlength=diff_box.size)
     hi = np.bincount(flat, weights=H.imag.ravel(), minlength=diff_box.size)
     h = ComplexGrid(diff_box, (hr + 1j * hi).reshape(diff_box.extent))
@@ -197,26 +264,22 @@ def _filter_from_H(spec: LiftingSpec, H: np.ndarray, eigvals: np.ndarray) -> Fil
     return FilterState(h=h, d=d, eigvals=eigvals)
 
 
-def _filter_from_eig(spec: LiftingSpec, eigvals: np.ndarray, V: np.ndarray,
-                     eps: float, p: float) -> FilterState:
-    """Weight matrix V diag((eigvals + eps)^-q) V^*, q = 1 - p/2, for any p."""
-    q = 1.0 - p / 2.0
-    weights = (eigvals + eps) ** (-q)
-    return _filter_from_H(spec, (V * weights) @ V.conj().T, eigvals)
-
-
 def _reweight(spec: LiftingSpec, eigvals: np.ndarray, basis: np.ndarray,
               eps: float, p: float) -> FilterState:
-    """Filter state from a _gram_spectrum result taken with vectors=True."""
+    """Filter state from a _gram_spectrum result taken with vectors=True:
+    the weight matrix (R + eps I)^(p/2 - 1) in the real basis, as
+    V diag((eigvals + eps)^(p/2 - 1)) V^T for p > 0 and one inverse for
+    p = 0, mapped back to the filter-box basis by _complex_form."""
     if eps <= 0:
         raise SolverError("filter update needs a positive epsilon")
     if p > 0:
-        return _filter_from_eig(spec, eigvals, basis, eps, p)
-    try:
-        H = np.linalg.inv(basis + eps * np.eye(basis.shape[0]))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"Gram inverse failed: {exc}") from exc
-    return _filter_from_H(spec, (H + H.conj().T) / 2.0, eigvals)
+        M = (basis * (eigvals + eps) ** (p / 2.0 - 1.0)) @ basis.T
+    else:
+        try:
+            M = np.linalg.inv(basis + eps * np.eye(basis.shape[0]))
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"Gram inverse failed: {exc}") from exc
+    return _filter_from_H(spec, _complex_form(M), eigvals)
 
 
 def filter_update(spec: LiftingSpec, x: ComplexGrid, eps: float, p: float) -> FilterState:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -186,10 +187,19 @@ def wrap_embed(x: ComplexGrid, target: IndexBox) -> ComplexGrid:
     if x.box.ndim != target.ndim:
         raise ValueError("dimension mismatch")
     out = np.zeros(target.extent, dtype=np.complex128)
-    idx = x.box.indices()
-    slots = tuple(np.mod(idx[:, a], target.extent[a]) for a in range(target.ndim))
-    np.add.at(out, slots, x.values.ravel())
+    np.add.at(out.reshape(-1), _wrap_slots(x.box, target), x.values.ravel())
     return ComplexGrid(target, out)
+
+
+@lru_cache(maxsize=32)
+def _wrap_slots(box: IndexBox, target: IndexBox) -> np.ndarray:
+    """Flat index into target of each position of box, mod the target
+    extent. Cached, so it is returned read-only."""
+    idx = box.indices()
+    flat = np.ravel_multi_index(
+        tuple(np.mod(idx[:, a], target.extent[a]) for a in range(target.ndim)), target.extent)
+    flat.flags.writeable = False
+    return flat
 
 
 def circ_conv(y: ComplexGrid, h: ComplexGrid) -> ComplexGrid:

@@ -96,3 +96,19 @@ def reverse_conjugate(h):
     """Conjugate reversal g[k] = conj(h[-k]), on the reflected box."""
     vals = np.conj(h.values[tuple(slice(None, None, -1) for _ in range(h.box.ndim))])
     return ComplexGrid(reflect(h.box), vals.copy())
+
+
+def centro_unitary(n):
+    """Dense unitary Q taking every centrohermitian matrix G of order n
+    (G[::-1, ::-1] == conj(G)) to the real symmetric Q^* G Q, one column at
+    a time, k < m = n // 2: (e_k + e_{n-1-k}) / sqrt(2); then e_m for odd n;
+    then i (e_k - e_{n-1-k}) / sqrt(2)."""
+    m, lo = n // 2, n - n // 2
+    Q = np.zeros((n, n), dtype=complex)
+    for k in range(m):
+        Q[k, k] = Q[n - 1 - k, k] = 1 / np.sqrt(2)
+        Q[k, lo + k] = 1j / np.sqrt(2)
+        Q[n - 1 - k, lo + k] = -1j / np.sqrt(2)
+    if n % 2:
+        Q[m, m] = 1.0
+    return Q

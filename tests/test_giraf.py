@@ -3,11 +3,13 @@ against dense oracles, the outer reweighted iteration, and config guards."""
 
 import numpy as np
 import pytest
+from hypothesis import assume
 
 from cslr.giraf import (
     ConfigError,
     SolverConfig,
-    _filter_from_eig,
+    _complex_form,
+    _filter_from_H,
     _gram_spectrum,
     _reweight,
     admm_ls,
@@ -29,7 +31,8 @@ from cslr.models import (
     pwc_phantom,
 )
 
-from oracles import dense_dft_matrix, reverse_conjugate
+from oracles import centro_unitary, dense_dft_matrix, random_grid, reverse_conjugate
+from test_lifting import given_specs
 
 
 def _random_grid(box, rng):
@@ -59,6 +62,25 @@ def test_weights_single_filter_path_matches_direct_sum(p):
         data = IndexBox((-6, -5), (13, 11))
         filt = IndexBox((-2, -1), (5, 3))
         spec = LiftingSpec(data, filt)
+        x = _random_grid(data, rng)
+        eps = 10.0 ** rng.uniform(-3, 1)
+        fs = filter_update(spec, x, eps, p)
+        want = direct_weights(spec, x, eps, p)
+        rel = np.linalg.norm(fs.d.values.real - want) / np.linalg.norm(want)
+        assert rel < 1e-10
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+@pytest.mark.parametrize("data, filt", [
+    (IndexBox((-6,), (13,)), IndexBox((-2,), (4,))),
+    (IndexBox((-4, -3), (9, 8)), IndexBox((-1, -2), (2, 3))),
+    (IndexBox((-2, -3, -1), (5, 6, 4)), IndexBox((-1, -1, 0), (2, 2, 2))),
+])
+def test_weights_even_filter_order_match_direct_sum(data, filt, p):
+    # an even filter order has no middle basis vector in the real form
+    rng = np.random.default_rng(43)
+    spec = LiftingSpec(data, filt)
+    for _ in range(3):
         x = _random_grid(data, rng)
         eps = 10.0 ** rng.uniform(-3, 1)
         fs = filter_update(spec, x, eps, p)
@@ -108,9 +130,10 @@ def test_p0_inverse_matches_eigenvector_weights(data, filt, weighted):
         x = _random_grid(data, rng)
         w, V = np.linalg.eigh(gram_surrogate(spec, x))
         eps = 10.0 ** rng.uniform(-6, -2) * np.max(w)  # the schedule's range
-        want = _filter_from_eig(spec, np.maximum(w, 0.0), V, eps, 0.0)
-        eigvals, G = _gram_spectrum(spec, x, 0.0, True)
-        got = _reweight(spec, eigvals, G, eps, 0.0)
+        w = np.maximum(w, 0.0)
+        want = _filter_from_H(spec, (V / (w + eps)) @ V.conj().T, w)
+        eigvals, R = _gram_spectrum(spec, x, 0.0, True)
+        got = _reweight(spec, eigvals, R, eps, 0.0)
         for a, b in ((got.d.values, want.d.values), (got.h.values, want.h.values)):
             assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
@@ -130,6 +153,47 @@ def test_eigenvectors_only_where_weights_need_them(monkeypatch, p):
     cfg = SolverConfig(p=p, lam=5.0, outer_iters=4, inner_iters=5)
     giraf_solve(spec, samp, cfg)
     assert len(calls) == (0 if p == 0 else cfg.outer_iters)
+
+
+@given_specs
+def test_real_form_matches_unitary_oracle(spec, seed):
+    # the spectrum works on R = Q^* G Q: real symmetric with the spectrum
+    # of G, and its weight matrix maps back to the complex one
+    rng = np.random.default_rng(seed)
+    x = random_grid(rng, spec.data_box)
+    G = gram_surrogate(spec, x)
+    Q = centro_unitary(G.shape[0])
+    _, R = _gram_spectrum(spec, x, 0.0, True)
+    assert R.dtype == np.float64 and np.array_equal(R, R.T)
+    scale = np.linalg.norm(G)
+    assert np.linalg.norm(R - Q.conj().T @ G @ Q) <= 1e-14 * scale
+
+    lam_g, lam_r = np.linalg.eigvalsh(G), np.linalg.eigvalsh(R)
+    assume(lam_g[-1] > 0)  # a gradient weighting can vanish on a 1-point box
+    assert np.max(np.abs(lam_r - lam_g)) <= 1e-13 * lam_g[-1]
+
+    eye = np.eye(G.shape[0])
+    eps = 10.0 ** rng.uniform(-3, 0) * lam_g[-1]
+    M = np.linalg.inv(R + eps * eye)
+    want = np.linalg.inv(G + eps * eye)
+    for H in (Q @ M @ Q.conj().T, _complex_form(M)):
+        assert np.linalg.norm(H - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5])
+def test_gram_linear_algebra_is_real(monkeypatch, p):
+    # every eigvalsh, eigh and inv of a solve runs on the real form
+    dtypes = []
+    for name in ("eigvalsh", "eigh", "inv"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, fn=fn, **kw: dtypes.append(a.dtype) or fn(a, **kw))
+    box = IndexBox((-10,), (21,))
+    spec = LiftingSpec(box, IndexBox((-2,), (5,)))
+    truth = _random_grid(box, np.random.default_rng(49))
+    samp = SamplingOp.measure(truth, random_mask(box, 0.6, seed=21))
+    giraf_solve(spec, samp, SolverConfig(p=p, lam=5.0, outer_iters=4, inner_iters=5))
+    assert dtypes and not any(np.issubdtype(d, np.complexfloating) for d in dtypes)
 
 
 def test_filter_is_conjugate_symmetric():

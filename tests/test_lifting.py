@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cslr.grids import ComplexGrid, IndexBox, circ_conv, zero_pad
 from cslr.lifting import (
@@ -15,6 +17,7 @@ from cslr.lifting import (
     materialize_exact,
     materialize_surrogate,
 )
+from cslr.models import gradient_weighting
 from oracles import grid_dict, random_grid
 
 
@@ -44,6 +47,39 @@ def random_spec(rng, ndim, weightings=None, max_data=8, max_filt=3):
 
 
 GRAD2D = (WeightingOp.fourier_derivative(0), WeightingOp.fourier_derivative(1))
+
+
+@st.composite
+def lifting_specs(draw):
+    """LiftingSpecs in 1-D, 2-D and 3-D: any offsets, filter extents 1 to 4
+    (so the flattened filter order takes both parities), the filter box
+    anywhere inside the data box, identity or gradient weighting."""
+    ndim = draw(st.integers(1, 3))
+    fe = tuple(draw(st.integers(1, 4)) for _ in range(ndim))
+    de = tuple(f + draw(st.integers(0, 4)) for f in fe)
+    do = tuple(draw(st.integers(-6, 6)) for _ in range(ndim))
+    fo = tuple(o + draw(st.integers(0, d - f)) for o, d, f in zip(do, de, fe))
+    w = gradient_weighting(ndim) if draw(st.booleans()) else (WeightingOp.identity(),)
+    return LiftingSpec(IndexBox(do, de), IndexBox(fo, fe), w)
+
+
+# always-run cases: both parities of the filter order, 1-D to 3-D, both
+# weightings
+SPEC_EXAMPLES = (
+    LiftingSpec(IndexBox((-5,), (11,)), IndexBox((-2,), (4,)), gradient_weighting(1)),
+    LiftingSpec(IndexBox((2, -4), (6, 7)), IndexBox((3, -2), (3, 3)), gradient_weighting(2)),
+    LiftingSpec(IndexBox((-3, 0, -2), (4, 5, 3)), IndexBox((-2, 1, -2), (2, 2, 2)),
+                gradient_weighting(3)),
+    LiftingSpec(IndexBox((-1, -1, -1), (4, 4, 4)), IndexBox((0, -1, 0), (3, 1, 3))),
+)
+
+
+def given_specs(test):
+    """Run test(spec, seed) on drawn lifting specs and on SPEC_EXAMPLES."""
+    for i, spec in enumerate(SPEC_EXAMPLES):
+        test = example(spec=spec, seed=i)(test)
+    test = given(spec=lifting_specs(), seed=st.integers(0, 2**32 - 1))(test)
+    return settings(derandomize=True, deadline=None)(test)
 
 
 def test_exact_lift_matches_dict_oracle():
@@ -123,6 +159,15 @@ def test_gram_matches_dense_surrogate():
         # hermitian PSD
         assert np.linalg.norm(G - G.conj().T) == 0
         assert np.linalg.eigvalsh(G)[0] > -1e-10 * max(1.0, np.linalg.eigvalsh(G)[-1])
+
+
+@given_specs
+def test_gram_is_centrohermitian(spec, seed):
+    # G[a, b] = g[k_a - k_b] and reversing the flat filter index negates
+    # every difference, so the reversal conjugates G to the last bit
+    x = random_grid(np.random.default_rng(seed), spec.data_box)
+    G = gram_surrogate(spec, x)
+    assert np.array_equal(G[::-1, ::-1], G.conj())
 
 
 def test_gram_1d_generator_example():
