@@ -30,6 +30,8 @@ from .giraf import (
 from .grids import ComplexGrid
 from .lifting import (
     LiftingSpec,
+    _gather_blocks,
+    _scatter_blocks,
     lift_adjoint,
     lift_normal_diagonal,
     materialize_exact,
@@ -316,37 +318,38 @@ def svt_uv_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig
                          ("factor", "least_squares"), weight, True, ground_truth, x0)
 
 
-def _wrapped_filter_bank(spec: LiftingSpec, filters: np.ndarray) -> np.ndarray:
-    """Embed each column filter on the data box with wrap placement and
-    return the batch of unnormalized FFTs, shape (n_filter, *extent)."""
-    box = spec.data_box
-    idx = spec.filter_box.indices()
-    pos = np.ravel_multi_index(
-        tuple(np.mod(idx[:, a], box.extent[a]) for a in range(box.ndim)), box.extent)
-    bank = np.zeros((filters.shape[1], box.size), dtype=np.complex128)
-    bank[:, pos] = filters.T
-    bank = bank.reshape((filters.shape[1],) + box.extent)
-    return np.fft.fftn(bank, axes=tuple(range(1, box.ndim + 1)))
+def _irls_weights(s2: np.ndarray, Vh: np.ndarray, eps: float, p: float) -> np.ndarray:
+    """Hermitian IRLS weight matrix W = V diag((s2 + eps)^(p/2 - 1)) V^* from
+    the squared singular values s2 and right singular vectors Vh of the
+    exact lifting."""
+    return (Vh.conj().T * (s2 + eps) ** (p / 2.0 - 1.0)) @ Vh
+
+
+def _irls_penalty(spec: LiftingSpec, W: np.ndarray):
+    """IRLS penalty v -> T^*(T(v) W) on grid arrays, T the exact lifting:
+    one gather, one (rows x n_filter)(n_filter x n_filter) matmul and one
+    scatter per call."""
+    ws = [w.weights_on(spec.data_box) for w in spec.weightings]
+
+    def penalty(v):
+        return _scatter_blocks(spec, ws, _gather_blocks(spec, [w * v for w in ws]) @ W)
+
+    return penalty
 
 
 def irls_direct(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
                 ground_truth: ComplexGrid | None = None) -> RecoveryTrace:
-    """Direct iteratively reweighted least squares on the exact lifting.
+    """Direct iteratively reweighted least squares on the exact lifting T.
 
-    Each outer iteration takes a dense SVD of the lifted matrix, forms the
-    reweighting filters h_i = (sigma_i^2 + eps)^(-q/2) v_i, and solves the
-    weighted least-squares problem by conjugate gradients where the penalty
-    applies each filter through the exact (valid-set restricted) lifting.
+    Each outer iteration takes a dense SVD T(x) = U diag(sigma) V^*, forms
+    the Hermitian weight matrix W = V diag((sigma^2 + eps)^(p/2 - 1)) V^*,
+    and solves the weighted least-squares problem by conjugate gradients
+    with the penalty v -> T^*(T(v) W) (see _irls_penalty), whose quadratic
+    form ||T(v) W^(1/2)||_F^2 applies every reweighting filter
+    (sigma_i^2 + eps)^(p/4 - 1/2) v_i through the exact lifting at once.
     """
     _check_config(config, "irls")
-    box = spec.data_box
-    axes = tuple(range(1, box.ndim + 1))
-    ws = [w.weights_on(box) for w in spec.weightings]
     lam = None if config.equality else config.lam
-    q = 1.0 - config.p / 2.0
-    gate = np.zeros(box.extent)
-    roff = np.asarray(spec.valid_box.offset) - np.asarray(box.offset)
-    gate[tuple(slice(o, o + e) for o, e in zip(roff, spec.valid_box.extent))] = 1.0
 
     def spectrum(x, vectors):
         T = materialize_exact(spec, x)
@@ -356,20 +359,12 @@ def irls_direct(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
         return s ** 2, Vh
 
     def reweight(s2, Vh, eps):
-        return _wrapped_filter_bank(spec, Vh.conj().T * (s2 + eps) ** (-q / 2.0))
+        return _irls_weights(s2, Vh, eps, config.p)
 
-    def least_squares(bank, x):
-        def penalty_op(v):
-            out = np.zeros(box.extent, dtype=np.complex128)
-            for w in ws:
-                uhat = np.fft.fftn(w * v)
-                conv = np.fft.ifftn(uhat[None] * bank, axes=axes)
-                back = np.fft.fftn(conv * gate[None], axes=axes) * bank.conj()
-                out += np.conj(w) * np.fft.ifftn(back.sum(axis=0))
-            return out
-
-        return ComplexGrid(box, _cg_normal(penalty_op, sampling, lam, config.p, x.values,
-                                           config.inner_iters, config.cg_tol))
+    def least_squares(W, x):
+        return ComplexGrid(spec.data_box, _cg_normal(
+            _irls_penalty(spec, W), sampling, lam, config.p, x.values,
+            config.inner_iters, config.cg_tol))
 
     error = None if ground_truth is None else (lambda x: nmse(x, ground_truth))
     return _reweighted_loop(config, config.max_iters, lam, sampling.b.copy(), sampling,

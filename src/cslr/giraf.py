@@ -249,18 +249,23 @@ def _filter_from_H(spec: LiftingSpec, H: np.ndarray, eigvals: np.ndarray) -> Fil
     diff_box, flat = _filter_gather(spec.filter_box)
     hr = np.bincount(flat, weights=H.real.ravel(), minlength=diff_box.size)
     hi = np.bincount(flat, weights=H.imag.ravel(), minlength=diff_box.size)
-    h = ComplexGrid(diff_box, (hr + 1j * hi).reshape(diff_box.extent))
+    h = ComplexGrid._trusted(diff_box, (hr + 1j * hi).reshape(diff_box.extent))
 
     # one inverse FFT of the padded filter; numpy's unnormalized ifftn equals
     # the unitary inverse transform divided by sqrt(L), which is exactly the
-    # scale making d the sum of |idft(padded h_i)|^2 over eigenfilters
+    # scale making d the sum of |idft(padded h_i)|^2 over eigenfilters. A
+    # non-finite h spreads to every real part of draw, so one scan checks both
     draw = np.fft.ifftn(wrap_embed(h, spec.data_box).values)
-    scale = max(1.0, float(np.max(np.abs(draw.real))))
+    top = float(np.max(np.abs(draw.real)))
+    if not math.isfinite(top):
+        raise SolverError("annihilation weights are not finite")
+    scale = max(1.0, top)
     if np.max(np.abs(draw.imag)) > 1e-12 * scale:
         raise SolverError("annihilation weights came out non-real")
     if np.min(draw.real) < -1e-12 * scale:
         raise SolverError("annihilation weights lost positivity")
-    d = ComplexGrid(spec.data_box, np.maximum(draw.real, 0.0).astype(np.complex128))
+    d = ComplexGrid._trusted(spec.data_box,
+                             np.maximum(draw.real, 0.0).astype(np.complex128))
     return FilterState(h=h, d=d, eigvals=eigvals)
 
 

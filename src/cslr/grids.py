@@ -140,6 +140,16 @@ class ComplexGrid:
         object.__setattr__(self, "values", values)
 
     @classmethod
+    def _trusted(cls, box: IndexBox, values: np.ndarray) -> "ComplexGrid":
+        """Grid over values the package computed itself: a C-contiguous
+        complex128 array of the box's extent, finite by construction, so
+        the conversion and the finiteness scan are skipped."""
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "box", box)
+        object.__setattr__(grid, "values", values)
+        return grid
+
+    @classmethod
     def zeros(cls, box: IndexBox) -> "ComplexGrid":
         return cls(box, np.zeros(box.extent, dtype=np.complex128))
 
@@ -188,7 +198,7 @@ def wrap_embed(x: ComplexGrid, target: IndexBox) -> ComplexGrid:
         raise ValueError("dimension mismatch")
     out = np.zeros(target.extent, dtype=np.complex128)
     np.add.at(out.reshape(-1), _wrap_slots(x.box, target), x.values.ravel())
-    return ComplexGrid(target, out)
+    return ComplexGrid._trusted(target, out)
 
 
 @lru_cache(maxsize=32)

@@ -200,8 +200,14 @@ def materialize_exact(spec: LiftingSpec, x: ComplexGrid) -> np.ndarray:
     """Dense exact lifting, blocks stacked vertically (oracle scale only)."""
     rows, cols = spec.shape_exact
     _check_budget(rows, cols)
+    return _gather_blocks(spec, spec.weighted_data(x))
+
+
+def _gather_blocks(spec: LiftingSpec, ys: list[np.ndarray]) -> np.ndarray:
+    """Exact lifting on arrays: the valid gather of each per-block weighted
+    data array in ys, blocks stacked vertically."""
     flat = _valid_gather(spec.data_box, spec.filter_box)
-    return np.concatenate([y.ravel()[flat] for y in spec.weighted_data(x)], axis=0)
+    return np.concatenate([y.ravel()[flat] for y in ys], axis=0)
 
 
 def materialize_surrogate(spec: LiftingSpec, x: ComplexGrid) -> np.ndarray:
@@ -230,20 +236,28 @@ def gram_surrogate(spec: LiftingSpec, x: ComplexGrid) -> np.ndarray:
     return 0.5 * (G + G.conj().T)
 
 
+def _scatter_blocks(spec: LiftingSpec, ws: list[np.ndarray], X: np.ndarray) -> np.ndarray:
+    """Adjoint of the exact lifting on arrays: the sum over blocks j of
+    conj(ws[j]) times block j of X scatter-added through the valid gather.
+    np.add.at gets the flat index, whose fast path sums in the same row-major
+    order as the (row, filter) index."""
+    flat = _valid_gather(spec.data_box, spec.filter_box).ravel()
+    m_gamma = spec.valid_box.size
+    out = np.zeros(spec.data_box.extent, dtype=np.complex128)
+    for j, w in enumerate(ws):
+        acc = np.zeros(spec.data_box.size, dtype=np.complex128)
+        np.add.at(acc, flat, X[j * m_gamma:(j + 1) * m_gamma].ravel())
+        out += np.conj(w) * acc.reshape(spec.data_box.extent)
+    return out
+
+
 def lift_adjoint(spec: LiftingSpec, X: np.ndarray) -> ComplexGrid:
     """Adjoint of x -> exact lifted matrix, applied to a stacked matrix X."""
     rows, cols = spec.shape_exact
     if X.shape != (rows, cols):
         raise ValueError(f"expected stacked matrix of shape {(rows, cols)}")
-    flat = _valid_gather(spec.data_box, spec.filter_box)
-    L = spec.data_box.size
-    out = np.zeros(spec.data_box.extent, dtype=np.complex128)
-    m_gamma = spec.valid_box.size
-    for j, w in enumerate(spec.weightings):
-        acc = np.zeros(L, dtype=np.complex128)
-        np.add.at(acc, flat, X[j * m_gamma:(j + 1) * m_gamma])
-        out += np.conj(w.weights_on(spec.data_box)) * acc.reshape(spec.data_box.extent)
-    return ComplexGrid(spec.data_box, out)
+    ws = [w.weights_on(spec.data_box) for w in spec.weightings]
+    return ComplexGrid(spec.data_box, _scatter_blocks(spec, ws, X))
 
 
 def lift_normal_diagonal(spec: LiftingSpec) -> np.ndarray:
@@ -251,6 +265,6 @@ def lift_normal_diagonal(spec: LiftingSpec) -> np.ndarray:
     times the summed squared weights."""
     flat = _valid_gather(spec.data_box, spec.filter_box)
     count = np.zeros(spec.data_box.size)
-    np.add.at(count, flat, 1.0)
+    np.add.at(count, flat.ravel(), 1.0)
     wsq = sum(np.abs(w.weights_on(spec.data_box)) ** 2 for w in spec.weightings)
     return count.reshape(spec.data_box.extent) * wsq

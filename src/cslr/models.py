@@ -4,8 +4,7 @@ Signals are produced directly as Fourier coefficient grids from closed forms:
 point sources (sums of complex exponentials) and axis-aligned rectangle
 phantoms (separable sinc-type integrals). Rectangle phantoms under gradient
 weighting give exactly low-rank liftings, because the edge set lies on a few
-coordinate lines annihilated by short separable filters; helpers construct
-those annihilating filters explicitly for tests.
+coordinate lines annihilated by short separable filters.
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ __all__ = [
     "nmse",
     "snr_db",
     "random_diracs",
-    "annihilator_taps",
-    "dirac_annihilator",
-    "rect_annihilator",
     "pwc_phantom",
 ]
 
@@ -255,44 +251,6 @@ def random_diracs(r: int, seed: int, min_separation: float,
     mag = rng.uniform(*amplitude_range, size=r)
     phase = rng.uniform(0, 2 * np.pi, size=r)
     return DiracSignal(loc[:, None], mag * np.exp(1j * phase))
-
-
-def annihilator_taps(points: np.ndarray) -> np.ndarray:
-    """Filter taps of prod_i (1 - exp(-2j pi p_i) u): convolving them onto a
-    sequence of exponentials with frequencies p_i yields exactly zero."""
-    taps = np.array([1.0 + 0.0j])
-    for p in np.asarray(points, dtype=float).ravel():
-        taps = np.convolve(taps, [1.0, -np.exp(-2j * np.pi * p)])
-    return taps
-
-
-def dirac_annihilator(signal: DiracSignal, filter_box: IndexBox) -> ComplexGrid:
-    """Zero-padded annihilating filter for a 1-D point-source signal."""
-    if signal.locations.shape[1] != 1 or filter_box.ndim != 1:
-        raise ValueError("dirac annihilators are one-dimensional")
-    taps = annihilator_taps(signal.locations[:, 0])
-    if len(taps) > filter_box.extent[0]:
-        raise ValueError("filter box too small for the annihilator")
-    vals = np.zeros(filter_box.extent, dtype=np.complex128)
-    vals[: len(taps)] = taps
-    return ComplexGrid(filter_box, vals)
-
-
-def rect_annihilator(phantom: RectPhantom, filter_box: IndexBox) -> ComplexGrid:
-    """Separable annihilating filter vanishing on every edge line of the
-    phantom; annihilates both gradient-weighted lifting blocks."""
-    if filter_box.ndim != phantom.ndim:
-        raise ValueError("dimension mismatch")
-    per_axis = [annihilator_taps(phantom.edge_coordinates(a))
-                for a in range(phantom.ndim)]
-    taps = per_axis[0]
-    for t in per_axis[1:]:
-        taps = np.multiply.outer(taps, t)
-    if any(t > e for t, e in zip(taps.shape, filter_box.extent)):
-        raise ValueError("filter box too small for the annihilator")
-    vals = np.zeros(filter_box.extent, dtype=np.complex128)
-    vals[tuple(slice(0, s) for s in taps.shape)] = taps
-    return ComplexGrid(filter_box, vals)
 
 
 def pwc_phantom() -> RectPhantom:

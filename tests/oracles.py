@@ -7,6 +7,7 @@ index tuples, explicit O(L^2) transform matrices, and elementwise loops.
 import numpy as np
 
 from cslr.grids import ComplexGrid, IndexBox, reflect, valid_set
+from cslr.models import DiracSignal, RectPhantom
 
 
 def random_box(rng, ndim, min_extent=1, max_extent=9, max_abs_offset=6):
@@ -112,3 +113,73 @@ def centro_unitary(n):
     if n % 2:
         Q[m, m] = 1.0
     return Q
+
+
+def irls_fft_penalty(spec, filters):
+    """IRLS penalty as a bank of reweighting filters, the columns of filters,
+    each applied by FFT: v -> sum_j conj(w_j) sum_i C_i^* G C_i (w_j v), with
+    C_i circular convolution by filter i wrap-placed on the data box and G the
+    gate onto the valid set, where circular and valid convolution agree."""
+    box = spec.data_box
+    axes = tuple(range(1, box.ndim + 1))
+    ws = [w.weights_on(box) for w in spec.weightings]
+    idx = spec.filter_box.indices()
+    pos = np.ravel_multi_index(
+        tuple(np.mod(idx[:, a], box.extent[a]) for a in range(box.ndim)), box.extent)
+    bank = np.zeros((filters.shape[1], box.size), dtype=np.complex128)
+    bank[:, pos] = filters.T
+    bank = np.fft.fftn(bank.reshape((filters.shape[1],) + box.extent), axes=axes)
+    # valid output k lands at array position (k - offset) mod extent
+    rel = spec.valid_box.indices() - np.asarray(box.offset)
+    gate = np.zeros(box.size)
+    gate[np.ravel_multi_index(
+        tuple(np.mod(rel[:, a], box.extent[a]) for a in range(box.ndim)), box.extent)] = 1.0
+    gate = gate.reshape(box.extent)
+
+    def penalty(v):
+        out = np.zeros(box.extent, dtype=np.complex128)
+        for w in ws:
+            conv = np.fft.ifftn(np.fft.fftn(w * v)[None] * bank, axes=axes)
+            back = np.fft.fftn(conv * gate[None], axes=axes) * bank.conj()
+            out += np.conj(w) * np.fft.ifftn(back.sum(axis=0))
+        return out
+
+    return penalty
+
+
+def annihilator_taps(points: np.ndarray) -> np.ndarray:
+    """Filter taps of prod_i (1 - exp(-2j pi p_i) u): convolving them onto a
+    sequence of exponentials with frequencies p_i yields exactly zero."""
+    taps = np.array([1.0 + 0.0j])
+    for p in np.asarray(points, dtype=float).ravel():
+        taps = np.convolve(taps, [1.0, -np.exp(-2j * np.pi * p)])
+    return taps
+
+
+def dirac_annihilator(signal: DiracSignal, filter_box: IndexBox) -> ComplexGrid:
+    """Zero-padded annihilating filter for a 1-D point-source signal."""
+    if signal.locations.shape[1] != 1 or filter_box.ndim != 1:
+        raise ValueError("dirac annihilators are one-dimensional")
+    taps = annihilator_taps(signal.locations[:, 0])
+    if len(taps) > filter_box.extent[0]:
+        raise ValueError("filter box too small for the annihilator")
+    vals = np.zeros(filter_box.extent, dtype=np.complex128)
+    vals[: len(taps)] = taps
+    return ComplexGrid(filter_box, vals)
+
+
+def rect_annihilator(phantom: RectPhantom, filter_box: IndexBox) -> ComplexGrid:
+    """Separable annihilating filter vanishing on every edge line of the
+    phantom; annihilates both gradient-weighted lifting blocks."""
+    if filter_box.ndim != phantom.ndim:
+        raise ValueError("dimension mismatch")
+    per_axis = [annihilator_taps(phantom.edge_coordinates(a))
+                for a in range(phantom.ndim)]
+    taps = per_axis[0]
+    for t in per_axis[1:]:
+        taps = np.multiply.outer(taps, t)
+    if any(t > e for t, e in zip(taps.shape, filter_box.extent)):
+        raise ValueError("filter box too small for the annihilator")
+    vals = np.zeros(filter_box.extent, dtype=np.complex128)
+    vals[tuple(slice(0, s) for s in taps.shape)] = taps
+    return ComplexGrid(filter_box, vals)

@@ -9,6 +9,8 @@ import pytest
 
 from cslr.baselines import (
     BaselineConfig,
+    _irls_penalty,
+    _irls_weights,
     _soft_threshold_svd,
     _structured_average,
     ap_prox_solve,
@@ -32,6 +34,8 @@ from cslr.models import (
     random_mask,
     rect_fourier,
 )
+from oracles import irls_fft_penalty, random_grid
+from test_lifting import given_specs
 
 
 def _random_matrix(rng, rows, cols):
@@ -255,6 +259,22 @@ def test_irls_matches_reweighted_solver():
     assert all(a >= b for a, b in zip(eps, eps[1:]))
     assert all(r.cost is not None for r in itr.records)
     assert itr.eps0 is not None and eps[0] == pytest.approx(itr.eps0)
+
+
+@given_specs
+def test_irls_penalty_matches_fft_filter_bank(spec, seed):
+    # T^*(T(v) W) against the reweighting filters (sigma_i^2 + eps)^(p/4 -
+    # 1/2) v_i applied one by one as gated FFT convolutions
+    rng = np.random.default_rng(seed)
+    x = random_grid(rng, spec.data_box)
+    v = random_grid(rng, spec.data_box).values
+    _, s, Vh = np.linalg.svd(materialize_exact(spec, x), full_matrices=False)
+    s2 = s ** 2
+    for p in (0.0, 0.5, 1.0):
+        eps = float(10.0 ** rng.uniform(-3, 0)) * max(s2[0], 1.0)
+        want = irls_fft_penalty(spec, Vh.conj().T * (s2 + eps) ** (p / 4 - 0.5))(v)
+        got = _irls_penalty(spec, _irls_weights(s2, Vh, eps, p))(v)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_irls_descends_with_frozen_eps():

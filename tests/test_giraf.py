@@ -8,6 +8,7 @@ from hypothesis import assume
 from cslr.giraf import (
     ConfigError,
     SolverConfig,
+    SolverError,
     _complex_form,
     _filter_from_H,
     _gram_spectrum,
@@ -205,6 +206,17 @@ def test_filter_is_conjugate_symmetric():
     mirrored = reverse_conjugate(fs.h)
     assert mirrored.box == fs.h.box
     np.testing.assert_allclose(mirrored.values, fs.h.values, atol=1e-12)
+
+
+def test_non_finite_weight_matrix_is_a_solver_error():
+    # the filter and weight grids are not re-scanned on construction, so a
+    # blow-up in the weight matrix has to surface from the weights' own checks
+    spec = LiftingSpec(IndexBox((-6,), (13,)), IndexBox((-2,), (5,)))
+    H = np.eye(5, dtype=complex)
+    for bad in (np.nan, np.inf, 1j * np.nan):
+        H[1, 2] = bad
+        with pytest.raises(SolverError, match="not finite"):
+            _filter_from_H(spec, H, np.ones(5))
 
 
 def _dense_normal_solution(spec, sampling, d, lam, p):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cslr.grids import ComplexGrid, IndexBox, circ_conv, zero_pad
 from cslr.lifting import (
     BudgetError,
+    _valid_gather,
     LiftingSpec,
     WeightingOp,
     apply_lift,
@@ -191,6 +192,26 @@ def test_adjoint_inner_product():
         lhs = np.vdot(X, materialize_exact(spec, x))
         rhs = np.vdot(lift_adjoint(spec, X).values, x.values)
         assert abs(lhs - rhs) / abs(lhs) < 1e-12
+
+
+@given_specs
+def test_scatter_matches_2d_index_add_at(spec, seed):
+    # the flat index takes np.add.at's fast path; the (row, filter) index
+    # sums in the same order, so both agree to the last bit
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal(spec.shape_exact) + 1j * rng.standard_normal(spec.shape_exact)
+    flat = _valid_gather(spec.data_box, spec.filter_box)
+    m = spec.valid_box.size
+    want = np.zeros(spec.data_box.extent, dtype=complex)
+    for j, w in enumerate(spec.weightings):
+        acc = np.zeros(spec.data_box.size, dtype=complex)
+        np.add.at(acc, flat, X[j * m:(j + 1) * m])
+        want += np.conj(w.weights_on(spec.data_box)) * acc.reshape(spec.data_box.extent)
+    assert np.array_equal(lift_adjoint(spec, X).values, want)
+    count = np.zeros(spec.data_box.size)
+    np.add.at(count, flat, 1.0)
+    wsq = sum(np.abs(w.weights_on(spec.data_box)) ** 2 for w in spec.weightings)
+    assert np.array_equal(lift_normal_diagonal(spec), count.reshape(spec.data_box.extent) * wsq)
 
 
 def test_normal_diagonal_matches_operator_columns():

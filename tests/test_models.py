@@ -10,18 +10,16 @@ from cslr.models import (
     RectPhantom,
     SamplingOp,
     add_noise,
-    annihilator_taps,
-    dirac_annihilator,
     dirac_fourier,
     gradient_weighting,
     nmse,
     pwc_phantom,
     random_diracs,
     random_mask,
-    rect_annihilator,
     rect_fourier,
     snr_db,
 )
+from oracles import annihilator_taps, dirac_annihilator, rect_annihilator
 
 
 def test_dirac_fourier_matches_loop():
