@@ -23,6 +23,7 @@ from .giraf import (
     IterationRecord,
     RecoveryTrace,
     _cg_normal,
+    _check_reweighting,
     _reweighted_loop,
     _smoothed_schatten_eigs,
     schatten_weight,
@@ -96,10 +97,7 @@ class BaselineConfig:
             raise ConfigError("beta must be positive")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
-        if not 0.0 <= self.p <= 1.0:
-            raise ConfigError("p must lie in [0, 1]")
-        if not self.eta > 1.0:
-            raise ConfigError("eta must exceed 1")
+        _check_reweighting(self)
 
 
 def _check_config(config: BaselineConfig, algorithm: str) -> None:

@@ -2,18 +2,17 @@
 
 The solver alternates two matrix-free steps on gridded Fourier data:
 
-1. Filter update. Form the small Gram matrix G of the circulant surrogate
-   lifting at the current iterate and its weight matrix
-   H = (G + eps I)^(p/2 - 1). G is multi-level Toeplitz, hence
-   centrohermitian, so a sparse unitary Q turns it into a real symmetric
-   matrix R = Q^* G Q of the same order and the same eigenvalues; all the
-   linear algebra runs on R in real arithmetic (one matrix inverse for
-   p = 0, an eigendecomposition for p > 0) and the weight matrix comes back
-   as H = Q (R + eps I)^(p/2 - 1) Q^*. The reweighted annihilating filter
-   sums H along its filter-difference diagonals (the eigenvalue-weighted
-   sum of eigenvector autocorrelations), and one inverse FFT of that filter
-   gives a nonnegative spatial weight image d (the annihilation weights).
-   The eigenvalues of R, computed without eigenvectors for p = 0, set the
+1. Filter update. All it needs from the lifting is the circular
+   autocorrelation g of the weighted data at lags between filter positions.
+   The surrogate Gram matrix G[a, b] = g[k_a - k_b] is centrohermitian, so
+   a sparse unitary Q makes R = Q^* G Q real symmetric with the same
+   eigenvalues; R is gathered straight from g through one cached lag index,
+   and G is never formed. The linear algebra runs on R in real arithmetic
+   (one inverse for p = 0, an eigendecomposition for p > 0) and gives the
+   weight matrix (R + eps I)^(p/2 - 1). The adjoint of the same gather
+   scatters it back to lags as the reweighted annihilating filter, and one
+   inverse FFT of that gives the nonnegative spatial weights d. The
+   eigenvalues of R, computed without eigenvectors for p = 0, set the
    smoothing schedule, the cost and the singular-value range.
 
 2. Least squares. Minimize ||A x - b||^2 + lam * C_p * sum_j ||D^{1/2} F^*
@@ -32,19 +31,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .grids import (
-    ComplexGrid,
-    IndexBox,
-    minkowski_sum,
-    reflect,
-    restrict,
-    wrap_embed,
-)
-from .lifting import LiftingSpec, diff_index, gram_surrogate
+from .grids import ComplexGrid, IndexBox, minkowski_sum, reflect, restrict
+from .lifting import LiftingSpec, autocorrelation, real_gram, real_gram_adjoint
 from .models import SamplingOp, nmse
 
 __all__ = [
@@ -69,6 +60,22 @@ class ConfigError(Exception):
 
 class SolverError(Exception):
     """Numerical failure inside a solver."""
+
+
+def _check_reweighting(config) -> None:
+    """Checks of the fields GIRAF and direct IRLS both read."""
+    if not 0.0 <= config.p <= 1.0:
+        raise ConfigError("p must lie in [0, 1]")
+    if config.eps0 != "auto" and not (isinstance(config.eps0, (int, float)) and config.eps0 > 0):
+        raise ConfigError("eps0 must be 'auto' or a positive number")
+    if not config.eta > 1.0:
+        raise ConfigError("eta must exceed 1")
+    if config.eps_min is not None and not config.eps_min > 0:
+        raise ConfigError("eps_min must be positive")
+    if config.inner_iters < 1:
+        raise ConfigError("inner_iters must be at least 1")
+    if not config.cg_tol >= 0:
+        raise ConfigError("cg_tol must be nonnegative")
 
 
 @dataclass
@@ -96,22 +103,13 @@ class SolverConfig:
     oversample_factor: float | None = None
 
     def validate(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ConfigError("p must lie in [0, 1]")
+        _check_reweighting(self)
         if self.lam is not None and not self.lam > 0:
             raise ConfigError("lambda must be positive (or None for equality mode)")
-        if self.eps0 != "auto" and not (isinstance(self.eps0, (int, float)) and self.eps0 > 0):
-            raise ConfigError("eps0 must be 'auto' or a positive number")
-        if not self.eta > 1.0:
-            raise ConfigError("eta must exceed 1")
-        if self.eps_min is not None and not self.eps_min > 0:
-            raise ConfigError("eps_min must be positive")
         if self.outer_iters < 1:
             raise ConfigError("outer_iters must be at least 1")
         if self.ls_solver not in ("admm", "cg"):
             raise ConfigError("ls_solver must be 'admm' or 'cg'")
-        if self.inner_iters < 1:
-            raise ConfigError("inner_iters must be at least 1")
         if not self.delta >= 1:
             raise ConfigError("delta must be at least 1")
         if self.oversample_factor is not None and not self.oversample_factor >= 1.0:
@@ -130,9 +128,8 @@ def schatten_weight(p: float) -> float:
 
 @dataclass
 class FilterState:
-    """Annihilating filter and induced spatial weights at one iterate."""
+    """Annihilation weights at one iterate and the Gram eigenvalues behind them."""
 
-    h: ComplexGrid
     d: ComplexGrid
     eigvals: np.ndarray
 
@@ -163,68 +160,14 @@ class RecoveryTrace:
         return self.records[-1].nmse if self.records else None
 
 
-def _real_form(G: np.ndarray) -> np.ndarray:
-    """The real symmetric matrix R = Q^* G Q of a centrohermitian G
-    (G[::-1, ::-1] == conj(G), as for every Gram matrix of a lifting).
-
-    Q is unitary with two nonzeros per column, in this order, k < m = n // 2:
-    (e_k + e_{n-1-k}) / sqrt(2); e_m when n is odd; i (e_k - e_{n-1-k}) /
-    sqrt(2). With A = G[:m, :m] and P = G[:m, ::-1][:, :m] (symmetric) the
-    blocks of R are Re(A + P), Im(A + P)^T, Im(A + P) and Re(A - P), and for
-    odd n the middle row and column are sqrt(2) G[:m, m] split into real and
-    imaginary parts around G[m, m]. Every block is written in place: at
-    small orders the call count, not the arithmetic, is the cost."""
-    n = G.shape[0]
-    m, lo = n // 2, n - n // 2
-    A, P = G[:m, :m], G[:m, ::-1][:, :m]
-    R = np.empty((n, n))
-    np.add(A.real, P.real, out=R[:m, :m])
-    np.add(A.imag, P.imag, out=R[lo:, :m])
-    np.subtract(A.real, P.real, out=R[lo:, lo:])
-    R[:m, lo:] = R[lo:, :m].T
-    if n % 2:
-        np.multiply(G[:m, m].real, math.sqrt(2.0), out=R[:m, m])
-        np.multiply(G[:m, m].imag, math.sqrt(2.0), out=R[lo:, m])
-        R[m, m] = G[m, m].real
-        R[m] = R[:, m]
-    return R
-
-
-def _complex_form(M: np.ndarray) -> np.ndarray:
-    """The centrohermitian matrix Q S Q^* of the symmetric part S = (M +
-    M^T) / 2 of a real M, Q as in _real_form. The top rows (and the middle
-    one for odd n) come from the blocks of S, the bottom rows from
-    H[::-1, ::-1] == conj(H)."""
-    n = M.shape[0]
-    m, lo = n // 2, n - n // 2
-    S = M + M.T  # twice the symmetric part, exactly symmetric
-    S11, S13, S31, S33 = S[:m, :m], S[:m, lo:], S[lo:, :m], S[lo:, lo:]
-    H = np.empty((n, n), dtype=np.complex128)
-    top, right = H[:m], H[:m, lo:][:, ::-1]
-    np.add(S11, S33, out=top.real[:, :m])
-    np.subtract(S31, S13, out=top.imag[:, :m])
-    np.subtract(S11, S33, out=right.real)
-    np.add(S31, S13, out=right.imag)
-    if n % 2:
-        np.multiply(S[:m, m], math.sqrt(2.0), out=top.real[:, m])
-        np.multiply(S[lo:, m], math.sqrt(2.0), out=top.imag[:, m])
-    top *= 0.25
-    if n % 2:
-        np.conjugate(top[:, m], out=H[m, :m])
-        H[m, lo:] = top[::-1, m]
-        H[m, m] = 0.5 * S[m, m]
-    np.conjugate(top[::-1, ::-1], out=H[lo:])
-    return H
-
-
 def _gram_spectrum(spec: LiftingSpec, x: ComplexGrid, p: float, vectors: bool):
     """Spectrum of the surrogate Gram matrix G at x: (eigenvalues clipped at
-    zero, basis). Every decomposition runs on R = _real_form(G), the real
-    symmetric matrix of the same order and the same eigenvalues. The basis
-    is what _reweight needs, so only p > 0 pays for eigenvectors: the real
-    eigenvectors of R for p > 0, R itself for p = 0 (its weight matrix
-    (R + eps I)^-1 is one inverse), None when vectors is false."""
-    R = _real_form(gram_surrogate(spec, x))
+    zero, basis), taken on its real form R (real_gram), which has the same
+    eigenvalues. The basis is what _reweight needs, so only p > 0 pays for
+    eigenvectors: the eigenvectors of R for p > 0, R itself for p = 0 (its
+    weight matrix (R + eps I)^-1 is one inverse), None when vectors is
+    false."""
+    R = real_gram(spec, autocorrelation(spec, x))
     try:
         if vectors and p > 0:
             w, basis = np.linalg.eigh(R)
@@ -235,46 +178,26 @@ def _gram_spectrum(spec: LiftingSpec, x: ComplexGrid, p: float, vectors: bool):
     return np.maximum(w, 0.0), basis
 
 
-@lru_cache(maxsize=32)
-def _filter_gather(filter_box: IndexBox):
-    """Box of the filter-box differences, and the flat index into it of the
-    difference of every pair of filter-box positions."""
-    diff_box = minkowski_sum(filter_box, reflect(filter_box))
-    return diff_box, diff_index(filter_box, filter_box, diff_box).ravel()
-
-
-def _filter_from_H(spec: LiftingSpec, H: np.ndarray, eigvals: np.ndarray) -> FilterState:
-    """Filter and spatial weights of the Hermitian weight matrix H, indexed
-    by pairs of filter-box positions."""
-    diff_box, flat = _filter_gather(spec.filter_box)
-    hr = np.bincount(flat, weights=H.real.ravel(), minlength=diff_box.size)
-    hi = np.bincount(flat, weights=H.imag.ravel(), minlength=diff_box.size)
-    h = ComplexGrid._trusted(diff_box, (hr + 1j * hi).reshape(diff_box.extent))
-
-    # one inverse FFT of the padded filter; numpy's unnormalized ifftn equals
-    # the unitary inverse transform divided by sqrt(L), which is exactly the
-    # scale making d the sum of |idft(padded h_i)|^2 over eigenfilters. A
-    # non-finite h spreads to every real part of draw, so one scan checks both
-    draw = np.fft.ifftn(wrap_embed(h, spec.data_box).values)
-    top = float(np.max(np.abs(draw.real)))
+def _weights_from(spec: LiftingSpec, M: np.ndarray, eigvals: np.ndarray) -> FilterState:
+    """Spatial weights of the real weight matrix M: real_gram_adjoint scatters
+    it to lags, numpy's unnormalized ifftn (the unitary inverse over sqrt(L),
+    the scale making d the sum of |idft(padded h_i)|^2 over eigenfilters)
+    takes them to space. A non-finite M spreads everywhere: one scan checks."""
+    draw = np.fft.ifftn(real_gram_adjoint(spec, M)).real
+    top = float(np.max(np.abs(draw)))
     if not math.isfinite(top):
         raise SolverError("annihilation weights are not finite")
-    scale = max(1.0, top)
-    if np.max(np.abs(draw.imag)) > 1e-12 * scale:
-        raise SolverError("annihilation weights came out non-real")
-    if np.min(draw.real) < -1e-12 * scale:
+    if np.min(draw) < -1e-12 * max(1.0, top):
         raise SolverError("annihilation weights lost positivity")
-    d = ComplexGrid._trusted(spec.data_box,
-                             np.maximum(draw.real, 0.0).astype(np.complex128))
-    return FilterState(h=h, d=d, eigvals=eigvals)
+    d = ComplexGrid._trusted(spec.data_box, np.maximum(draw, 0.0).astype(np.complex128))
+    return FilterState(d=d, eigvals=eigvals)
 
 
 def _reweight(spec: LiftingSpec, eigvals: np.ndarray, basis: np.ndarray,
               eps: float, p: float) -> FilterState:
-    """Filter state from a _gram_spectrum result taken with vectors=True:
-    the weight matrix (R + eps I)^(p/2 - 1) in the real basis, as
-    V diag((eigvals + eps)^(p/2 - 1)) V^T for p > 0 and one inverse for
-    p = 0, mapped back to the filter-box basis by _complex_form."""
+    """Filter state from a _gram_spectrum result taken with vectors=True: the
+    weight matrix (R + eps I)^(p/2 - 1), as V diag((eigvals + eps)^(p/2 - 1))
+    V^T for p > 0 and one inverse for p = 0, turned into spatial weights."""
     if eps <= 0:
         raise SolverError("filter update needs a positive epsilon")
     if p > 0:
@@ -284,7 +207,7 @@ def _reweight(spec: LiftingSpec, eigvals: np.ndarray, basis: np.ndarray,
             M = np.linalg.inv(basis + eps * np.eye(basis.shape[0]))
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"Gram inverse failed: {exc}") from exc
-    return _filter_from_H(spec, _complex_form(M), eigvals)
+    return _weights_from(spec, M, eigvals)
 
 
 def filter_update(spec: LiftingSpec, x: ComplexGrid, eps: float, p: float) -> FilterState:

@@ -12,7 +12,9 @@ lifting singular value by singular value.
 
 The surrogate's Gram matrix never needs the lifted matrix: it is a windowed
 circular autocorrelation, computed with two FFTs per block and indexed by
-filter-index differences.
+filter-index differences (lags). Its real form Q^* G Q is one gather from
+the autocorrelation through a cached lag index (real_gram), and the adjoint
+of that gather (real_gram_adjoint) takes a real weight matrix back to lags.
 
 Dense materializations are oracles for tests and small problems only and are
 capped by ORACLE_BUDGET entries; exceeding the cap raises BudgetError.
@@ -20,6 +22,7 @@ capped by ORACLE_BUDGET entries; exceeding the cap raises BudgetError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,7 +44,10 @@ __all__ = [
     "apply_lift",
     "materialize_exact",
     "materialize_surrogate",
+    "autocorrelation",
     "gram_surrogate",
+    "real_gram",
+    "real_gram_adjoint",
     "diff_index",
     "lift_adjoint",
     "lift_normal_diagonal",
@@ -160,16 +166,26 @@ def _check_budget(rows: int, cols: int) -> None:
 
 
 @lru_cache(maxsize=32)
-def diff_index(a: IndexBox, b: IndexBox, target: IndexBox, wrap: bool = False) -> np.ndarray:
-    """Flat indices into the target box of the differences a_i - b_j over
-    all index pairs, shape (a.size, b.size). With wrap the differences are
-    taken mod the target extent (relative to its offset) instead of having
-    to fall inside it. The result is cached, so it is returned read-only."""
-    diff = a.indices()[:, None, :] - b.indices()[None, :, :] - np.asarray(target.offset)
-    if wrap:
-        diff = np.mod(diff, np.asarray(target.extent))
-    flat = np.ravel_multi_index(tuple(diff[..., k] for k in range(target.ndim)),
-                                target.extent)
+def diff_index(a: IndexBox, b: IndexBox, target: IndexBox, wrap: bool = False,
+               rows: int | None = None) -> np.ndarray:
+    """Flat indices into the target box of the differences a_i - b_j over the
+    first `rows` positions i of a (all of them by default) and every position
+    j of b, shape (rows, b.size). With wrap the differences are taken mod the
+    target extent (relative to its offset) instead of having to fall inside
+    it. Built one axis at a time, without the pairwise difference array, and
+    cached, so it is returned read-only."""
+    ai = np.unravel_index(np.arange(a.size if rows is None else rows), a.extent)
+    bj = np.unravel_index(np.arange(b.size), b.extent)
+    shifts = np.subtract(a.offset, b.offset) - np.asarray(target.offset)
+    flat = np.zeros((len(ai[0]), b.size), dtype=np.intp)
+    for r, c, shift, e in zip(ai, bj, shifts, target.extent):
+        diff = r[:, None] - c[None, :] + shift
+        if wrap:
+            np.mod(diff, e, out=diff)
+        elif diff.size and (diff.min() < 0 or diff.max() >= e):
+            raise ValueError("index differences fall outside the target box")
+        flat *= e
+        flat += diff
     flat.flags.writeable = False
     return flat
 
@@ -219,21 +235,81 @@ def materialize_surrogate(spec: LiftingSpec, x: ComplexGrid) -> np.ndarray:
     return np.concatenate([y.ravel()[flat] for y in spec.weighted_data(x)], axis=0)
 
 
-def gram_surrogate(spec: LiftingSpec, x: ComplexGrid) -> np.ndarray:
-    """Gram matrix of the surrogate lifting, by windowed FFT autocorrelation.
-
-    Per block the circular autocorrelation g = ifft(|fft(M_j x)|^2) generates
-    the circulant normal matrix; generators are summed over blocks and then
-    windowed once: G[a, b] = g[(k_a - k_b) mod extent] over absolute filter
-    indices k_a, k_b.
-    """
+def autocorrelation(spec: LiftingSpec, x: ComplexGrid) -> np.ndarray:
+    """Circular autocorrelation g = sum_j ifft(|fft(M_j x)|^2) of the
+    weighted data on the lag grid (data extent, lag 0 first), the generator
+    of the surrogate's circulant normal matrix. Returned as its Hermitian
+    part, so g[-d] == conj(g[d]) to the last bit."""
     g = np.zeros(spec.data_box.extent, dtype=np.complex128)
     for y in spec.weighted_data(x):
-        spectrum = np.fft.fftn(y)
-        g += np.fft.ifftn(np.abs(spectrum) ** 2)
+        g += np.fft.ifftn(np.abs(np.fft.fftn(y)) ** 2)
+    negated = np.roll(np.flip(g), 1, axis=tuple(range(g.ndim)))  # g[-d mod extent]
+    return 0.5 * (g + negated.conj())
+
+
+def gram_surrogate(spec: LiftingSpec, x: ComplexGrid) -> np.ndarray:
+    """Complex Gram matrix of the surrogate lifting, G[a, b] = g[(k_a - k_b)
+    mod extent] over absolute filter indices, g the autocorrelation. The
+    solver works on its real form (real_gram) and never forms it."""
     lags = IndexBox((0,) * spec.data_box.ndim, spec.data_box.extent)
-    G = g.ravel()[diff_index(spec.filter_box, spec.filter_box, lags, wrap=True)]
-    return 0.5 * (G + G.conj().T)
+    return autocorrelation(spec, x).ravel()[
+        diff_index(spec.filter_box, spec.filter_box, lags, wrap=True)]
+
+
+def real_gram(spec: LiftingSpec, g: np.ndarray) -> np.ndarray:
+    """Real symmetric form R = Q^* G Q of the surrogate Gram matrix G, of the
+    same order and eigenvalues (G is centrohermitian), gathered straight
+    from the Hermitian autocorrelation g. Q has columns, k < m = n // 2:
+    (e_k + e_{n-1-k}) / sqrt(2); e_m for odd n; i (e_k - e_{n-1-k}) / sqrt(2).
+    With t = G[:m, :m] and h = G[:m, ::-1][:, :m], one gather of g through
+    the top half of the lag index, R has blocks Re(t + h), Im(t + h) and its
+    transpose, Re(t - h); for odd n its middle column is sqrt(2) G[:m, m],
+    real and imaginary parts around Re g[0]."""
+    n = spec.n_filter
+    m, lo = n // 2, n - n // 2
+    lags = IndexBox((0,) * g.ndim, g.shape)
+    v = g.ravel()[diff_index(spec.filter_box, spec.filter_box, lags, wrap=True, rows=m)]
+    t, h = v[:, :m], v[:, ::-1][:, :m]
+    R = np.empty((n, n))
+    np.add(t.real, h.real, out=R[:m, :m])
+    np.subtract(t.real, h.real, out=R[lo:, lo:])
+    np.add(t.imag, h.imag, out=R[lo:, :m])
+    R[:m, lo:] = R[lo:, :m].T
+    if n % 2:
+        np.multiply(v[:, m].real, math.sqrt(2.0), out=R[:m, m])
+        np.multiply(v[:, m].imag, math.sqrt(2.0), out=R[lo:, m])
+        R[m, m] = g.flat[0].real
+        R[m] = R[:, m]
+    return R
+
+
+def real_gram_adjoint(spec: LiftingSpec, M: np.ndarray) -> np.ndarray:
+    """Adjoint of real_gram: the lag vector a with <real_gram(g), M> = Re <g,
+    a> for every Hermitian g and real M. With S = M + M^T, each top-half lag
+    index entry gets the weight real_gram read it with: (S11 + S33) / 2 and
+    (S11 - S33) / 2 at Toeplitz and Hankel positions in the real part, S31
+    at both in the imaginary part, sqrt(2) S[:m, m] and sqrt(2) S[lo:, m] in
+    the middle column, and lag 0 gets S[m, m] / 2. The Hermitian part of a, whose inverse FFT is
+    ifftn(a).real, is the filter-difference sum of Q S Q^* / 2."""
+    n = spec.n_filter
+    m, lo = n // 2, n - n // 2
+    S = M + M.T
+    S11, S31, S33 = S[:m, :m], S[lo:, :m], S[lo:, lo:]
+    wr, wi = np.zeros((m, n)), np.zeros((m, n))
+    np.add(S11, S33, out=wr[:, :m])
+    np.subtract(S11, S33, out=wr[:, ::-1][:, :m])
+    wr *= 0.5
+    wi[:, :m] = wi[:, ::-1][:, :m] = S31
+    if n % 2:
+        np.multiply(S[:m, m], math.sqrt(2.0), out=wr[:, m])
+        np.multiply(S[lo:, m], math.sqrt(2.0), out=wi[:, m])
+    lags = IndexBox((0,) * spec.data_box.ndim, spec.data_box.extent)
+    top = diff_index(spec.filter_box, spec.filter_box, lags, wrap=True, rows=m).ravel()
+    size = spec.data_box.size
+    a = np.bincount(top, wr.ravel(), size) + 1j * np.bincount(top, wi.ravel(), size)
+    if n % 2:
+        a[0] += 0.5 * S[m, m]
+    return a.reshape(spec.data_box.extent)
 
 
 def _scatter_blocks(spec: LiftingSpec, ws: list[np.ndarray], X: np.ndarray) -> np.ndarray:

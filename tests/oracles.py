@@ -6,7 +6,8 @@ index tuples, explicit O(L^2) transform matrices, and elementwise loops.
 
 import numpy as np
 
-from cslr.grids import ComplexGrid, IndexBox, reflect, valid_set
+from cslr.grids import ComplexGrid, IndexBox, minkowski_sum, reflect, valid_set, wrap_embed
+from cslr.lifting import diff_index
 from cslr.models import DiracSignal, RectPhantom
 
 
@@ -113,6 +114,21 @@ def centro_unitary(n):
     if n % 2:
         Q[m, m] = 1.0
     return Q
+
+
+def complex_route_weights(spec, H):
+    """Filter and raw spatial weights of a complex weight matrix H indexed by
+    pairs of filter positions, the direct way: sum H along its filter-
+    difference diagonals into a filter h on the difference box, place h on
+    the data grid at (absolute index mod extent), one inverse FFT. Returns
+    (h, complex ifftn result); a Hermitian H gives a conjugate-symmetric h
+    and a real transform."""
+    diff_box = minkowski_sum(spec.filter_box, reflect(spec.filter_box))
+    flat = diff_index(spec.filter_box, spec.filter_box, diff_box).ravel()
+    vals = (np.bincount(flat, weights=H.real.ravel(), minlength=diff_box.size)
+            + 1j * np.bincount(flat, weights=H.imag.ravel(), minlength=diff_box.size))
+    h = ComplexGrid(diff_box, vals.reshape(diff_box.extent))
+    return h, np.fft.ifftn(wrap_embed(h, spec.data_box).values)
 
 
 def irls_fft_penalty(spec, filters):

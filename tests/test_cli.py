@@ -157,6 +157,27 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["recover", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("algorithm", ["giraf", "irls"])
+@pytest.mark.parametrize("field, value", [("eps0", -1), ("eps0", 0), ("eps_min", -1),
+                                          ("cg_tol", -1)])
+def test_reweighting_fields_rejected_for_both_reweighted_solvers(tmp_path, capsys,
+                                                                 algorithm, field, value):
+    # giraf and direct IRLS read the same smoothing and CG fields, so both
+    # reject the same values before any solve
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg, solver={"algorithm": algorithm, "p": 0, field: value})
+    assert main(["recover", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["exit_code"] == 2 and err["type"] == "ConfigError"
+    assert field in err["message"]
+
+
+def test_zero_cg_tol_stays_valid():
+    # the subproblem bench runs its CG legs with cg_tol 0 by default
+    SolverConfig(cg_tol=0.0).validate()
+    BaselineConfig(algorithm="irls", cg_tol=0.0).validate()
+
+
 def test_data_errors_exit_3(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     _write_config(cfg)

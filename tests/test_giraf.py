@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import assume
 
+from cslr import giraf, grids, lifting
 from cslr.giraf import (
     ConfigError,
     SolverConfig,
     SolverError,
-    _complex_form,
-    _filter_from_H,
     _gram_spectrum,
     _reweight,
+    _weights_from,
     admm_ls,
     cg_ls,
     filter_update,
@@ -20,8 +20,8 @@ from cslr.giraf import (
     oversampled_box,
     schatten_weight,
 )
-from cslr.grids import ComplexGrid, IndexBox, idft, zero_pad
-from cslr.lifting import LiftingSpec, gram_surrogate
+from cslr.grids import ComplexGrid, IndexBox, idft, wrap_embed, zero_pad
+from cslr.lifting import LiftingSpec, gram_surrogate, real_gram_adjoint
 from cslr.models import (
     SamplingOp,
     dirac_fourier,
@@ -32,7 +32,13 @@ from cslr.models import (
     pwc_phantom,
 )
 
-from oracles import centro_unitary, dense_dft_matrix, random_grid, reverse_conjugate
+from oracles import (
+    centro_unitary,
+    complex_route_weights,
+    dense_dft_matrix,
+    random_grid,
+    reverse_conjugate,
+)
 from test_lifting import given_specs
 
 
@@ -122,8 +128,9 @@ def test_weights_at_zero_iterate_are_uniform():
     (IndexBox((-2, -3, -2), (5, 6, 4)), IndexBox((0, -1, 0), (3, 2, 2)), True),
 ])
 def test_p0_inverse_matches_eigenvector_weights(data, filt, weighted):
-    # for p = 0 the weight matrix is (G + eps I)^-1: one inverse of the Gram
-    # matrix must give the eigenvector path's filter and weights
+    # for p = 0 the weight matrix is (G + eps I)^-1: one inverse of the real
+    # form, scattered back through the lag index, must give the weights of
+    # the complex eigenvector route
     rng = np.random.default_rng(47)
     spec = LiftingSpec(data, filt, gradient_weighting(data.ndim)) if weighted \
         else LiftingSpec(data, filt)
@@ -132,11 +139,10 @@ def test_p0_inverse_matches_eigenvector_weights(data, filt, weighted):
         w, V = np.linalg.eigh(gram_surrogate(spec, x))
         eps = 10.0 ** rng.uniform(-6, -2) * np.max(w)  # the schedule's range
         w = np.maximum(w, 0.0)
-        want = _filter_from_H(spec, (V / (w + eps)) @ V.conj().T, w)
+        _, want = complex_route_weights(spec, (V / (w + eps)) @ V.conj().T)
         eigvals, R = _gram_spectrum(spec, x, 0.0, True)
-        got = _reweight(spec, eigvals, R, eps, 0.0)
-        for a, b in ((got.d.values, want.d.values), (got.h.values, want.h.values)):
-            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+        got = _reweight(spec, eigvals, R, eps, 0.0).d.values
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.5])
@@ -158,8 +164,9 @@ def test_eigenvectors_only_where_weights_need_them(monkeypatch, p):
 
 @given_specs
 def test_real_form_matches_unitary_oracle(spec, seed):
-    # the spectrum works on R = Q^* G Q: real symmetric with the spectrum
-    # of G, and its weight matrix maps back to the complex one
+    # the spectrum works on R = Q^* G Q gathered from the autocorrelation:
+    # real symmetric with the spectrum of G; for every p its weight matrix,
+    # scattered back through the lag index, gives the complex route's weights
     rng = np.random.default_rng(seed)
     x = random_grid(rng, spec.data_box)
     G = gram_surrogate(spec, x)
@@ -169,16 +176,17 @@ def test_real_form_matches_unitary_oracle(spec, seed):
     scale = np.linalg.norm(G)
     assert np.linalg.norm(R - Q.conj().T @ G @ Q) <= 1e-14 * scale
 
-    lam_g, lam_r = np.linalg.eigvalsh(G), np.linalg.eigvalsh(R)
+    lam_g, V = np.linalg.eigh(G)
     assume(lam_g[-1] > 0)  # a gradient weighting can vanish on a 1-point box
-    assert np.max(np.abs(lam_r - lam_g)) <= 1e-13 * lam_g[-1]
+    assert np.max(np.abs(np.linalg.eigvalsh(R) - lam_g)) <= 1e-13 * lam_g[-1]
 
-    eye = np.eye(G.shape[0])
     eps = 10.0 ** rng.uniform(-3, 0) * lam_g[-1]
-    M = np.linalg.inv(R + eps * eye)
-    want = np.linalg.inv(G + eps * eye)
-    for H in (Q @ M @ Q.conj().T, _complex_form(M)):
-        assert np.linalg.norm(H - want) <= 1e-12 * np.linalg.norm(want)
+    lam_g = np.maximum(lam_g, 0.0)
+    for p in (0.0, 0.5, 1.0):
+        _, want = complex_route_weights(spec, (V * (lam_g + eps) ** (p / 2 - 1)) @ V.conj().T)
+        w, basis = _gram_spectrum(spec, x, p, True)
+        got = _reweight(spec, w, basis, eps, p).d.values
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.5])
@@ -198,25 +206,59 @@ def test_gram_linear_algebra_is_real(monkeypatch, p):
 
 
 def test_filter_is_conjugate_symmetric():
+    # the filter of the weights is the Hermitian part of the lag vector that
+    # real_gram_adjoint scatters from the real weight matrix M: the complex
+    # route's filter of Q M Q^*, conjugate symmetric, placed on the lag grid
     rng = np.random.default_rng(43)
-    data = IndexBox((-6,), (13,))
-    filt = IndexBox((-2,), (5,))
-    spec = LiftingSpec(data, filt)
-    fs = filter_update(spec, _random_grid(data, rng), 0.1, 0.0)
-    mirrored = reverse_conjugate(fs.h)
-    assert mirrored.box == fs.h.box
-    np.testing.assert_allclose(mirrored.values, fs.h.values, atol=1e-12)
+    for spec in (LiftingSpec(IndexBox((-6,), (13,)), IndexBox((-2,), (5,))),
+                 LiftingSpec(IndexBox((-5, -4), (11, 8)), IndexBox((-2, -1), (4, 3)),
+                             gradient_weighting(2))):
+        _, R = _gram_spectrum(spec, _random_grid(spec.data_box, rng), 0.0, True)
+        M = np.linalg.inv(R + 0.1 * np.eye(len(R)))
+        Q = centro_unitary(len(R))
+        h, _ = complex_route_weights(spec, Q @ M @ Q.conj().T)
+        mirrored = reverse_conjugate(h)
+        assert mirrored.box == h.box
+        np.testing.assert_allclose(mirrored.values, h.values, atol=1e-12)
+
+        a = real_gram_adjoint(spec, M)
+        reflected = np.roll(np.flip(a), 1, axis=tuple(range(a.ndim)))
+        np.testing.assert_allclose(0.5 * (a + reflected.conj()),
+                                   wrap_embed(h, spec.data_box).values, atol=1e-12)
 
 
 def test_non_finite_weight_matrix_is_a_solver_error():
-    # the filter and weight grids are not re-scanned on construction, so a
-    # blow-up in the weight matrix has to surface from the weights' own checks
+    # the weight grid is not re-scanned on construction, so a blow-up in the
+    # weight matrix has to surface from the weights' own checks; (1, 2) sits
+    # in the middle column, (4, 0) in the imaginary block
     spec = LiftingSpec(IndexBox((-6,), (13,)), IndexBox((-2,), (5,)))
-    H = np.eye(5, dtype=complex)
-    for bad in (np.nan, np.inf, 1j * np.nan):
-        H[1, 2] = bad
-        with pytest.raises(SolverError, match="not finite"):
-            _filter_from_H(spec, H, np.ones(5))
+    for where in ((1, 2), (4, 0)):
+        for bad in (np.nan, np.inf, -np.inf):
+            M = np.eye(5)
+            M[where] = bad
+            with pytest.raises(SolverError, match="not finite"):
+                _weights_from(spec, M, np.ones(5))
+
+
+@pytest.mark.parametrize("p, ls_solver", [(0.0, "admm"), (0.5, "cg")])
+def test_solver_never_forms_the_complex_gram(monkeypatch, p, ls_solver):
+    # the filter update gathers the real form straight from the
+    # autocorrelation and scatters the weights back through the same lag
+    # index: no complex Gram matrix and no periodized filter embedding
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called on the solver path")
+
+    for module in (giraf, grids, lifting):
+        monkeypatch.setattr(module, "gram_surrogate", forbidden, raising=False)
+        monkeypatch.setattr(module, "wrap_embed", forbidden, raising=False)
+    box = IndexBox((-8, -8), (17, 17))
+    spec = LiftingSpec(box, IndexBox((-2, -2), (5, 5)), gradient_weighting(2))
+    truth = rect_fourier(pwc_phantom(), box)
+    samp = SamplingOp.measure(truth, random_mask(box, 0.6, seed=22, force_dc=True))
+    cfg = SolverConfig(p=p, lam=5.0, outer_iters=3, ls_solver=ls_solver, inner_iters=5,
+                       oversample=True)
+    trace = giraf_solve(spec, samp, cfg, ground_truth=truth)
+    assert np.all(np.isfinite(trace.x.values)) and np.isfinite(trace.final_nmse)
 
 
 def _dense_normal_solution(spec, sampling, d, lam, p):

@@ -12,11 +12,14 @@ from cslr.lifting import (
     LiftingSpec,
     WeightingOp,
     apply_lift,
+    autocorrelation,
     gram_surrogate,
     lift_adjoint,
     lift_normal_diagonal,
     materialize_exact,
     materialize_surrogate,
+    real_gram,
+    real_gram_adjoint,
 )
 from cslr.models import gradient_weighting
 from oracles import grid_dict, random_grid
@@ -169,6 +172,31 @@ def test_gram_is_centrohermitian(spec, seed):
     x = random_grid(np.random.default_rng(seed), spec.data_box)
     G = gram_surrogate(spec, x)
     assert np.array_equal(G[::-1, ::-1], G.conj())
+
+
+@given_specs
+def test_real_gram_adjoint_inner_product(spec, seed):
+    # <real_gram(g), M> = Re <g, real_gram_adjoint(M)> for every Hermitian
+    # lag vector g and every real M, symmetric or not
+    rng = np.random.default_rng(seed)
+    g = np.fft.ifftn(rng.standard_normal(spec.data_box.extent))
+    M = rng.standard_normal((spec.n_filter, spec.n_filter))
+    R = real_gram(spec, g)
+    lhs = np.sum(R * M)
+    rhs = np.vdot(g, real_gram_adjoint(spec, M)).real
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(R) * np.linalg.norm(M)
+
+
+@given_specs
+def test_gram_is_the_lag_gather_of_the_autocorrelation(spec, seed):
+    # G[a, b] = g[(k_a - k_b) mod extent], with g Hermitian to the last bit
+    x = random_grid(np.random.default_rng(seed), spec.data_box)
+    g = autocorrelation(spec, x)
+    reflected = np.roll(np.flip(g), 1, axis=tuple(range(g.ndim)))
+    assert np.array_equal(reflected, g.conj())
+    idx = spec.filter_box.indices()
+    lag = np.mod(idx[:, None, :] - idx[None, :, :], spec.data_box.extent)
+    assert np.array_equal(gram_surrogate(spec, x), g[tuple(np.moveaxis(lag, -1, 0))])
 
 
 def test_gram_1d_generator_example():
