@@ -25,10 +25,10 @@ box = IndexBox((-63,), (127,))
 spec = LiftingSpec(box, IndexBox((-7,), (15,)))
 truth = dirac_fourier(random_diracs(4, seed=7, min_separation=2 / 15), box)
 sampling = SamplingOp.measure(truth, random_mask(box, 0.5, seed=17))
-state = filter_update(spec, sampling.zero_filled(), 0.05, 0.0)
+weights = filter_update(spec, sampling.zero_filled(), 0.05, 0.0)
 lam = 0.1
 
-reference = cg_ls(spec, sampling, state.d, lam, 0.0, iters=4000, tol=1e-16)
+reference = cg_ls(spec, sampling, weights, lam, 0.0, iters=4000, tol=1e-16)
 
 
 def distance(x):
@@ -44,9 +44,9 @@ def distance(x):
 print(f"{'solver':<16} {'iters':>6} {'dist to reference':>18}")
 for delta in (1.0, 10.0, 100.0):
     for iters in (10, 50, 200):
-        x = admm_ls(spec, sampling, state.d, lam, 0.0, iters=iters, delta=delta)
+        x = admm_ls(spec, sampling, weights, lam, 0.0, iters=iters, delta=delta)
         print(f"{'split d=' + format(delta, 'g'):<16} {iters:>6} "
               f"{distance(x):>18.3e}")
 for iters in (10, 50, 200):
-    x = cg_ls(spec, sampling, state.d, lam, 0.0, iters=iters, tol=0.0)
+    x = cg_ls(spec, sampling, weights, lam, 0.0, iters=iters, tol=0.0)
     print(f"{'cg':<16} {iters:>6} {distance(x):>18.3e}")

@@ -82,9 +82,10 @@ class BaselineConfig:
         algos = ("irls", "ap", "ap_prox", "svt", "svt_uv")
         if self.algorithm not in algos:
             raise ConfigError(f"algorithm must be one of {algos}")
-        if self.algorithm in ("ap", "ap_prox", "svt_uv"):
-            if self.rank_r is None or self.rank_r < 1:
-                raise ConfigError(f"{self.algorithm} needs a positive rank_r")
+        if self.rank_r is None and self.algorithm in ("ap", "ap_prox", "svt_uv"):
+            raise ConfigError(f"{self.algorithm} needs a positive rank_r")
+        if self.rank_r is not None and self.rank_r < 1:
+            raise ConfigError("rank_r must be at least 1")
         needs_lam = {"ap_prox": True, "svt": True, "svt_uv": True,
                      "irls": not self.equality, "ap": False}
         if needs_lam[self.algorithm] and (self.lam is None or not self.lam > 0):

@@ -18,6 +18,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import jsonschema
 import numpy as np
@@ -63,10 +64,6 @@ EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_SOLVER = 4
-
-
-class ConfigurationError(Exception):
-    """Structurally valid JSON that does not describe a runnable experiment."""
 
 
 class DataError(Exception):
@@ -120,33 +117,35 @@ _SIGNAL_SCHEMA = {
     "additionalProperties": False,
 }
 
-_SOLVER_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "algorithm": {"enum": ["giraf", "irls", "ap", "ap_prox", "svt", "svt_uv"]},
-        "label": {"type": "string"},
-        "p": {"type": "number"},
-        "lam": {"type": ["number", "null"]},
-        "rank_r": {"type": "integer", "minimum": 1},
-        "beta": {"type": "number"},
-        "equality": {"type": "boolean"},
-        "max_iters": {"type": "integer", "minimum": 1},
-        "outer_iters": {"type": "integer", "minimum": 1},
-        "tol": {"type": "number"},
-        "eps0": {"anyOf": [{"type": "number"}, {"const": "auto"}]},
-        "eta": {"type": "number"},
-        "eps_min": {"type": ["number", "null"]},
-        "ls_solver": {"enum": ["admm", "cg"]},
-        "inner_iters": {"type": "integer", "minimum": 1},
-        "delta": {"type": "number"},
-        "cg_tol": {"type": "number"},
-        "oversample": {"type": "boolean"},
-        "oversample_factor": {"type": ["number", "null"]},
-        "seed": {"type": "integer"},
-    },
-    "required": ["algorithm"],
-    "additionalProperties": False,
+_BASELINE_SOLVERS = {
+    "irls": irls_direct,
+    "ap": ap_solve,
+    "ap_prox": ap_prox_solve,
+    "svt": svt_solve,
+    "svt_uv": svt_uv_solve,
 }
+
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string",
+               type(None): "null"}
+
+
+def _solver_schema() -> dict:
+    """Schema of a solver entry, read off the type hints of the config
+    dataclasses. It checks JSON types only; every value rule lives in their
+    validate()."""
+    props = {}
+    for cls in (SolverConfig, BaselineConfig):
+        for name, hint in get_type_hints(cls).items():
+            prop = {"type": [_JSON_TYPES[t] for t in get_args(hint) or (hint,)]}
+            if props.setdefault(name, prop) != prop:
+                raise TypeError(f"solver field {name!r} has two types")
+    props["algorithm"] = {"enum": ["giraf", *_BASELINE_SOLVERS]}
+    props["label"] = {"type": "string"}
+    return {"type": "object", "properties": props, "required": ["algorithm"],
+            "additionalProperties": False}
+
+
+_SOLVER_SCHEMA = _solver_schema()
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -199,16 +198,6 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
-_GIRAF_KEYS = {f.name for f in fields(SolverConfig)}
-_BASELINE_KEYS = {f.name for f in fields(BaselineConfig)} - {"algorithm"}
-_BASELINE_SOLVERS = {
-    "irls": irls_direct,
-    "ap": ap_solve,
-    "ap_prox": ap_prox_solve,
-    "svt": svt_solve,
-    "svt_uv": svt_uv_solve,
-}
-
 
 def _fmt(v) -> str:
     """CSV cell: full-precision floats, bare ints, markers pass through."""
@@ -233,14 +222,20 @@ def _write_json(path: Path, obj) -> None:
 
 def load_config(path) -> dict:
     with open(path) as f:
-        config = json.load(f)
-    jsonschema.validate(config, CONFIG_SCHEMA)
+        try:
+            config = json.load(f)
+            jsonschema.validate(config, CONFIG_SCHEMA)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(str(exc)) from exc
+        except jsonschema.ValidationError as exc:
+            # str() of a schema error embeds the whole schema and instance
+            raise ConfigError(f"{exc.json_path}: {exc.message}") from exc
     return config
 
 
 def _box(section: dict) -> IndexBox:
     if len(section["offset"]) != len(section["extent"]):
-        raise ConfigurationError("box offset and extent lengths differ")
+        raise ConfigError("box offset and extent lengths differ")
     return IndexBox(tuple(section["offset"]), tuple(section["extent"]))
 
 
@@ -256,7 +251,7 @@ def _build_spec(config: dict) -> LiftingSpec:
 def _require(section: dict, keys, where: str) -> None:
     missing = [k for k in keys if k not in section]
     if missing:
-        raise ConfigurationError(f"{where} requires {missing}")
+        raise ConfigError(f"{where} requires {missing}")
 
 
 def _build_truth(config: dict, shift: int) -> ComplexGrid:
@@ -270,7 +265,7 @@ def _build_truth(config: dict, shift: int) -> ComplexGrid:
         return dirac_fourier(signal, box)
     if sig["kind"] == "rects":
         if ("preset" in sig) == ("rects" in sig):
-            raise ConfigurationError(
+            raise ConfigError(
                 "rects signal needs exactly one of 'preset' or 'rects'")
         if "preset" in sig:
             phantom = pwc_phantom()
@@ -279,7 +274,7 @@ def _build_truth(config: dict, shift: int) -> ComplexGrid:
                 (r["amplitude"], tuple(tuple(b) for b in r["bounds"]))
                 for r in sig["rects"]))
         return rect_fourier(phantom, box)
-    raise ConfigurationError("signal kind 'file' carries no generative model")
+    raise ConfigError("signal kind 'file' carries no generative model")
 
 
 def _mask_from_grid(grid: ComplexGrid) -> np.ndarray:
@@ -343,32 +338,30 @@ def _write_manifest(out: Path, command: str, config: dict, shift: int,
         "seed_shift": shift, "outputs": outputs, **extra})
 
 
-def _entry_label(entry: dict) -> str:
+def _entry_label(entry: dict, cfg) -> str:
     if "label" in entry:
         return entry["label"]
     alg = entry["algorithm"]
     if alg in ("giraf", "irls"):
-        return f"{alg}{entry.get('p', 0.0):g}"
+        return f"{alg}{cfg.p:g}"
     return alg
 
 
 def _resolve_solver(entry: dict):
-    """Solver entry -> (callable, config dataclass)."""
+    """Solver entry -> (callable, validated config dataclass)."""
     alg = entry["algorithm"]
-    given = {k: v for k, v in entry.items() if k not in ("algorithm", "label")}
+    given = {k: v for k, v in entry.items() if k != "label"}
     if alg == "giraf":
-        unknown = sorted(set(given) - _GIRAF_KEYS)
-        if unknown:
-            raise ConfigurationError(f"fields {unknown} not valid for giraf")
-        cfg = SolverConfig(**given)
-        cfg.validate()
-        return giraf_solve, cfg
-    unknown = sorted(set(given) - _BASELINE_KEYS)
+        solve, cls = giraf_solve, SolverConfig
+        del given["algorithm"]
+    else:
+        solve, cls = _BASELINE_SOLVERS[alg], BaselineConfig
+    unknown = sorted(set(given) - {f.name for f in fields(cls)})
     if unknown:
-        raise ConfigurationError(f"fields {unknown} not valid for {alg}")
-    cfg = BaselineConfig(algorithm=alg, **given)
+        raise ConfigError(f"fields {unknown} not valid for {alg}")
+    cfg = cls(**given)
     cfg.validate()
-    return _BASELINE_SOLVERS[alg], cfg
+    return solve, cfg
 
 
 def _zero_time(trace, timing: str):
@@ -404,7 +397,7 @@ def _summary(trace, truth) -> dict:
 
 def cmd_gen(config: dict, out: Path, shift: int) -> int:
     if config["signal"]["kind"] == "file":
-        raise ConfigurationError("gen needs a generative signal, not 'file'")
+        raise ConfigError("gen needs a generative signal, not 'file'")
     truth, sampling = _build_instance(config, shift)
     out.mkdir(parents=True, exist_ok=True)
     save_grid(truth, out / "truth.cslr")
@@ -439,14 +432,14 @@ def cmd_recover(config: dict, out: Path, shift: int) -> int:
 
 
 def _tol_row(config, entry, usf, seed, tol, timing):
-    label = _entry_label(entry)
-    key = (config["name"], label, float(entry.get("p", 0.0)), usf, seed)
+    solve, solver_cfg = _resolve_solver(entry)
+    label = _entry_label(entry, solver_cfg)
+    key = (config["name"], label, float(solver_cfg.p), usf, seed)
     run_cfg = copy.deepcopy(config)
     run_cfg["sampling"]["usf"] = usf
     try:
         spec = _build_spec(run_cfg)
         truth, sampling = _build_instance(run_cfg, seed)
-        solve, solver_cfg = _resolve_solver(entry)
         trace = solve(spec, sampling, solver_cfg, ground_truth=truth)
     except (BudgetError, MemoryError):
         return key, key + ("Mem", "Mem", "Mem")
@@ -460,7 +453,7 @@ def _tol_row(config, entry, usf, seed, tol, timing):
 
 def _bench_tol(config: dict, out: Path, shift: int, threads: int) -> int:
     if config["signal"]["kind"] == "file":
-        raise ConfigurationError("bench needs a generative signal")
+        raise ConfigError("bench needs a generative signal")
     _require(config, ("sampling",), "bench")
     sweep = config["sweep"]
     timing = config.get("timing", "wall")
@@ -491,6 +484,24 @@ def _bench_tol(config: dict, out: Path, shift: int, threads: int) -> int:
     return EXIT_OK
 
 
+# the subproblem protocol's own inner-solver defaults
+_SUBPROBLEM_LEG = {"ls_solver": "admm", "inner_iters": 200, "delta": 10.0,
+                   "cg_tol": 0.0}
+
+
+def _subproblem_leg(entry: dict) -> SolverConfig:
+    """One inner-solver leg of the subproblem bench, validated like a solve."""
+    if entry["algorithm"] != "giraf":
+        raise ConfigError("subproblem entries must be giraf solvers")
+    given = {k: v for k, v in entry.items() if k not in ("algorithm", "label")}
+    extra = sorted(set(given) - set(_SUBPROBLEM_LEG))
+    if extra:
+        raise ConfigError(f"fields {extra} not valid for a subproblem entry")
+    leg = SolverConfig(**{**_SUBPROBLEM_LEG, **given})
+    leg.validate()
+    return leg
+
+
 def _bench_subproblem(config: dict, out: Path, shift: int) -> int:
     """Inner-solver study: freeze the weighted least-squares problem at the
     zero-filled iterate and log each solver's normalized squared distance to
@@ -498,40 +509,33 @@ def _bench_subproblem(config: dict, out: Path, shift: int) -> int:
     _require(config, ("solver",), "subproblem bench")
     base = config["solver"]
     if base["algorithm"] != "giraf":
-        raise ConfigurationError("subproblem bench studies the giraf inner step")
-    if base.get("lam") is None:
-        raise ConfigurationError("subproblem bench needs solver.lam")
+        raise ConfigError("subproblem bench studies the giraf inner step")
+    _, solver_cfg = _resolve_solver(base)
+    if solver_cfg.lam is None:
+        raise ConfigError("subproblem bench needs solver.lam")
     sweep = config["sweep"]
     timing = config.get("timing", "wall")
-    _, solver_cfg = _resolve_solver(base)
     lam = float(solver_cfg.lam)
     p = float(solver_cfg.p)
+    legs = [(entry, _subproblem_leg(entry)) for entry in sweep["solvers"]]
 
     # the first reweighting step of giraf_solve, on its working grid
     _, sampling = _build_instance(config, shift)
     spec, sampling = _working_problem(_build_spec(config), sampling, solver_cfg)
     w, basis = _gram_spectrum(spec, sampling.zero_filled(), p, True)
     eps0, _ = eps_schedule(float(np.max(w)), 1, solver_cfg.eps0)
-    state = _reweight(spec, w, basis, eps0, p)
+    d = _reweight(spec, w, basis, eps0, p)
     ref_iters = sweep.get("reference_iters", 4000)
-    reference = cg_ls(spec, sampling, state.d, lam, p, iters=ref_iters, tol=1e-16)
+    reference = cg_ls(spec, sampling, d, lam, p, iters=ref_iters, tol=1e-16)
     ref_vals = reference.values
     ref_norm = float(np.linalg.norm(ref_vals) ** 2)
     if ref_norm == 0:
         raise SolverError("subproblem reference solution is zero")
 
     rows = []
-    for entry in sweep["solvers"]:
-        if entry["algorithm"] != "giraf":
-            raise ConfigurationError("subproblem entries must be giraf solvers")
-        extra = sorted(set(entry) - {"algorithm", "label", "ls_solver", "delta",
-                                     "inner_iters", "cg_tol"})
-        if extra:
-            raise ConfigurationError(f"fields {extra} not valid for a subproblem entry")
-        ls = entry.get("ls_solver", "admm")
-        iters = entry.get("inner_iters", 200)
-        delta = entry.get("delta", 10.0)
-        label = entry.get("label") or (f"admm-delta{delta:g}" if ls == "admm" else "cg")
+    for entry, leg in legs:
+        label = entry.get("label") or (
+            f"admm-delta{leg.delta:g}" if leg.ls_solver == "admm" else "cg")
         samples = []
         start = time.perf_counter()
 
@@ -540,12 +544,12 @@ def _bench_subproblem(config: dict, out: Path, shift: int) -> int:
             dist = float(np.linalg.norm(xvals - ref_vals) ** 2) / ref_norm
             samples.append((it, sec, dist))
 
-        if ls == "admm":
-            admm_ls(spec, sampling, state.d, lam, p, iters=iters, delta=delta,
-                    callback=log)
+        if leg.ls_solver == "admm":
+            admm_ls(spec, sampling, d, lam, p, iters=leg.inner_iters,
+                    delta=leg.delta, callback=log)
         else:
-            cg_ls(spec, sampling, state.d, lam, p, iters=iters,
-                  tol=entry.get("cg_tol", 0.0), callback=log)
+            cg_ls(spec, sampling, d, lam, p, iters=leg.inner_iters,
+                  tol=leg.cg_tol, callback=log)
         rows.extend((config["name"], label, it, sec, dist)
                     for it, sec, dist in samples)
 
@@ -568,7 +572,7 @@ def cmd_bench(config: dict, out: Path, shift: int, threads: int) -> int:
 
 def cmd_compare(paths, truth_path, tol, max_diff, nmse_diff) -> int:
     if len(paths) < 2:
-        raise ConfigurationError("compare needs at least two grid files")
+        raise ConfigError("compare needs at least two grid files")
     grids = [(p, load_grid(p)) for p in paths]
     box = grids[0][1].box
     for p, g in grids[1:]:
@@ -611,11 +615,8 @@ def cmd_compare(paths, truth_path, tol, max_diff, nmse_diff) -> int:
 
 
 def _emit_error(code: int, exc: Exception) -> None:
-    # str() of a schema error embeds the whole schema and instance
-    message = (f"{exc.json_path}: {exc.message}"
-               if isinstance(exc, jsonschema.ValidationError) else str(exc))
     payload = {"error": {"exit_code": code, "type": type(exc).__name__,
-                         "message": message}}
+                         "message": str(exc)}}
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
@@ -657,17 +658,17 @@ def main(argv=None) -> int:
         if args.command == "recover":
             return cmd_recover(config, out, args.seed)
         return cmd_bench(config, out, args.seed, args.threads)
-    except (json.JSONDecodeError, jsonschema.ValidationError,
-            ConfigurationError, ConfigError, ValueError) as exc:
+    except (SolverError, BudgetError, MemoryError, np.linalg.LinAlgError) as exc:
+        # ahead of the config clause: LinAlgError is a ValueError
+        _emit_error(EXIT_SOLVER, exc)
+        return EXIT_SOLVER
+    except (ConfigError, ValueError) as exc:
         _emit_error(EXIT_CONFIG, exc)
         return EXIT_CONFIG
     except (DataError, GridFormatError, FileNotFoundError,
             IsADirectoryError) as exc:
         _emit_error(EXIT_DATA, exc)
         return EXIT_DATA
-    except (SolverError, BudgetError, MemoryError) as exc:
-        _emit_error(EXIT_SOLVER, exc)
-        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -42,7 +42,6 @@ __all__ = [
     "ConfigError",
     "SolverError",
     "SolverConfig",
-    "FilterState",
     "IterationRecord",
     "RecoveryTrace",
     "filter_update",
@@ -127,14 +126,6 @@ def schatten_weight(p: float) -> float:
 
 
 @dataclass
-class FilterState:
-    """Annihilation weights at one iterate and the Gram eigenvalues behind them."""
-
-    d: ComplexGrid
-    eigvals: np.ndarray
-
-
-@dataclass
 class IterationRecord:
     iteration: int
     eps: float
@@ -178,7 +169,7 @@ def _gram_spectrum(spec: LiftingSpec, x: ComplexGrid, p: float, vectors: bool):
     return np.maximum(w, 0.0), basis
 
 
-def _weights_from(spec: LiftingSpec, M: np.ndarray, eigvals: np.ndarray) -> FilterState:
+def _weights_from(spec: LiftingSpec, M: np.ndarray) -> ComplexGrid:
     """Spatial weights of the real weight matrix M: real_gram_adjoint scatters
     it to lags, numpy's unnormalized ifftn (the unitary inverse over sqrt(L),
     the scale making d the sum of |idft(padded h_i)|^2 over eigenfilters)
@@ -189,29 +180,32 @@ def _weights_from(spec: LiftingSpec, M: np.ndarray, eigvals: np.ndarray) -> Filt
         raise SolverError("annihilation weights are not finite")
     if np.min(draw) < -1e-12 * max(1.0, top):
         raise SolverError("annihilation weights lost positivity")
-    d = ComplexGrid._trusted(spec.data_box, np.maximum(draw, 0.0).astype(np.complex128))
-    return FilterState(d=d, eigvals=eigvals)
+    return ComplexGrid._trusted(spec.data_box, np.maximum(draw, 0.0).astype(np.complex128))
 
 
 def _reweight(spec: LiftingSpec, eigvals: np.ndarray, basis: np.ndarray,
-              eps: float, p: float) -> FilterState:
-    """Filter state from a _gram_spectrum result taken with vectors=True: the
-    weight matrix (R + eps I)^(p/2 - 1), as V diag((eigvals + eps)^(p/2 - 1))
-    V^T for p > 0 and one inverse for p = 0, turned into spatial weights."""
+              eps: float, p: float) -> ComplexGrid:
+    """Spatial weights d from a _gram_spectrum result taken with
+    vectors=True: the weight matrix (R + eps I)^(p/2 - 1), as
+    V diag((eigvals + eps)^(p/2 - 1)) V^T for p > 0 and one inverse for
+    p = 0, turned into weights on the data grid."""
     if eps <= 0:
         raise SolverError("filter update needs a positive epsilon")
     if p > 0:
         M = (basis * (eigvals + eps) ** (p / 2.0 - 1.0)) @ basis.T
     else:
+        shifted = basis.copy()
+        shifted.flat[::basis.shape[0] + 1] += eps
         try:
-            M = np.linalg.inv(basis + eps * np.eye(basis.shape[0]))
+            M = np.linalg.inv(shifted)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"Gram inverse failed: {exc}") from exc
-    return _weights_from(spec, M, eigvals)
+        del shifted  # not held while the weights are assembled
+    return _weights_from(spec, M)
 
 
-def filter_update(spec: LiftingSpec, x: ComplexGrid, eps: float, p: float) -> FilterState:
-    """Annihilating filter and spatial weights for the current iterate."""
+def filter_update(spec: LiftingSpec, x: ComplexGrid, eps: float, p: float) -> ComplexGrid:
+    """Spatial weights d of the annihilating filter at the current iterate."""
     w, basis = _gram_spectrum(spec, x, p, True)
     return _reweight(spec, w, basis, eps, p)
 
@@ -233,18 +227,17 @@ def _check_coverage(spec: LiftingSpec, sampling: SamplingOp) -> None:
 
 def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: ComplexGrid,
             lam: float | None, p: float, iters: int = 200, delta: float = 10.0,
-            gamma: float | None = None, x0: ComplexGrid | None = None,
-            callback=None) -> ComplexGrid:
+            x0: ComplexGrid | None = None, callback=None) -> ComplexGrid:
     """ADMM for the weighted least-squares step.
 
     Splitting z_j = F y_j = M_j x with scaled duals u_j in the Fourier index
     domain; the y update is a diagonal shrinkage in space, the x update a
-    diagonal solve in Fourier indices. lam=None holds the measured samples
-    fixed (equality mode).
+    diagonal solve in Fourier indices, with penalty gamma = max(d)/delta.
+    lam=None holds the measured samples fixed (equality mode).
     """
     _check_coverage(spec, sampling)
     dvals = d.values.real
-    gam = float(np.max(dvals)) / delta if gamma is None else float(gamma)
+    gam = float(np.max(dvals)) / delta
     bvals = sampling.b.values
     if gam <= 0 or (lam is not None and lam * schatten_weight(p) == 0):
         # no effective regularizer: the least-squares solution is A* b
@@ -490,7 +483,7 @@ def giraf_solve(spec: LiftingSpec, sampling: SamplingOp, config: SolverConfig,
     trace = _reweighted_loop(
         config, config.outer_iters, config.lam, samp.zero_filled(), samp,
         spectrum=lambda x, vectors: _gram_spectrum(work_spec, x, config.p, vectors),
-        reweight=lambda w, basis, eps: _reweight(work_spec, w, basis, eps, config.p).d,
+        reweight=lambda w, basis, eps: _reweight(work_spec, w, basis, eps, config.p),
         least_squares=least_squares, error=error, algorithm=f"giraf{config.p:g}")
     trace.x = restrict(trace.x, spec.data_box)
     return trace

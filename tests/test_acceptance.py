@@ -128,7 +128,7 @@ def test_criterion_04_weights_single_filter_path():
             x = _random_grid(spec.data_box, rng)
             eps = 10.0 ** rng.uniform(-3, 1)
             want = direct_weights(spec, x, eps, p)
-            got = filter_update(spec, x, eps, p).d.values.real
+            got = filter_update(spec, x, eps, p).values.real
             rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
             worst = max(worst, float(rel))
     ok = worst < 1e-10
@@ -149,10 +149,10 @@ def test_criterion_05_admm_reaches_dense_solution():
         truth = _random_grid(spec.data_box, rng)
         mask = random_mask(spec.data_box, 0.6, seed=15, force_dc=force_dc)
         samp = SamplingOp.measure(truth, mask)
-        fs = filter_update(spec, samp.zero_filled(), 0.1, 0.0)
+        d = filter_update(spec, samp.zero_filled(), 0.1, 0.0)
         lam = 3.0
-        want = _dense_normal_solution(spec, samp, fs.d, lam, 0.0)
-        got = admm_ls(spec, samp, fs.d, lam, 0.0, iters=500, delta=10.0)
+        want = _dense_normal_solution(spec, samp, d, lam, 0.0)
+        got = admm_ls(spec, samp, d, lam, 0.0, iters=500, delta=10.0)
         rel = np.linalg.norm(got.values - want) / np.linalg.norm(want)
         worst = max(worst, float(rel))
     ok = worst < 1e-6

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +364,7 @@ def test_manifests_have_no_timestamps(tmp_path):
 
 _GIRAF_SHORT = {"algorithm": "giraf", "p": 0, "outer_iters": 3, "inner_iters": 5}
 _IRLS_SHORT = {"algorithm": "irls", "p": 0, "max_iters": 3, "inner_iters": 5}
+_SVT_UV_SHORT = {"algorithm": "svt_uv", "rank_r": 4, "lam": 0.05, "max_iters": 3}
 
 
 @pytest.mark.parametrize("solver, scale", [
@@ -372,13 +374,15 @@ _IRLS_SHORT = {"algorithm": "irls", "p": 0, "max_iters": 3, "inner_iters": 5}
     pytest.param(_IRLS_SHORT, 1e-160, id="solver1-scaled1e-160"),
     pytest.param(_GIRAF_SHORT, 1e160, id="solver0-scaled1e160"),
     pytest.param(_IRLS_SHORT, 1e160, id="solver1-scaled1e160"),
+    pytest.param(_SVT_UV_SHORT, 1e160, id="svt_uv-scaled1e160"),
 ])
 def test_zero_measurements_exit_4(tmp_path, capsys, solver, scale):
     # an all-zero first iterate has an identically zero lifting, so no
     # smoothing schedule exists; measurements scaled by 1e-160 leave a lifting
     # so small that the weights (lambda + eps)^(p/2 - 1) overflow, and by
     # 1e160 one whose spectrum overflows. All are solver failures for every
-    # reweighted solver, not config errors.
+    # reweighted solver, not config errors; so is the dense SVD that numpy
+    # cannot converge on the blown-up lifting of a baseline.
     cfg = tmp_path / "cfg.json"
     _write_config(cfg)
     assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "gen")]) == 0
@@ -393,6 +397,9 @@ def test_zero_measurements_exit_4(tmp_path, capsys, solver, scale):
     assert main(["recover", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["exit_code"] == 4
+    if solver is _SVT_UV_SHORT:
+        assert err["error"]["type"] == "LinAlgError"
+        return
     assert err["error"]["type"] == "SolverError"
     if scale == 0:
         assert err["error"]["message"] == "first iterate has an identically zero lifting"
@@ -409,6 +416,57 @@ def test_solver_schema_matches_config_fields():
     baseline_fields = {f.name for f in dataclasses.fields(BaselineConfig)}
     assert set(cli._SOLVER_SCHEMA["properties"]) == (
         giraf_fields | baseline_fields | {"algorithm", "label"})
+
+
+def _wrong_type(types):
+    if bool in types:
+        return 1  # an integer is not a boolean
+    if str in types:
+        return True  # a boolean is neither a number nor a string
+    return "1"  # a string for a number
+
+
+def _field_verdict_cases():
+    """One wrongly typed value per solver field, and 0 for each integer
+    field that must be at least 1, read off the config dataclasses."""
+    for cls, alg in ((SolverConfig, "giraf"), (BaselineConfig, "irls")):
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            types = typing.get_args(hints[f.name]) or (hints[f.name],)
+            yield pytest.param("solver", {"algorithm": alg, f.name: _wrong_type(types)},
+                               id=f"{alg}-{f.name}-wrong-type")
+            if int in types and f.name != "seed":
+                yield pytest.param("solver", {"algorithm": alg, f.name: 0},
+                                   id=f"{alg}-{f.name}-0")
+    yield pytest.param("subproblem", {"algorithm": "giraf", "inner_iters": 0},
+                       id="subproblem-inner_iters-0")
+
+
+@pytest.mark.parametrize("where, entry", _field_verdict_cases())
+def test_solver_field_verdicts(tmp_path, capsys, where, entry):
+    cfg = tmp_path / "cfg.json"
+    if where == "solver":
+        _write_config(cfg, solver=entry)
+        command = "recover"
+    else:
+        base = _write_config(cfg, solver={"algorithm": "giraf", "p": 0, "lam": 0.1})
+        base["sweep"] = {"protocol": "subproblem", "reference_iters": 10,
+                         "solvers": [entry]}
+        cfg.write_text(json.dumps(base))
+        command = "bench"
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["exit_code"] == 2 and err["type"] == "ConfigError"
+
+
+def test_readme_example_config_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("Example config:", 1)[1].split("```json", 1)[1]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(example.split("```", 1)[0])
+    for command in ("gen", "recover", "bench"):
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / command)]) == 0, command
 
 
 def _python(*args, cwd=None):
