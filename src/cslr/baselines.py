@@ -350,7 +350,7 @@ def irls_direct(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
     _check_config(config, "irls")
     lam = None if config.equality else config.lam
 
-    def spectrum(x, vectors):
+    def spectrum(x, vectors, values):
         T = materialize_exact(spec, x)
         if not vectors:
             return np.linalg.svd(T, compute_uv=False) ** 2, None

@@ -220,6 +220,22 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _as_integers(value, schema: dict):
+    """value with every float in an integer-only place of schema made an int.
+    JSON Schema counts 2.0 as an integer, so a validated 2.0 there is
+    integral; the config dataclasses and the manifest echo then see 2."""
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        return {k: _as_integers(v, props.get(k, {})) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_as_integers(v, schema.get("items", {})) for v in value]
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if isinstance(value, float) and "integer" in types and "number" not in types:
+        return int(value)
+    return value
+
+
 def load_config(path) -> dict:
     with open(path) as f:
         try:
@@ -230,7 +246,7 @@ def load_config(path) -> dict:
         except jsonschema.ValidationError as exc:
             # str() of a schema error embeds the whole schema and instance
             raise ConfigError(f"{exc.json_path}: {exc.message}") from exc
-    return config
+    return _as_integers(config, CONFIG_SCHEMA)
 
 
 def _box(section: dict) -> IndexBox:

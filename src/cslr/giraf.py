@@ -8,12 +8,14 @@ The solver alternates two matrix-free steps on gridded Fourier data:
    a sparse unitary Q makes R = Q^* G Q real symmetric with the same
    eigenvalues; R is gathered straight from g through one cached lag index,
    and G is never formed. The linear algebra runs on R in real arithmetic
-   (one inverse for p = 0, an eigendecomposition for p > 0) and gives the
-   weight matrix (R + eps I)^(p/2 - 1). The adjoint of the same gather
+   (a Cholesky factor L of R + eps I for p = 0, an eigendecomposition for
+   p > 0) and gives the weight matrix (R + eps I)^(p/2 - 1), for p = 0 as
+   L^-T L^-1 with no general inverse. The adjoint of the same gather
    scatters it back to lags as the reweighted annihilating filter, and one
    inverse FFT of that gives the nonnegative spatial weights d. The
-   eigenvalues of R, computed without eigenvectors for p = 0, set the
-   smoothing schedule, the cost and the singular-value range.
+   eigenvalues of R set the smoothing schedule, the cost and the
+   singular-value range; for p = 0 they are taken only at the first and the
+   closing iterate, and the cost in between is sum log diag L.
 
 2. Least squares. Minimize ||A x - b||^2 + lam * C_p * sum_j ||D^{1/2} F^*
    M_j x||^2 with D = diag(d), solved either by ADMM with a splitting
@@ -131,8 +133,8 @@ class IterationRecord:
     eps: float
     nmse: float | None
     cost: float | None
-    sigma_min: float
-    sigma_max: float
+    sigma_min: float | None
+    sigma_max: float | None
     seconds: float
 
 
@@ -151,22 +153,87 @@ class RecoveryTrace:
         return self.records[-1].nmse if self.records else None
 
 
-def _gram_spectrum(spec: LiftingSpec, x: ComplexGrid, p: float, vectors: bool):
+def _gram_spectrum(spec: LiftingSpec, x: ComplexGrid, p: float, vectors: bool,
+                   values: bool = True):
     """Spectrum of the surrogate Gram matrix G at x: (eigenvalues clipped at
     zero, basis), taken on its real form R (real_gram), which has the same
     eigenvalues. The basis is what _reweight needs, so only p > 0 pays for
     eigenvectors: the eigenvectors of R for p > 0, R itself for p = 0 (its
-    weight matrix (R + eps I)^-1 is one inverse), None when vectors is
-    false."""
+    weight matrix (R + eps I)^-1 comes from a Cholesky factor), None when
+    vectors is false. values=False skips the eigenvalues where nothing else
+    yields them (p = 0) and returns None in their place."""
     R = real_gram(spec, autocorrelation(spec, x))
     try:
         if vectors and p > 0:
             w, basis = np.linalg.eigh(R)
         else:
-            w, basis = np.linalg.eigvalsh(R), R if vectors else None
+            w = np.linalg.eigvalsh(R) if values else None
+            basis = R if vectors else None
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"Gram eigendecomposition failed: {exc}") from exc
-    return np.maximum(w, 0.0), basis
+    return None if w is None else np.maximum(w, 0.0), basis
+
+
+_TRIL_BLOCK = 64  # rows below which np.linalg.inv inverts a triangular block
+
+
+def _tril_inverse(L: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of the lower-triangular L, by halving: [[A, 0], [B, C]]^-1 is
+    [[A^-1, 0], [-C^-1 B A^-1, C^-1]], with np.linalg.inv on blocks of at
+    most _TRIL_BLOCK rows. The blocks are written into out (zeros when not
+    given) in place, so that no block result is copied."""
+    n = L.shape[0]
+    if n <= _TRIL_BLOCK:
+        if out is None:
+            return np.tril(np.linalg.inv(L))
+        out[...] = np.tril(np.linalg.inv(L))
+        return out
+    if out is None:
+        out = np.zeros_like(L)
+    h = n // 2
+    _tril_inverse(L[:h, :h], out[:h, :h])
+    _tril_inverse(L[h:, h:], out[h:, h:])
+    np.matmul(out[h:, h:] @ L[h:, :h], out[:h, :h], out=out[h:, :h])
+    np.negative(out[h:, :h], out=out[h:, :h])
+    return out
+
+
+class _GramCholesky:
+    """Cholesky factor L of R + eps I for the p = 0 route, the latest one
+    kept: the lagged cost at eps_(n-1) and the weights at eps_n share one
+    factorization when the two epsilons are equal (frozen or floored eps).
+    R + eps I is positive definite, so a failed factorization means the data
+    overflowed or eps fell below R's rounding: a SolverError."""
+
+    def __init__(self, R: np.ndarray):
+        self.R = R
+        self._eps = self._L = None
+
+    def factor(self, eps: float) -> np.ndarray:
+        if eps != self._eps:
+            self._L = None  # not held while the next one is formed
+            shifted = self.R.copy()
+            shifted.flat[::shifted.shape[0] + 1] += eps
+            try:
+                self._L = np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"Gram Cholesky factorization failed: {exc}") from exc
+            self._eps = eps
+        return self._L
+
+    def half_logdet(self, eps: float) -> float:
+        """1/2 log det(R + eps I), the p = 0 smoothed penalty: sum log diag L."""
+        return float(np.log(self.factor(eps).diagonal()).sum())
+
+    def inverse(self, eps: float) -> np.ndarray:
+        """(R + eps I)^-1 = L^-T L^-1, the last use of this object: R and L
+        are let go on the way, so that neither is held while the weights
+        are assembled."""
+        L = self.factor(eps)
+        self.R = self._eps = self._L = None
+        Linv = _tril_inverse(L)
+        del L
+        return Linv.T @ Linv
 
 
 def _weights_from(spec: LiftingSpec, M: np.ndarray) -> ComplexGrid:
@@ -183,30 +250,26 @@ def _weights_from(spec: LiftingSpec, M: np.ndarray) -> ComplexGrid:
     return ComplexGrid._trusted(spec.data_box, np.maximum(draw, 0.0).astype(np.complex128))
 
 
-def _reweight(spec: LiftingSpec, eigvals: np.ndarray, basis: np.ndarray,
-              eps: float, p: float) -> ComplexGrid:
+def _reweight(spec: LiftingSpec, eigvals: np.ndarray | None, basis, eps: float,
+              p: float) -> ComplexGrid:
     """Spatial weights d from a _gram_spectrum result taken with
     vectors=True: the weight matrix (R + eps I)^(p/2 - 1), as
-    V diag((eigvals + eps)^(p/2 - 1)) V^T for p > 0 and one inverse for
-    p = 0, turned into weights on the data grid."""
+    V diag((eigvals + eps)^(p/2 - 1)) V^T for p > 0 and L^-T L^-1 from the
+    Cholesky factor of R + eps I for p = 0 (basis is R or its _GramCholesky;
+    eigvals are not read), turned into weights on the data grid."""
     if eps <= 0:
         raise SolverError("filter update needs a positive epsilon")
     if p > 0:
         M = (basis * (eigvals + eps) ** (p / 2.0 - 1.0)) @ basis.T
     else:
-        shifted = basis.copy()
-        shifted.flat[::basis.shape[0] + 1] += eps
-        try:
-            M = np.linalg.inv(shifted)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"Gram inverse failed: {exc}") from exc
-        del shifted  # not held while the weights are assembled
+        chol = basis if isinstance(basis, _GramCholesky) else _GramCholesky(basis)
+        M = chol.inverse(eps)
     return _weights_from(spec, M)
 
 
 def filter_update(spec: LiftingSpec, x: ComplexGrid, eps: float, p: float) -> ComplexGrid:
     """Spatial weights d of the annihilating filter at the current iterate."""
-    w, basis = _gram_spectrum(spec, x, p, True)
+    w, basis = _gram_spectrum(spec, x, p, True, values=False)
     return _reweight(spec, w, basis, eps, p)
 
 
@@ -396,39 +459,50 @@ def _reweighted_loop(config, n_outer: int, lam: float | None, x: ComplexGrid,
     """Outer iteration shared by GIRAF and direct IRLS.
 
     Each iteration takes the spectrum of the current lifting,
-    spectrum(x, vectors) -> (eigenvalues, basis), sets the smoothing schedule
-    from the first one, forms the reweighted penalty reweight(eigenvalues,
-    basis, eps) and solves least_squares(penalty, x) -> x. The cost and the
-    singular-value range of an iterate come from the spectrum taken at the
-    start of the next iteration, or from a closing eigenvalue-only spectrum
-    (vectors=False) after the last one. config supplies p, eps0, eta and
-    eps_min; lam=None is equality mode; error(x) gives the NMSE or is None.
+    spectrum(x, vectors, values) -> (eigenvalues, basis), sets the smoothing
+    schedule from the first one, forms the reweighted penalty
+    reweight(eigenvalues, basis, eps) and solves least_squares(penalty, x)
+    -> x. Eigenvalues are asked for (values=True) only at the first iterate
+    and for the closing eigenvalue-only spectrum (vectors=False) after the
+    last one; a spectrum may return them anyway, or None when not asked.
+    The cost and the singular-value range of an iterate come from the
+    spectrum taken at the start of the next iteration, or from the closing
+    one. Where that spectrum has no eigenvalues (GIRAF at p = 0) the basis
+    gives the cost as basis.half_logdet(eps) and the range stays None.
+    config supplies p, eps0, eta and eps_min; lam=None is equality mode;
+    error(x) gives the NMSE or is None.
     """
     records: list[IterationRecord] = []
     phases = {"filter_update": 0.0, "least_squares": 0.0}
     t0 = time.perf_counter()
     data_term = 0.0
 
-    def finish_record(rec, eigvals):
-        rec.sigma_min = math.sqrt(max(float(np.min(eigvals)), 0.0))
-        rec.sigma_max = math.sqrt(max(float(np.max(eigvals)), 0.0))
-        sch = _smoothed_schatten_eigs(eigvals, config.p, rec.eps)
+    def finish_record(rec, eigvals, basis):
+        if eigvals is None:
+            sch = basis.half_logdet(rec.eps)
+        else:
+            rec.sigma_min = math.sqrt(max(float(np.min(eigvals)), 0.0))
+            rec.sigma_max = math.sqrt(max(float(np.max(eigvals)), 0.0))
+            sch = _smoothed_schatten_eigs(eigvals, config.p, rec.eps)
         rec.cost = sch if lam is None else data_term + lam * sch
 
     for n in range(1, n_outer + 1):
         tf = time.perf_counter()
-        eigvals, basis = spectrum(x, True)
+        eigvals, basis = spectrum(x, True, n == 1)
         if records:
-            finish_record(records[-1], eigvals)
+            finish_record(records[-1], eigvals, basis)
         if n == 1:
             eps0, schedule = eps_schedule(float(np.max(eigvals)), n_outer, config.eps0,
                                           config.eta, config.eps_min)
         eps_n = schedule[n - 1]
-        smallest = np.min(eigvals) + eps_n
-        with np.errstate(divide="ignore", over="ignore"):
-            if not np.isfinite(smallest ** (config.p / 2 - 1)):
-                raise SolverError(f"reweighting overflowed at iteration {n}: smallest "
-                                  f"eigenvalue plus eps is {smallest:g}")
+        # without eigenvalues (p = 0) a failed Cholesky factorization and
+        # the finiteness scan of the weights stand in for this check
+        if eigvals is not None:
+            smallest = np.min(eigvals) + eps_n
+            with np.errstate(divide="ignore", over="ignore"):
+                if not np.isfinite(smallest ** (config.p / 2 - 1)):
+                    raise SolverError(f"reweighting overflowed at iteration {n}: smallest "
+                                      f"eigenvalue plus eps is {smallest:g}")
         penalty = reweight(eigvals, basis, eps_n)
         tl = time.perf_counter()
         phases["filter_update"] += tl - tf
@@ -437,13 +511,12 @@ def _reweighted_loop(config, n_outer: int, lam: float | None, x: ComplexGrid,
         data_term = float(np.linalg.norm((x.values - sampling.b.values)[sampling.mask]) ** 2)
         records.append(IterationRecord(
             iteration=n, eps=eps_n, nmse=None if error is None else error(x), cost=None,
-            sigma_min=float("nan"), sigma_max=float("nan"),
-            seconds=time.perf_counter() - t0))
+            sigma_min=None, sigma_max=None, seconds=time.perf_counter() - t0))
 
     tf = time.perf_counter()
-    eigvals, _ = spectrum(x, False)
+    eigvals, _ = spectrum(x, False, True)
     phases["filter_update"] += time.perf_counter() - tf
-    finish_record(records[-1], eigvals)
+    finish_record(records[-1], eigvals, None)
     return RecoveryTrace(x=x, records=records, algorithm=algorithm, eps0=eps0,
                          phase_seconds=phases)
 
@@ -478,11 +551,17 @@ def giraf_solve(spec: LiftingSpec, sampling: SamplingOp, config: SolverConfig,
             x = ComplexGrid(work_spec.data_box, samp.insert_data(x.values))
         return x
 
+    def spectrum(x, vectors, values):
+        w, basis = _gram_spectrum(work_spec, x, config.p, vectors, values)
+        if config.p == 0 and basis is not None:
+            basis = _GramCholesky(basis)  # the lagged cost and the weights share it
+        return w, basis
+
     error = None if ground_truth is None else (
         lambda x: nmse(restrict(x, spec.data_box), ground_truth))
     trace = _reweighted_loop(
         config, config.outer_iters, config.lam, samp.zero_filled(), samp,
-        spectrum=lambda x, vectors: _gram_spectrum(work_spec, x, config.p, vectors),
+        spectrum=spectrum,
         reweight=lambda w, basis, eps: _reweight(work_spec, w, basis, eps, config.p),
         least_squares=least_squares, error=error, algorithm=f"giraf{config.p:g}")
     trace.x = restrict(trace.x, spec.data_box)

@@ -94,6 +94,20 @@ def test_recover_outputs(tmp_path):
     assert recovered.box.extent == (63,)
 
 
+def test_p0_trace_csv_leaves_sigma_empty_before_the_last_row(tmp_path):
+    # p = 0 takes eigenvalues only at the first and the closing iterate, so
+    # only the last row has a singular-value range; every row has a cost
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg)
+    out = tmp_path / "rec"
+    assert main(["recover", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = list(csv.DictReader((out / "trace.csv").open()))
+    for row in rows[:-1]:
+        assert row["sigma_min"] == row["sigma_max"] == ""
+    assert 0.0 <= float(rows[-1]["sigma_min"]) <= float(rows[-1]["sigma_max"])
+    assert all(np.isfinite(float(row["cost"])) for row in rows)
+
+
 def test_recover_from_files_without_truth(tmp_path):
     cfg = tmp_path / "cfg.json"
     _write_config(cfg)
@@ -455,6 +469,30 @@ def test_solver_field_verdicts(tmp_path, capsys, where, entry):
         cfg.write_text(json.dumps(base))
         command = "bench"
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["exit_code"] == 2 and err["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize("solver, field", [
+    ({"algorithm": "giraf", "p": 0, "outer_iters": 2}, "outer_iters"),
+    ({"algorithm": "irls", "p": 0, "max_iters": 2}, "max_iters"),
+    ({"algorithm": "ap", "rank_r": 4, "max_iters": 3}, "rank_r"),
+])
+def test_integral_float_runs_as_its_integer(tmp_path, capsys, solver, field):
+    # JSON Schema counts 2.0 as an integer: the run and every output,
+    # manifest included, are those of the integer spelling; 2.5 is refused
+    files = ("recovered.cslr", "trace.csv", "summary.json", "manifest.json")
+    outputs = []
+    for value in (solver[field], float(solver[field])):
+        cfg = tmp_path / "cfg.json"
+        _write_config(cfg, solver={**solver, field: value})
+        out = tmp_path / type(value).__name__
+        assert main(["recover", "--config", str(cfg), "--out", str(out)]) == 0
+        outputs.append([(out / f).read_bytes() for f in files])
+    assert outputs[0] == outputs[1]
+
+    _write_config(cfg, solver={**solver, field: 2.5})
+    assert main(["recover", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["exit_code"] == 2 and err["type"] == "ConfigError"
 

@@ -1,6 +1,8 @@
 """Solver-level tests: annihilation weights, inner least-squares solvers
 against dense oracles, the outer reweighted iteration, and config guards."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume
@@ -11,7 +13,10 @@ from cslr.giraf import (
     SolverConfig,
     SolverError,
     _gram_spectrum,
+    _GramCholesky,
     _reweight,
+    _smoothed_schatten_eigs,
+    _tril_inverse,
     _weights_from,
     admm_ls,
     cg_ls,
@@ -147,7 +152,7 @@ def test_p0_inverse_matches_eigenvector_weights(data, filt, weighted):
 
 @pytest.mark.parametrize("p", [0.0, 0.5])
 def test_eigenvectors_only_where_weights_need_them(monkeypatch, p):
-    # p = 0 reweights with a matrix inverse and takes eigenvalues alone;
+    # p = 0 reweights through a Cholesky factor and takes eigenvalues alone;
     # p > 0 needs one eigendecomposition per outer iteration and none for
     # the closing spectrum
     calls = []
@@ -189,11 +194,82 @@ def test_real_form_matches_unitary_oracle(spec, seed):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+@given_specs
+def test_cholesky_cost_matches_eigenvalue_sum(spec, seed):
+    # the p = 0 cost between the first and the closing iterate is
+    # sum log diag L for L L^T = R + eps I: it must equal 1/2 sum log(lambda
+    # + eps) of the eigenvalue route, at a new eps (a new factorization) and
+    # at the same eps again (the kept factor, as with eps frozen)
+    rng = np.random.default_rng(seed)
+    w, R = _gram_spectrum(spec, random_grid(rng, spec.data_box), 0.0, True)
+    assume(w[-1] > 0)
+    chol = _GramCholesky(R)
+    for eps in 10.0 ** np.sort(rng.uniform(-3, 0, 2))[::-1] * w[-1]:
+        want = _smoothed_schatten_eigs(w, 0.0, eps)
+        # a sum of logs of both signs can cancel; scale by its terms
+        scale = 0.5 * np.sum(np.abs(np.log(w + eps)))
+        first = chol.factor(eps)
+        assert abs(chol.half_logdet(eps) - want) <= 1e-12 * scale
+        assert chol.factor(eps) is first
+        assert abs(chol.half_logdet(eps) - want) <= 1e-12 * scale
+
+
+def _assert_tril_inverse(L):
+    want = np.linalg.inv(L)
+    got = _tril_inverse(L)
+    assert np.array_equal(got, np.tril(got))
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@given_specs
+def test_tril_inverse_of_gram_factor_matches_inv(spec, seed):
+    # the Cholesky factors of drawn Gram matrices, with the base block
+    # shrunk so that their small orders run through every level of halving
+    rng = np.random.default_rng(seed)
+    w, R = _gram_spectrum(spec, random_grid(rng, spec.data_box), 0.0, True)
+    L = _GramCholesky(R).factor(10.0 ** rng.uniform(-3, 0) * max(w[-1], 1.0))
+    for block in (1, 2, 3):
+        with mock.patch.object(giraf, "_TRIL_BLOCK", block):
+            _assert_tril_inverse(L)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 63, 64, 65, 127, 128, 129, 255])
+def test_tril_inverse_matches_inv_around_the_block_size(n):
+    # orders on both sides of the base block (64) and of its double, odd
+    # orders halving into unequal blocks; L is the factor of a Gram-like
+    # R + eps I with eps in the schedule's range
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n)) @ np.diag(np.logspace(0, -4, n))
+    R = A @ A.T
+    L = _GramCholesky(R).factor(1e-3 * np.linalg.norm(R, 2))
+    _assert_tril_inverse(L)
+
+
+@pytest.mark.parametrize("outer_iters", [3, 8])
+def test_p0_solve_takes_two_spectra_and_no_gram_inverse(monkeypatch, outer_iters):
+    # p = 0 takes eigenvalues only for the first iterate (the schedule) and
+    # for the closing row, and reweights through a Cholesky factor: no
+    # inverse of an order-n matrix, only of the triangular inverse's blocks
+    spectra, inverses = [], []
+    eigvalsh, inv = np.linalg.eigvalsh, np.linalg.inv
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, **kw: spectra.append(a.shape) or eigvalsh(a, **kw))
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a.shape) or inv(a))
+    box = IndexBox((-10, -10), (21, 21))
+    spec = LiftingSpec(box, IndexBox((-4, -4), (9, 9)), gradient_weighting(2))
+    truth = rect_fourier(pwc_phantom(), box)
+    samp = SamplingOp.measure(truth, random_mask(box, 0.6, seed=23, force_dc=True))
+    giraf_solve(spec, samp, SolverConfig(p=0.0, lam=5.0, outer_iters=outer_iters,
+                                         inner_iters=5))
+    assert spectra == [(81, 81)] * 2
+    assert inverses and max(shape[0] for shape in inverses) <= 64
+
+
 @pytest.mark.parametrize("p", [0.0, 0.5])
 def test_gram_linear_algebra_is_real(monkeypatch, p):
-    # every eigvalsh, eigh and inv of a solve runs on the real form
+    # every eigvalsh, eigh, cholesky and inv of a solve runs on the real form
     dtypes = []
-    for name in ("eigvalsh", "eigh", "inv"):
+    for name in ("eigvalsh", "eigh", "cholesky", "inv"):
         fn = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda a, fn=fn, **kw: dtypes.append(a.dtype) or fn(a, **kw))
@@ -382,6 +458,30 @@ def test_trace_contract():
         assert 0.0 <= rec.sigma_min <= rec.sigma_max
         assert rec.nmse is not None
     assert trace.x.box == box
+
+
+def test_p0_trace_contract():
+    # p = 0 takes no spectrum between the first and the closing iterate:
+    # rows before the last carry their cost from a Cholesky factor and no
+    # singular-value range (None); the last row's range and cost come from
+    # the closing eigenvalues
+    box = IndexBox((-10,), (21,))
+    spec = LiftingSpec(box, IndexBox((-2,), (5,)))
+    truth = _random_grid(box, np.random.default_rng(9))
+    samp = SamplingOp.measure(truth, random_mask(box, 0.7, seed=12))
+    cfg = SolverConfig(p=0.0, lam=10.0, outer_iters=5, inner_iters=10)
+    trace = giraf_solve(spec, samp, cfg, ground_truth=truth)
+    assert [r.iteration for r in trace.records] == [1, 2, 3, 4, 5]
+    for rec in trace.records[:-1]:
+        assert rec.sigma_min is None and rec.sigma_max is None
+    for rec in trace.records:
+        assert np.isfinite(rec.cost)
+
+    last = trace.records[-1]
+    w, _ = _gram_spectrum(spec, trace.x, 0.0, False)
+    assert last.sigma_min == np.sqrt(w[0]) and last.sigma_max == np.sqrt(w[-1])
+    data_term = np.linalg.norm((trace.x.values - samp.b.values)[samp.mask]) ** 2
+    assert last.cost == data_term + cfg.lam * _smoothed_schatten_eigs(w, 0.0, last.eps)
 
 
 def test_monotone_cost_with_frozen_eps():
