@@ -23,6 +23,7 @@ from .giraf import (
     IterationRecord,
     RecoveryTrace,
     _cg_normal,
+    _check_integers,
     _check_reweighting,
     _reweighted_loop,
     _smoothed_schatten_eigs,
@@ -79,6 +80,7 @@ class BaselineConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        _check_integers(self)
         algos = ("irls", "ap", "ap_prox", "svt", "svt_uv")
         if self.algorithm not in algos:
             raise ConfigError(f"algorithm must be one of {algos}")

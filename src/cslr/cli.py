@@ -18,7 +18,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import get_args, get_type_hints
 
 import jsonschema
 import numpy as np
@@ -35,6 +34,7 @@ from .giraf import (
     ConfigError,
     SolverConfig,
     SolverError,
+    _field_types,
     _gram_spectrum,
     _reweight,
     _working_problem,
@@ -135,8 +135,8 @@ def _solver_schema() -> dict:
     validate()."""
     props = {}
     for cls in (SolverConfig, BaselineConfig):
-        for name, hint in get_type_hints(cls).items():
-            prop = {"type": [_JSON_TYPES[t] for t in get_args(hint) or (hint,)]}
+        for name, types in _field_types(cls).items():
+            prop = {"type": [_JSON_TYPES[t] for t in types]}
             if props.setdefault(name, prop) != prop:
                 raise TypeError(f"solver field {name!r} has two types")
     props["algorithm"] = {"enum": ["giraf", *_BASELINE_SOLVERS]}

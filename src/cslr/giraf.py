@@ -31,8 +31,10 @@ non-increasing.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -61,6 +63,25 @@ class ConfigError(Exception):
 
 class SolverError(Exception):
     """Numerical failure inside a solver."""
+
+
+def _field_types(cls) -> dict[str, tuple[type, ...]]:
+    """The types each field of a config dataclass admits, read off its type
+    hints (X | None admits NoneType): the source of the CLI's solver schema
+    and of validate()'s integer check."""
+    return {name: get_args(hint) or (hint,) for name, hint in get_type_hints(cls).items()}
+
+
+def _check_integers(config) -> None:
+    """An int-hinted field holds an integer (not a bool), or None where its
+    hint admits None: an integral float such as 2.0 is refused here, since
+    the solvers count with these fields."""
+    for name, types in _field_types(type(config)).items():
+        value = getattr(config, name)
+        if int not in types or (value is None and type(None) in types):
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_reweighting(config) -> None:
@@ -104,6 +125,7 @@ class SolverConfig:
     oversample_factor: float | None = None
 
     def validate(self) -> None:
+        _check_integers(self)
         _check_reweighting(self)
         if self.lam is not None and not self.lam > 0:
             raise ConfigError("lambda must be positive (or None for equality mode)")
@@ -279,13 +301,22 @@ def _block_weights(spec: LiftingSpec):
     return ws, wsq
 
 
-def _check_coverage(spec: LiftingSpec, sampling: SamplingOp) -> None:
-    _, wsq = _block_weights(spec)
+def _check_coverage(spec: LiftingSpec, sampling: SamplingOp):
+    """Block weights (ws, wsq) of the lifting on its data box, once checked
+    to cover every unmeasured entry."""
+    ws, wsq = _block_weights(spec)
     dead = (wsq == 0) & ~sampling.mask
     if np.any(dead):
         raise ConfigError(
             "weighting vanishes on unmeasured entries (sample k = 0 when "
             "using derivative weightings)")
+    return ws, wsq
+
+
+def _interleaved(factor: np.ndarray) -> np.ndarray:
+    """A real factor repeated along the last axis, to scale the float64 view
+    of a complex array (real and imaginary parts alike) in one pass."""
+    return np.repeat(factor, 2, axis=-1)
 
 
 def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: ComplexGrid,
@@ -297,8 +328,14 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: ComplexGrid,
     domain; the y update is a diagonal shrinkage in space, the x update a
     diagonal solve in Fourier indices, with penalty gamma = max(d)/delta.
     lam=None holds the measured samples fixed (equality mode).
+
+    The K blocks are stacked in (K, *extent) buffers allocated once, so an
+    iteration allocates only its new iterate x. Sums and differences run on
+    float64 views and the real factors scale both parts of a float64 view,
+    which gives the bits of the complex operations they replace (numpy
+    divides a complex by a real as a product with its reciprocal).
     """
-    _check_coverage(spec, sampling)
+    ws, wsq = _check_coverage(spec, sampling)
     dvals = d.values.real
     gam = float(np.max(dvals)) / delta
     bvals = sampling.b.values
@@ -306,31 +343,46 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: ComplexGrid,
         # no effective regularizer: the least-squares solution is A* b
         return ComplexGrid(spec.data_box, bvals.copy())
 
-    ws, wsq = _block_weights(spec)
-    maskf = sampling.mask.astype(float)
-    rho = None if lam is None else gam * lam * schatten_weight(p)
-    shrink = gam / (dvals + gam)
+    shrink = _interleaved(gam / (dvals + gam))
     if lam is None:
-        denom = np.where(wsq > 0, wsq, 1.0)
+        rden = _interleaved(1.0 / np.where(wsq > 0, wsq, 1.0))
+        measured = np.flatnonzero(sampling.mask)
+        bmeasured = bvals.ravel()[measured]
     else:
-        denom = maskf + rho * wsq
+        rho = gam * lam * schatten_weight(p)
+        rden = _interleaved(1.0 / (sampling.mask.astype(float) + rho * wsq))
+        bflat = bvals.view(np.float64)
 
+    W = np.stack(ws)
+    Wc = np.conj(W)
     x = (x0.values if x0 is not None else bvals).copy()
-    z = [np.zeros(spec.data_box.extent, dtype=np.complex128) for _ in ws]
-    u = [np.zeros(spec.data_box.extent, dtype=np.complex128) for _ in ws]
+    WX = W * x
+    U = np.zeros_like(W)
+    Z = np.empty_like(W)
+    S = np.empty_like(W)
+    WXf, Uf, Zf, Sf = (a.view(np.float64) for a in (WX, U, Z, S))
 
     for it in range(iters):
-        for j, w in enumerate(ws):
-            z[j] = np.fft.fftn(shrink * np.fft.ifftn(w * x - u[j]))
-        acc = np.zeros(spec.data_box.extent, dtype=np.complex128)
-        for j, w in enumerate(ws):
-            acc += np.conj(w) * (z[j] + u[j])
+        np.subtract(WXf, Uf, out=Zf)
+        for j in range(len(ws)):
+            np.fft.ifftn(Z[j], out=S[j])
+        np.multiply(Sf, shrink, out=Sf)
+        for j in range(len(ws)):
+            np.fft.fftn(S[j], out=Z[j])
+        np.add(Zf, Uf, out=Sf)
+        np.multiply(Wc, S, out=S)
+        x = np.add.reduce(S, axis=0, initial=0.0)
+        xf = x.view(np.float64)
         if lam is None:
-            x = sampling.insert_data(acc / denom)
+            np.multiply(xf, rden, out=xf)
+            x.ravel()[measured] = bmeasured
         else:
-            x = (bvals + rho * acc) / denom
-        for j, w in enumerate(ws):
-            u[j] += z[j] - w * x
+            np.multiply(xf, rho, out=xf)
+            np.add(xf, bflat, out=xf)
+            np.multiply(xf, rden, out=xf)
+        np.multiply(W, x, out=WX)
+        np.subtract(Zf, WXf, out=Sf)
+        np.add(Uf, Sf, out=Uf)
         if callback is not None:
             callback(it + 1, x)
     return ComplexGrid(spec.data_box, x)
@@ -342,13 +394,11 @@ def cg_ls(spec: LiftingSpec, sampling: SamplingOp, d: ComplexGrid,
     """Conjugate gradients on the normal equations of the weighted
     least-squares step. Equality mode optimizes only the unmeasured entries
     with the measured ones pinned to the data."""
-    _check_coverage(spec, sampling)
+    ws, _ = _check_coverage(spec, sampling)
     dvals = d.values.real
     bvals = sampling.b.values
     if float(np.max(dvals)) <= 0 or (lam is not None and lam * schatten_weight(p) == 0):
         return ComplexGrid(spec.data_box, bvals.copy())
-
-    ws, _ = _block_weights(spec)
 
     def reg_op(v):
         out = np.zeros_like(v)
@@ -541,15 +591,13 @@ def giraf_solve(spec: LiftingSpec, sampling: SamplingOp, config: SolverConfig,
     work_spec, samp = _working_problem(spec, sampling, config)
 
     def least_squares(d, x):
+        # both inner solvers return the measured samples in place in
+        # equality mode
         if config.ls_solver == "admm":
-            x = admm_ls(work_spec, samp, d, config.lam, config.p,
-                        iters=config.inner_iters, delta=config.delta, x0=x)
-        else:
-            x = cg_ls(work_spec, samp, d, config.lam, config.p,
-                      iters=config.inner_iters, tol=config.cg_tol, x0=x)
-        if config.equality:
-            x = ComplexGrid(work_spec.data_box, samp.insert_data(x.values))
-        return x
+            return admm_ls(work_spec, samp, d, config.lam, config.p,
+                           iters=config.inner_iters, delta=config.delta, x0=x)
+        return cg_ls(work_spec, samp, d, config.lam, config.p,
+                     iters=config.inner_iters, tol=config.cg_tol, x0=x)
 
     def spectrum(x, vectors, values):
         w, basis = _gram_spectrum(work_spec, x, config.p, vectors, values)

@@ -41,6 +41,7 @@ from oracles import (
     centro_unitary,
     complex_route_weights,
     dense_dft_matrix,
+    loop_admm_ls,
     random_grid,
     reverse_conjugate,
 )
@@ -368,6 +369,31 @@ def test_admm_matches_dense_normal_equations(weighted):
     got = admm_ls(spec, samp, d, lam, 0.0, iters=500, delta=10.0)
     rel = np.linalg.norm(got.values - want) / np.linalg.norm(want)
     assert rel < 1e-6
+
+
+@pytest.mark.parametrize("with_x0", [False, True])
+@pytest.mark.parametrize("p", [0.0, 0.5])
+@pytest.mark.parametrize("lam", [None, 0.5, 3e-4])
+@given_specs
+def test_admm_is_byte_identical_to_the_loop_reference(spec, seed, lam, p, with_x0):
+    """The stacked-buffer ADMM keeps the arithmetic of the block-by-block
+    loop in tests/oracles.py: the same bits in every iterate and the result."""
+    rng = np.random.default_rng(seed)
+    truth = random_grid(rng, spec.data_box)
+    _, wsq = giraf._block_weights(spec)
+    mask = (rng.random(spec.data_box.extent) < 0.5) | (wsq == 0)
+    samp = SamplingOp.measure(truth, mask)
+    d = filter_update(spec, samp.zero_filled(), 0.1, p)
+    x0 = random_grid(rng, spec.data_box) if with_x0 else None
+    seen = {"fast": [], "loop": []}
+    results = {}
+    for name, solve in (("fast", admm_ls), ("loop", loop_admm_ls)):
+        results[name] = solve(spec, samp, d, lam, p, iters=4, delta=10.0, x0=x0,
+                              callback=lambda it, x, name=name: seen[name].append(
+                                  (it, x.tobytes())))
+    assert results["fast"].values.tobytes() == results["loop"].values.tobytes()
+    assert seen["fast"] == seen["loop"]
+    assert [it for it, _ in seen["fast"]] == [1, 2, 3, 4]
 
 
 def test_cg_matches_dense_normal_equations():
