@@ -355,6 +355,7 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: ComplexGrid,
 
     W = np.stack(ws)
     Wc = np.conj(W)
+    del ws, wsq  # not held beside the stacked copy
     x = (x0.values if x0 is not None else bvals).copy()
     WX = W * x
     U = np.zeros_like(W)
@@ -364,10 +365,10 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: ComplexGrid,
 
     for it in range(iters):
         np.subtract(WXf, Uf, out=Zf)
-        for j in range(len(ws)):
+        for j in range(len(W)):
             np.fft.ifftn(Z[j], out=S[j])
         np.multiply(Sf, shrink, out=Sf)
-        for j in range(len(ws)):
+        for j in range(len(W)):
             np.fft.fftn(S[j], out=Z[j])
         np.add(Zf, Uf, out=Sf)
         np.multiply(Wc, S, out=S)
