@@ -3,7 +3,6 @@ oracles, the majorizer inequality, prox and averaging building blocks, and
 end-to-end recovery for each solver on a small Dirac instance."""
 
 import math
-import typing
 
 import numpy as np
 import pytest
@@ -316,24 +315,14 @@ def test_config_validation():
         ap_solve(spec, sampling, BaselineConfig(algorithm="svt", lam=1.0))
 
 
-_VALID_CONFIGS = {SolverConfig: {}, BaselineConfig: {"algorithm": "ap", "rank_r": 4}}
-
-
-def _int_fields(cls):
-    return [name for name, hint in typing.get_type_hints(cls).items()
-            if int in (typing.get_args(hint) or (hint,))]
-
-
-def test_int_fields_are_the_counting_ones():
-    assert _int_fields(SolverConfig) == ["outer_iters", "inner_iters"]
-    assert _int_fields(BaselineConfig) == ["rank_r", "max_iters", "inner_iters", "seed"]
-
-
 @pytest.mark.parametrize("value", [2.0, 2.5, True, "2"])
-@pytest.mark.parametrize("cls, name", [(cls, name) for cls in _VALID_CONFIGS
-                                       for name in _int_fields(cls)])
+@pytest.mark.parametrize("cls, name", [
+    (SolverConfig, "outer_iters"), (SolverConfig, "inner_iters"),
+    (BaselineConfig, "rank_r"), (BaselineConfig, "max_iters"),
+    (BaselineConfig, "inner_iters"), (BaselineConfig, "seed")])
 def test_integer_fields_refuse_non_integers(cls, name, value):
-    base = _VALID_CONFIGS[cls]
+    base = {"algorithm": "irls"} if cls is BaselineConfig else {}
+    cls(**base).validate()  # rank_r=None passes for irls
     cls(**{**base, name: 2}).validate()
     cls(**{**base, name: np.int64(2)}).validate()
     with pytest.raises(ConfigError, match=name):
@@ -346,7 +335,6 @@ def test_integral_float_count_is_a_config_error_not_a_crash():
         giraf_solve(spec, sampling, SolverConfig(outer_iters=2.0), truth)
     with pytest.raises(ConfigError, match="max_iters"):
         irls_direct(spec, sampling, BaselineConfig(algorithm="irls", max_iters=2.0), truth)
-    BaselineConfig(algorithm="irls", rank_r=None).validate()
 
 
 def test_dense_lifting_budget_guard():
