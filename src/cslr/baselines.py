@@ -319,11 +319,27 @@ def svt_uv_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig
                          ("factor", "least_squares"), weight, True, ground_truth, x0)
 
 
-def _irls_weights(s2: np.ndarray, Vh: np.ndarray, eps: float, p: float) -> np.ndarray:
-    """Hermitian IRLS weight matrix W = V diag((s2 + eps)^(p/2 - 1)) V^* from
-    the squared singular values s2 and right singular vectors Vh of the
-    exact lifting."""
-    return (Vh.conj().T * (s2 + eps) ** (p / 2.0 - 1.0)) @ Vh
+class _ExactPenalty:
+    """The smoothed penalty of the exact lifting T(x) in the protocol of the
+    reweighted loop (see giraf._GramPenalty), from its dense SVD T(x) = U
+    diag(sigma) V^*: eigvals are the squared singular values sigma^2, cost(eps)
+    their smoothed Schatten sum, and weights(eps) the Hermitian IRLS weight
+    matrix V diag((sigma^2 + eps)^(p/2 - 1)) V^*. Without weighted, the SVD
+    takes no singular vectors."""
+
+    def __init__(self, spec: LiftingSpec, x: ComplexGrid, p: float, weighted: bool = True):
+        T = materialize_exact(spec, x)
+        if weighted:
+            _, s, self._Vh = np.linalg.svd(T, full_matrices=False)
+        else:
+            s, self._Vh = np.linalg.svd(T, compute_uv=False), None
+        self.eigvals, self.p = s ** 2, p
+
+    def cost(self, eps: float) -> float:
+        return _smoothed_schatten_eigs(self.eigvals, self.p, eps)
+
+    def weights(self, eps: float) -> np.ndarray:
+        return (self._Vh.conj().T * (self.eigvals + eps) ** (self.p / 2.0 - 1.0)) @ self._Vh
 
 
 def _irls_penalty(spec: LiftingSpec, W: np.ndarray):
@@ -343,24 +359,15 @@ def irls_direct(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
     """Direct iteratively reweighted least squares on the exact lifting T.
 
     Each outer iteration takes a dense SVD T(x) = U diag(sigma) V^*, forms
-    the Hermitian weight matrix W = V diag((sigma^2 + eps)^(p/2 - 1)) V^*,
-    and solves the weighted least-squares problem by conjugate gradients
-    with the penalty v -> T^*(T(v) W) (see _irls_penalty), whose quadratic
+    the Hermitian weight matrix W = V diag((sigma^2 + eps)^(p/2 - 1)) V^*
+    (see _ExactPenalty), and solves the weighted least-squares problem by
+    conjugate gradients with the penalty v -> T^*(T(v) W) (see
+    _irls_penalty), whose quadratic
     form ||T(v) W^(1/2)||_F^2 applies every reweighting filter
     (sigma_i^2 + eps)^(p/4 - 1/2) v_i through the exact lifting at once.
     """
     _check_config(config, "irls")
     lam = None if config.equality else config.lam
-
-    def spectrum(x, vectors, values):
-        T = materialize_exact(spec, x)
-        if not vectors:
-            return np.linalg.svd(T, compute_uv=False) ** 2, None
-        _, s, Vh = np.linalg.svd(T, full_matrices=False)
-        return s ** 2, Vh
-
-    def reweight(s2, Vh, eps):
-        return _irls_weights(s2, Vh, eps, config.p)
 
     def least_squares(W, x):
         return ComplexGrid(spec.data_box, _cg_normal(
@@ -369,5 +376,6 @@ def irls_direct(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
 
     error = None if ground_truth is None else (lambda x: nmse(x, ground_truth))
     return _reweighted_loop(config, config.max_iters, lam, sampling.b.copy(), sampling,
-                            spectrum, reweight, least_squares, error,
-                            algorithm=f"irls{config.p:g}")
+                            lambda x, values, weighted: _ExactPenalty(spec, x, config.p,
+                                                                      weighted),
+                            least_squares, error, algorithm=f"irls{config.p:g}")

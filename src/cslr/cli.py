@@ -35,8 +35,7 @@ from .giraf import (
     SolverConfig,
     SolverError,
     _field_types,
-    _gram_spectrum,
-    _reweight,
+    _GramPenalty,
     _working_problem,
     admm_ls,
     cg_ls,
@@ -538,9 +537,9 @@ def _bench_subproblem(config: dict, out: Path, shift: int) -> int:
     # the first reweighting step of giraf_solve, on its working grid
     _, sampling = _build_instance(config, shift)
     spec, sampling = _working_problem(_build_spec(config), sampling, solver_cfg)
-    w, basis = _gram_spectrum(spec, sampling.zero_filled(), p, True)
-    eps0, _ = eps_schedule(float(np.max(w)), 1, solver_cfg.eps0)
-    d = _reweight(spec, w, basis, eps0, p)
+    penalty = _GramPenalty(spec, sampling.zero_filled(), p)
+    eps0, _ = eps_schedule(float(np.max(penalty.eigvals)), 1, solver_cfg.eps0)
+    d = penalty.weights(eps0)
     ref_iters = sweep.get("reference_iters", 4000)
     reference = cg_ls(spec, sampling, d, lam, p, iters=ref_iters, tol=1e-16)
     ref_vals = reference.values

@@ -7,15 +7,15 @@ The solver alternates two matrix-free steps on gridded Fourier data:
    The surrogate Gram matrix G[a, b] = g[k_a - k_b] is centrohermitian, so
    a sparse unitary Q makes R = Q^* G Q real symmetric with the same
    eigenvalues; R is gathered straight from g through one cached lag index,
-   and G is never formed. The linear algebra runs on R in real arithmetic
-   (a Cholesky factor L of R + eps I for p = 0, an eigendecomposition for
-   p > 0) and gives the weight matrix (R + eps I)^(p/2 - 1), for p = 0 as
-   L^-T L^-1 with no general inverse. The adjoint of the same gather
-   scatters it back to lags as the reweighted annihilating filter, and one
-   inverse FFT of that gives the nonnegative spatial weights d. The
-   eigenvalues of R set the smoothing schedule, the cost and the
-   singular-value range; for p = 0 they are taken only at the first and the
-   closing iterate, and the cost in between is sum log diag L.
+   and G is never formed. One _GramPenalty per outer iterate gives the loop
+   three things from R, in real arithmetic: eigenvalues (the smoothing
+   schedule and the singular-value range; for p = 0 only at the first and
+   the closing iterate), the smoothed penalty at eps, and the weights from
+   (R + eps I)^(p/2 - 1), by an eigendecomposition for p > 0 and by a
+   Cholesky factor L for p = 0 (L^-T L^-1, cost sum log diag L). The adjoint
+   of the gather scatters the weight matrix back to lags, and one inverse
+   FFT gives the nonnegative spatial weights d. Direct IRLS supplies the
+   same three from an SVD of the exact lifting, through the same loop.
 
 2. Least squares. Minimize ||A x - b||^2 + lam * C_p * sum_j ||D^{1/2} F^*
    M_j x||^2 with D = diag(d), solved either by ADMM with a splitting
@@ -175,27 +175,6 @@ class RecoveryTrace:
         return self.records[-1].nmse if self.records else None
 
 
-def _gram_spectrum(spec: LiftingSpec, x: ComplexGrid, p: float, vectors: bool,
-                   values: bool = True):
-    """Spectrum of the surrogate Gram matrix G at x: (eigenvalues clipped at
-    zero, basis), taken on its real form R (real_gram), which has the same
-    eigenvalues. The basis is what _reweight needs, so only p > 0 pays for
-    eigenvectors: the eigenvectors of R for p > 0, R itself for p = 0 (its
-    weight matrix (R + eps I)^-1 comes from a Cholesky factor), None when
-    vectors is false. values=False skips the eigenvalues where nothing else
-    yields them (p = 0) and returns None in their place."""
-    R = real_gram(spec, autocorrelation(spec, x))
-    try:
-        if vectors and p > 0:
-            w, basis = np.linalg.eigh(R)
-        else:
-            w = np.linalg.eigvalsh(R) if values else None
-            basis = R if vectors else None
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"Gram eigendecomposition failed: {exc}") from exc
-    return None if w is None else np.maximum(w, 0.0), basis
-
-
 _TRIL_BLOCK = 64  # rows below which np.linalg.inv inverts a triangular block
 
 
@@ -220,44 +199,6 @@ def _tril_inverse(L: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-class _GramCholesky:
-    """Cholesky factor L of R + eps I for the p = 0 route, the latest one
-    kept: the lagged cost at eps_(n-1) and the weights at eps_n share one
-    factorization when the two epsilons are equal (frozen or floored eps).
-    R + eps I is positive definite, so a failed factorization means the data
-    overflowed or eps fell below R's rounding: a SolverError."""
-
-    def __init__(self, R: np.ndarray):
-        self.R = R
-        self._eps = self._L = None
-
-    def factor(self, eps: float) -> np.ndarray:
-        if eps != self._eps:
-            self._L = None  # not held while the next one is formed
-            shifted = self.R.copy()
-            shifted.flat[::shifted.shape[0] + 1] += eps
-            try:
-                self._L = np.linalg.cholesky(shifted)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"Gram Cholesky factorization failed: {exc}") from exc
-            self._eps = eps
-        return self._L
-
-    def half_logdet(self, eps: float) -> float:
-        """1/2 log det(R + eps I), the p = 0 smoothed penalty: sum log diag L."""
-        return float(np.log(self.factor(eps).diagonal()).sum())
-
-    def inverse(self, eps: float) -> np.ndarray:
-        """(R + eps I)^-1 = L^-T L^-1, the last use of this object: R and L
-        are let go on the way, so that neither is held while the weights
-        are assembled."""
-        L = self.factor(eps)
-        self.R = self._eps = self._L = None
-        Linv = _tril_inverse(L)
-        del L
-        return Linv.T @ Linv
-
-
 def _weights_from(spec: LiftingSpec, M: np.ndarray) -> ComplexGrid:
     """Spatial weights of the real weight matrix M: real_gram_adjoint scatters
     it to lags, numpy's unnormalized ifftn (the unitary inverse over sqrt(L),
@@ -272,27 +213,77 @@ def _weights_from(spec: LiftingSpec, M: np.ndarray) -> ComplexGrid:
     return ComplexGrid._trusted(spec.data_box, np.maximum(draw, 0.0).astype(np.complex128))
 
 
-def _reweight(spec: LiftingSpec, eigvals: np.ndarray | None, basis, eps: float,
-              p: float) -> ComplexGrid:
-    """Spatial weights d from a _gram_spectrum result taken with
-    vectors=True: the weight matrix (R + eps I)^(p/2 - 1), as
-    V diag((eigvals + eps)^(p/2 - 1)) V^T for p > 0 and L^-T L^-1 from the
-    Cholesky factor of R + eps I for p = 0 (basis is R or its _GramCholesky;
-    eigvals are not read), turned into weights on the data grid."""
-    if eps <= 0:
-        raise SolverError("filter update needs a positive epsilon")
-    if p > 0:
-        M = (basis * (eigvals + eps) ** (p / 2.0 - 1.0)) @ basis.T
-    else:
-        chol = basis if isinstance(basis, _GramCholesky) else _GramCholesky(basis)
-        M = chol.inverse(eps)
-    return _weights_from(spec, M)
+class _GramPenalty:
+    """The smoothed penalty of the surrogate lifting at one iterate x, as the
+    three members _reweighted_loop reads: eigvals (the Gram eigenvalues
+    clipped at zero, or None), cost(eps) and weights(eps). The linear
+    algebra runs on the real form R (real_gram), which has the Gram's
+    eigenvalues, and computes only what is asked for. With weighted, p > 0
+    takes eigh, whose vectors give the weight matrix V diag((eigvals +
+    eps)^(p/2 - 1)) V^T, and p = 0 keeps R for a Cholesky factor L of
+    R + eps I, whose L^-T L^-1 is (R + eps I)^-1; otherwise eigvalsh runs
+    only when values is set. The latest factor is kept, so the lagged cost
+    at eps_(n-1) and the weights at eps_n share one when the two epsilons
+    are equal (frozen or floored eps). R + eps I is positive definite, so a
+    failed factorization means the data overflowed or eps fell below R's
+    rounding: a SolverError."""
+
+    def __init__(self, spec: LiftingSpec, x: ComplexGrid, p: float, values: bool = True,
+                 weighted: bool = True):
+        self.spec, self.p = spec, p
+        self._R = self._V = self._L = self._eps = w = None
+        R = real_gram(spec, autocorrelation(spec, x))
+        try:
+            if weighted and p > 0:
+                w, self._V = np.linalg.eigh(R)
+            elif values:
+                w = np.linalg.eigvalsh(R)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"Gram eigendecomposition failed: {exc}") from exc
+        if weighted and p == 0:
+            self._R = R
+        self.eigvals = None if w is None else np.maximum(w, 0.0)
+
+    def factor(self, eps: float) -> np.ndarray:
+        """Cholesky factor L of R + eps I, the latest one kept."""
+        if eps != self._eps:
+            self._L = None  # not held while the next one is formed
+            shifted = self._R.copy()
+            shifted.flat[::shifted.shape[0] + 1] += eps
+            try:
+                self._L = np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"Gram Cholesky factorization failed: {exc}") from exc
+            self._eps = eps
+        return self._L
+
+    def cost(self, eps: float) -> float:
+        """Smoothed Schatten penalty at eps: from the eigenvalues where they
+        were taken, else (p = 0) sum log diag L."""
+        if self.eigvals is not None:
+            return _smoothed_schatten_eigs(self.eigvals, self.p, eps)
+        return float(np.log(self.factor(eps).diagonal()).sum())
+
+    def weights(self, eps: float) -> ComplexGrid:
+        """Spatial weights d of the weight matrix (R + eps I)^(p/2 - 1), the
+        last use of this object: for p = 0, R and L are let go on the way,
+        so that neither is held while the weights are assembled."""
+        if eps <= 0:
+            raise SolverError("filter update needs a positive epsilon")
+        if self.p > 0:
+            M = (self._V * (self.eigvals + eps) ** (self.p / 2.0 - 1.0)) @ self._V.T
+        else:
+            L = self.factor(eps)
+            self._R = self._eps = self._L = None
+            Linv = _tril_inverse(L)
+            del L
+            M = Linv.T @ Linv
+        return _weights_from(self.spec, M)
 
 
 def filter_update(spec: LiftingSpec, x: ComplexGrid, eps: float, p: float) -> ComplexGrid:
     """Spatial weights d of the annihilating filter at the current iterate."""
-    w, basis = _gram_spectrum(spec, x, p, True, values=False)
-    return _reweight(spec, w, basis, eps, p)
+    return _GramPenalty(spec, x, p, values=False).weights(eps)
 
 
 def _block_weights(spec: LiftingSpec):
@@ -418,7 +409,9 @@ def _cg_normal(penalty, sampling: SamplingOp, lam: float | None, p: float,
     """Conjugate gradients for min ||A x - b||^2 + lam C_p <x, penalty(x)>,
     penalty a Hermitian positive semidefinite operator on grid arrays.
     lam=None pins the measured samples and solves for the others only.
-    callback(it, x) sees every iterate with the samples reinserted."""
+    callback(it, x) sees every iterate with the samples reinserted. A step
+    length or residual that is not finite (data near the float range's
+    ends) is a SolverError."""
     bvals = sampling.b.values
     if lam is None:
         free = ~sampling.mask
@@ -456,6 +449,8 @@ def _cg_normal(penalty, sampling: SamplingOp, lam: float | None, p: float,
         x = x + alpha * pvec
         r = r - alpha * Ap
         rs_new = np.vdot(r, r).real
+        if not (math.isfinite(alpha) and math.isfinite(rs_new)):
+            raise SolverError(f"conjugate gradients went non-finite at step {it + 1}")
         pvec = r + (rs_new / rs) * pvec
         rs = rs_new
         if callback is not None:
@@ -505,59 +500,57 @@ def eps_schedule(lam_max: float, n_outer: int, eps0: float | str = "auto",
 
 
 def _reweighted_loop(config, n_outer: int, lam: float | None, x: ComplexGrid,
-                     sampling: SamplingOp, spectrum, reweight, least_squares,
+                     sampling: SamplingOp, penalty_at, least_squares,
                      error, algorithm: str) -> RecoveryTrace:
     """Outer iteration shared by GIRAF and direct IRLS.
 
-    Each iteration takes the spectrum of the current lifting,
-    spectrum(x, vectors, values) -> (eigenvalues, basis), sets the smoothing
-    schedule from the first one, forms the reweighted penalty
-    reweight(eigenvalues, basis, eps) and solves least_squares(penalty, x)
-    -> x. Eigenvalues are asked for (values=True) only at the first iterate
-    and for the closing eigenvalue-only spectrum (vectors=False) after the
-    last one; a spectrum may return them anyway, or None when not asked.
-    The cost and the singular-value range of an iterate come from the
-    spectrum taken at the start of the next iteration, or from the closing
-    one. Where that spectrum has no eigenvalues (GIRAF at p = 0) the basis
-    gives the cost as basis.half_logdet(eps) and the range stays None.
-    config supplies p, eps0, eta and eps_min; lam=None is equality mode;
-    error(x) gives the NMSE or is None.
+    penalty_at(x, values, weighted) gives the smoothed penalty of the lifting
+    at x as an object with three members: eigvals, its squared singular
+    values (None where they were not taken), cost(eps), the penalty at eps,
+    and weights(eps), the reweighting least_squares(weights, x) -> x solves
+    with. Each iteration asks for a weighted penalty at the current iterate,
+    sets the smoothing schedule from the first one's eigenvalues and solves
+    at weights(eps_n). Eigenvalues are asked for (values=True) only at the
+    first iterate and at the closing, unweighted penalty after the last one;
+    a penalty may have them anyway. An iterate's cost and singular-value
+    range come from the penalty at the next iterate, or from the closing
+    one; without eigenvalues the range stays None. config supplies p, eps0,
+    eta and eps_min; lam=None is equality mode; error(x) gives the NMSE or
+    is None.
     """
     records: list[IterationRecord] = []
     phases = {"filter_update": 0.0, "least_squares": 0.0}
     t0 = time.perf_counter()
     data_term = 0.0
 
-    def finish_record(rec, eigvals, basis):
-        if eigvals is None:
-            sch = basis.half_logdet(rec.eps)
-        else:
-            rec.sigma_min = math.sqrt(max(float(np.min(eigvals)), 0.0))
-            rec.sigma_max = math.sqrt(max(float(np.max(eigvals)), 0.0))
-            sch = _smoothed_schatten_eigs(eigvals, config.p, rec.eps)
+    def finish_record(rec, penalty):
+        if penalty.eigvals is not None:
+            rec.sigma_min = math.sqrt(max(float(np.min(penalty.eigvals)), 0.0))
+            rec.sigma_max = math.sqrt(max(float(np.max(penalty.eigvals)), 0.0))
+        sch = penalty.cost(rec.eps)
         rec.cost = sch if lam is None else data_term + lam * sch
 
     for n in range(1, n_outer + 1):
         tf = time.perf_counter()
-        eigvals, basis = spectrum(x, True, n == 1)
+        penalty = penalty_at(x, n == 1, True)
         if records:
-            finish_record(records[-1], eigvals, basis)
+            finish_record(records[-1], penalty)
         if n == 1:
-            eps0, schedule = eps_schedule(float(np.max(eigvals)), n_outer, config.eps0,
-                                          config.eta, config.eps_min)
+            eps0, schedule = eps_schedule(float(np.max(penalty.eigvals)), n_outer,
+                                          config.eps0, config.eta, config.eps_min)
         eps_n = schedule[n - 1]
         # without eigenvalues (p = 0) a failed Cholesky factorization and
         # the finiteness scan of the weights stand in for this check
-        if eigvals is not None:
-            smallest = np.min(eigvals) + eps_n
+        if penalty.eigvals is not None:
+            smallest = np.min(penalty.eigvals) + eps_n
             with np.errstate(divide="ignore", over="ignore"):
                 if not np.isfinite(smallest ** (config.p / 2 - 1)):
                     raise SolverError(f"reweighting overflowed at iteration {n}: smallest "
                                       f"eigenvalue plus eps is {smallest:g}")
-        penalty = reweight(eigvals, basis, eps_n)
+        weights = penalty.weights(eps_n)
         tl = time.perf_counter()
         phases["filter_update"] += tl - tf
-        x = least_squares(penalty, x)
+        x = least_squares(weights, x)
         phases["least_squares"] += time.perf_counter() - tl
         data_term = float(np.linalg.norm((x.values - sampling.b.values)[sampling.mask]) ** 2)
         records.append(IterationRecord(
@@ -565,9 +558,9 @@ def _reweighted_loop(config, n_outer: int, lam: float | None, x: ComplexGrid,
             sigma_min=None, sigma_max=None, seconds=time.perf_counter() - t0))
 
     tf = time.perf_counter()
-    eigvals, _ = spectrum(x, False, True)
+    penalty = penalty_at(x, True, False)
     phases["filter_update"] += time.perf_counter() - tf
-    finish_record(records[-1], eigvals, None)
+    finish_record(records[-1], penalty)
     return RecoveryTrace(x=x, records=records, algorithm=algorithm, eps0=eps0,
                          phase_seconds=phases)
 
@@ -600,18 +593,12 @@ def giraf_solve(spec: LiftingSpec, sampling: SamplingOp, config: SolverConfig,
         return cg_ls(work_spec, samp, d, config.lam, config.p,
                      iters=config.inner_iters, tol=config.cg_tol, x0=x)
 
-    def spectrum(x, vectors, values):
-        w, basis = _gram_spectrum(work_spec, x, config.p, vectors, values)
-        if config.p == 0 and basis is not None:
-            basis = _GramCholesky(basis)  # the lagged cost and the weights share it
-        return w, basis
-
     error = None if ground_truth is None else (
         lambda x: nmse(restrict(x, spec.data_box), ground_truth))
     trace = _reweighted_loop(
         config, config.outer_iters, config.lam, samp.zero_filled(), samp,
-        spectrum=spectrum,
-        reweight=lambda w, basis, eps: _reweight(work_spec, w, basis, eps, config.p),
+        penalty_at=lambda x, values, weighted: _GramPenalty(work_spec, x, config.p,
+                                                            values, weighted),
         least_squares=least_squares, error=error, algorithm=f"giraf{config.p:g}")
     trace.x = restrict(trace.x, spec.data_box)
     return trace

@@ -35,6 +35,7 @@ __all__ = [
     "valid_set",
     "minkowski_sum",
     "reflect",
+    "diff_index",
     "dft",
     "idft",
     "zero_pad",
@@ -157,6 +158,31 @@ class ComplexGrid:
         return ComplexGrid(self.box, self.values.copy())
 
 
+@lru_cache(maxsize=32)
+def diff_index(a: IndexBox, b: IndexBox, target: IndexBox, wrap: bool = False,
+               rows: int | None = None) -> np.ndarray:
+    """Flat indices into the target box of the differences a_i - b_j over the
+    first `rows` positions i of a (all of them by default) and every position
+    j of b, shape (rows, b.size). With wrap the differences are taken mod the
+    target extent (relative to its offset) instead of having to fall inside
+    it. Built one axis at a time, without the pairwise difference array, and
+    cached, so it is returned read-only."""
+    ai = np.unravel_index(np.arange(a.size if rows is None else rows), a.extent)
+    bj = np.unravel_index(np.arange(b.size), b.extent)
+    shifts = np.subtract(a.offset, b.offset) - np.asarray(target.offset)
+    flat = np.zeros((len(ai[0]), b.size), dtype=np.intp)
+    for r, c, shift, e in zip(ai, bj, shifts, target.extent):
+        diff = r[:, None] - c[None, :] + shift
+        if wrap:
+            np.mod(diff, e, out=diff)
+        elif diff.size and (diff.min() < 0 or diff.max() >= e):
+            raise ValueError("index differences fall outside the target box")
+        flat *= e
+        flat += diff
+    flat.flags.writeable = False
+    return flat
+
+
 def dft(x: ComplexGrid) -> ComplexGrid:
     """Unitary DFT over the box positions."""
     return ComplexGrid(x.box, np.fft.fftn(x.values, norm="ortho"))
@@ -197,19 +223,11 @@ def wrap_embed(x: ComplexGrid, target: IndexBox) -> ComplexGrid:
     if x.box.ndim != target.ndim:
         raise ValueError("dimension mismatch")
     out = np.zeros(target.extent, dtype=np.complex128)
-    np.add.at(out.reshape(-1), _wrap_slots(x.box, target), x.values.ravel())
+    zero = (0,) * target.ndim
+    slots = diff_index(x.box, IndexBox(zero, (1,) * target.ndim), IndexBox(zero, target.extent),
+                       wrap=True)
+    np.add.at(out.reshape(-1), slots.ravel(), x.values.ravel())
     return ComplexGrid._trusted(target, out)
-
-
-@lru_cache(maxsize=32)
-def _wrap_slots(box: IndexBox, target: IndexBox) -> np.ndarray:
-    """Flat index into target of each position of box, mod the target
-    extent. Cached, so it is returned read-only."""
-    idx = box.indices()
-    flat = np.ravel_multi_index(
-        tuple(np.mod(idx[:, a], target.extent[a]) for a in range(target.ndim)), target.extent)
-    flat.flags.writeable = False
-    return flat
 
 
 def circ_conv(y: ComplexGrid, h: ComplexGrid) -> ComplexGrid:

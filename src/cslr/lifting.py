@@ -32,6 +32,7 @@ from .grids import (
     ComplexGrid,
     IndexBox,
     circ_conv,
+    diff_index,
     restrict,
     valid_set,
 )
@@ -166,31 +167,6 @@ def _check_budget(rows: int, cols: int) -> None:
 
 
 @lru_cache(maxsize=32)
-def diff_index(a: IndexBox, b: IndexBox, target: IndexBox, wrap: bool = False,
-               rows: int | None = None) -> np.ndarray:
-    """Flat indices into the target box of the differences a_i - b_j over the
-    first `rows` positions i of a (all of them by default) and every position
-    j of b, shape (rows, b.size). With wrap the differences are taken mod the
-    target extent (relative to its offset) instead of having to fall inside
-    it. Built one axis at a time, without the pairwise difference array, and
-    cached, so it is returned read-only."""
-    ai = np.unravel_index(np.arange(a.size if rows is None else rows), a.extent)
-    bj = np.unravel_index(np.arange(b.size), b.extent)
-    shifts = np.subtract(a.offset, b.offset) - np.asarray(target.offset)
-    flat = np.zeros((len(ai[0]), b.size), dtype=np.intp)
-    for r, c, shift, e in zip(ai, bj, shifts, target.extent):
-        diff = r[:, None] - c[None, :] + shift
-        if wrap:
-            np.mod(diff, e, out=diff)
-        elif diff.size and (diff.min() < 0 or diff.max() >= e):
-            raise ValueError("index differences fall outside the target box")
-        flat *= e
-        flat += diff
-    flat.flags.writeable = False
-    return flat
-
-
-@lru_cache(maxsize=32)
 def _valid_gather(data_box: IndexBox, filter_box: IndexBox) -> np.ndarray:
     """Flat indices into the data array for the exact lifted matrix:
     entry [row k, col l] reads the data at k - l."""
@@ -251,9 +227,15 @@ def gram_surrogate(spec: LiftingSpec, x: ComplexGrid) -> np.ndarray:
     """Complex Gram matrix of the surrogate lifting, G[a, b] = g[(k_a - k_b)
     mod extent] over absolute filter indices, g the autocorrelation. The
     solver works on its real form (real_gram) and never forms it."""
+    return autocorrelation(spec, x).ravel()[_lag_index(spec)]
+
+
+def _lag_index(spec: LiftingSpec, rows: int | None = None) -> np.ndarray:
+    """Flat indices into the lag grid (data extent, lag 0 first) of the
+    filter-index differences k_a - k_b mod the extent, over the first `rows`
+    filter positions a (all of them by default) and every position b."""
     lags = IndexBox((0,) * spec.data_box.ndim, spec.data_box.extent)
-    return autocorrelation(spec, x).ravel()[
-        diff_index(spec.filter_box, spec.filter_box, lags, wrap=True)]
+    return diff_index(spec.filter_box, spec.filter_box, lags, wrap=True, rows=rows)
 
 
 def real_gram(spec: LiftingSpec, g: np.ndarray) -> np.ndarray:
@@ -267,8 +249,7 @@ def real_gram(spec: LiftingSpec, g: np.ndarray) -> np.ndarray:
     real and imaginary parts around Re g[0]."""
     n = spec.n_filter
     m, lo = n // 2, n - n // 2
-    lags = IndexBox((0,) * g.ndim, g.shape)
-    v = g.ravel()[diff_index(spec.filter_box, spec.filter_box, lags, wrap=True, rows=m)]
+    v = g.ravel()[_lag_index(spec, m)]
     t, h = v[:, :m], v[:, ::-1][:, :m]
     R = np.empty((n, n))
     np.add(t.real, h.real, out=R[:m, :m])
@@ -303,8 +284,7 @@ def real_gram_adjoint(spec: LiftingSpec, M: np.ndarray) -> np.ndarray:
     if n % 2:
         np.multiply(S[:m, m], math.sqrt(2.0), out=wr[:, m])
         np.multiply(S[lo:, m], math.sqrt(2.0), out=wi[:, m])
-    lags = IndexBox((0,) * spec.data_box.ndim, spec.data_box.extent)
-    top = diff_index(spec.filter_box, spec.filter_box, lags, wrap=True, rows=m).ravel()
+    top = _lag_index(spec, m).ravel()
     size = spec.data_box.size
     a = np.bincount(top, wr.ravel(), size) + 1j * np.bincount(top, wi.ravel(), size)
     if n % 2:

@@ -9,8 +9,8 @@ import pytest
 
 from cslr.baselines import (
     BaselineConfig,
+    _ExactPenalty,
     _irls_penalty,
-    _irls_weights,
     _soft_threshold_svd,
     _structured_average,
     ap_prox_solve,
@@ -273,8 +273,27 @@ def test_irls_penalty_matches_fft_filter_bank(spec, seed):
     for p in (0.0, 0.5, 1.0):
         eps = float(10.0 ** rng.uniform(-3, 0)) * max(s2[0], 1.0)
         want = irls_fft_penalty(spec, Vh.conj().T * (s2 + eps) ** (p / 4 - 0.5))(v)
-        got = _irls_penalty(spec, _irls_weights(s2, Vh, eps, p))(v)
+        got = _irls_penalty(spec, _ExactPenalty(spec, x, p).weights(eps))(v)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("max_iters", [1, 4])
+def test_irls_takes_one_full_svd_per_iteration_and_a_values_only_close(monkeypatch,
+                                                                        max_iters):
+    # the penalty of each outer iterate needs the singular vectors for its
+    # weights; the closing penalty only prices the last iterate, so its SVD
+    # takes singular values alone
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(
+        kw.get("compute_uv", True)) or svd(a, **kw))
+    spec, sampling, truth = _dirac_instance()
+    cfg = BaselineConfig(algorithm="irls", p=0.0, max_iters=max_iters, inner_iters=5)
+    trace = irls_direct(spec, sampling, cfg, ground_truth=truth)
+    assert calls == [True] * max_iters + [False]
+    assert len(trace.records) == max_iters
+    for rec in trace.records:
+        assert 0.0 <= rec.sigma_min <= rec.sigma_max and np.isfinite(rec.cost)
 
 
 def test_irls_descends_with_frozen_eps():

@@ -381,6 +381,27 @@ _IRLS_SHORT = {"algorithm": "irls", "p": 0, "max_iters": 3, "inner_iters": 5}
 _SVT_UV_SHORT = {"algorithm": "svt_uv", "rank_r": 4, "lam": 0.05, "max_iters": 3}
 
 
+def _recover_scaled_measurements(tmp_path, capsys, solver, scale):
+    """Recover the example config's measurements times scale through a file
+    signal with the given solver entry; expects exit 4 and returns the
+    parsed error line."""
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg)
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "gen")]) == 0
+    measured = load_grid(tmp_path / "gen" / "measured.cslr")
+    save_grid(ComplexGrid(measured.box, measured.values * scale),
+              tmp_path / "scaled.cslr")
+    _write_config(cfg, solver=solver, signal={
+        "kind": "file",
+        "mask": str(tmp_path / "gen" / "mask.cslr"),
+        "measured": str(tmp_path / "scaled.cslr"),
+    })
+    assert main(["recover", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["exit_code"] == 4
+    return err
+
+
 @pytest.mark.parametrize("solver, scale", [
     pytest.param(_GIRAF_SHORT, 0.0, id="solver0"),
     pytest.param(_IRLS_SHORT, 0.0, id="solver1"),
@@ -397,20 +418,7 @@ def test_zero_measurements_exit_4(tmp_path, capsys, solver, scale):
     # 1e160 one whose spectrum overflows. All are solver failures for every
     # reweighted solver, not config errors; so is the dense SVD that numpy
     # cannot converge on the blown-up lifting of a baseline.
-    cfg = tmp_path / "cfg.json"
-    _write_config(cfg)
-    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "gen")]) == 0
-    measured = load_grid(tmp_path / "gen" / "measured.cslr")
-    save_grid(ComplexGrid(measured.box, measured.values * scale),
-              tmp_path / "scaled.cslr")
-    _write_config(cfg, solver=solver, signal={
-        "kind": "file",
-        "mask": str(tmp_path / "gen" / "mask.cslr"),
-        "measured": str(tmp_path / "scaled.cslr"),
-    })
-    assert main(["recover", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"]["exit_code"] == 4
+    err = _recover_scaled_measurements(tmp_path, capsys, solver, scale)
     if solver is _SVT_UV_SHORT:
         assert err["error"]["type"] == "LinAlgError"
         return
@@ -423,6 +431,21 @@ def test_zero_measurements_exit_4(tmp_path, capsys, solver, scale):
         assert err["error"]["message"] in (
             "Gram eigendecomposition failed: Eigenvalues did not converge",
             "largest eigenvalue of the first iterate's lifting is inf")
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+@pytest.mark.parametrize("solver", [
+    pytest.param({**_GIRAF_SHORT, "ls_solver": "cg"}, id="giraf_cg"),
+    pytest.param(_IRLS_SHORT, id="irls"),
+])
+def test_cg_blow_up_exits_4(tmp_path, capsys, solver, scale):
+    # at these scales the spectrum and the weights stay finite (ADMM
+    # succeeds), but the first conjugate-gradient step leaves the float
+    # range: a solver failure, not the ValueError of a non-finite grid,
+    # which would exit 2 as a config error
+    err = _recover_scaled_measurements(tmp_path, capsys, solver, scale)
+    assert err["error"]["type"] == "SolverError"
+    assert err["error"]["message"] == "conjugate gradients went non-finite at step 1"
 
 
 def test_solver_schema_matches_config_fields():

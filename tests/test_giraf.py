@@ -12,9 +12,7 @@ from cslr.giraf import (
     ConfigError,
     SolverConfig,
     SolverError,
-    _gram_spectrum,
-    _GramCholesky,
-    _reweight,
+    _GramPenalty,
     _smoothed_schatten_eigs,
     _tril_inverse,
     _weights_from,
@@ -26,7 +24,13 @@ from cslr.giraf import (
     schatten_weight,
 )
 from cslr.grids import ComplexGrid, IndexBox, idft, wrap_embed, zero_pad
-from cslr.lifting import LiftingSpec, gram_surrogate, real_gram_adjoint
+from cslr.lifting import (
+    LiftingSpec,
+    autocorrelation,
+    gram_surrogate,
+    real_gram,
+    real_gram_adjoint,
+)
 from cslr.models import (
     SamplingOp,
     dirac_fourier,
@@ -146,8 +150,7 @@ def test_p0_inverse_matches_eigenvector_weights(data, filt, weighted):
         eps = 10.0 ** rng.uniform(-6, -2) * np.max(w)  # the schedule's range
         w = np.maximum(w, 0.0)
         _, want = complex_route_weights(spec, (V / (w + eps)) @ V.conj().T)
-        eigvals, R = _gram_spectrum(spec, x, 0.0, True)
-        got = _reweight(spec, eigvals, R, eps, 0.0).values
+        got = _GramPenalty(spec, x, 0.0).weights(eps).values
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -177,7 +180,7 @@ def test_real_form_matches_unitary_oracle(spec, seed):
     x = random_grid(rng, spec.data_box)
     G = gram_surrogate(spec, x)
     Q = centro_unitary(G.shape[0])
-    _, R = _gram_spectrum(spec, x, 0.0, True)
+    R = real_gram(spec, autocorrelation(spec, x))
     assert R.dtype == np.float64 and np.array_equal(R, R.T)
     scale = np.linalg.norm(G)
     assert np.linalg.norm(R - Q.conj().T @ G @ Q) <= 1e-14 * scale
@@ -190,8 +193,7 @@ def test_real_form_matches_unitary_oracle(spec, seed):
     lam_g = np.maximum(lam_g, 0.0)
     for p in (0.0, 0.5, 1.0):
         _, want = complex_route_weights(spec, (V * (lam_g + eps) ** (p / 2 - 1)) @ V.conj().T)
-        w, basis = _gram_spectrum(spec, x, p, True)
-        got = _reweight(spec, w, basis, eps, p).values
+        got = _GramPenalty(spec, x, p).weights(eps).values
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -202,17 +204,19 @@ def test_cholesky_cost_matches_eigenvalue_sum(spec, seed):
     # + eps) of the eigenvalue route, at a new eps (a new factorization) and
     # at the same eps again (the kept factor, as with eps frozen)
     rng = np.random.default_rng(seed)
-    w, R = _gram_spectrum(spec, random_grid(rng, spec.data_box), 0.0, True)
+    x = random_grid(rng, spec.data_box)
+    w = _GramPenalty(spec, x, 0.0, weighted=False).eigvals
     assume(w[-1] > 0)
-    chol = _GramCholesky(R)
+    penalty = _GramPenalty(spec, x, 0.0, values=False)
+    assert penalty.eigvals is None
     for eps in 10.0 ** np.sort(rng.uniform(-3, 0, 2))[::-1] * w[-1]:
         want = _smoothed_schatten_eigs(w, 0.0, eps)
         # a sum of logs of both signs can cancel; scale by its terms
         scale = 0.5 * np.sum(np.abs(np.log(w + eps)))
-        first = chol.factor(eps)
-        assert abs(chol.half_logdet(eps) - want) <= 1e-12 * scale
-        assert chol.factor(eps) is first
-        assert abs(chol.half_logdet(eps) - want) <= 1e-12 * scale
+        first = penalty.factor(eps)
+        assert abs(penalty.cost(eps) - want) <= 1e-12 * scale
+        assert penalty.factor(eps) is first
+        assert abs(penalty.cost(eps) - want) <= 1e-12 * scale
 
 
 def _assert_tril_inverse(L):
@@ -227,8 +231,8 @@ def test_tril_inverse_of_gram_factor_matches_inv(spec, seed):
     # the Cholesky factors of drawn Gram matrices, with the base block
     # shrunk so that their small orders run through every level of halving
     rng = np.random.default_rng(seed)
-    w, R = _gram_spectrum(spec, random_grid(rng, spec.data_box), 0.0, True)
-    L = _GramCholesky(R).factor(10.0 ** rng.uniform(-3, 0) * max(w[-1], 1.0))
+    penalty = _GramPenalty(spec, random_grid(rng, spec.data_box), 0.0)
+    L = penalty.factor(10.0 ** rng.uniform(-3, 0) * max(penalty.eigvals[-1], 1.0))
     for block in (1, 2, 3):
         with mock.patch.object(giraf, "_TRIL_BLOCK", block):
             _assert_tril_inverse(L)
@@ -242,7 +246,7 @@ def test_tril_inverse_matches_inv_around_the_block_size(n):
     rng = np.random.default_rng(n)
     A = rng.standard_normal((n, n)) @ np.diag(np.logspace(0, -4, n))
     R = A @ A.T
-    L = _GramCholesky(R).factor(1e-3 * np.linalg.norm(R, 2))
+    L = np.linalg.cholesky(R + 1e-3 * np.linalg.norm(R, 2) * np.eye(n))
     _assert_tril_inverse(L)
 
 
@@ -290,7 +294,7 @@ def test_filter_is_conjugate_symmetric():
     for spec in (LiftingSpec(IndexBox((-6,), (13,)), IndexBox((-2,), (5,))),
                  LiftingSpec(IndexBox((-5, -4), (11, 8)), IndexBox((-2, -1), (4, 3)),
                              gradient_weighting(2))):
-        _, R = _gram_spectrum(spec, _random_grid(spec.data_box, rng), 0.0, True)
+        R = real_gram(spec, autocorrelation(spec, _random_grid(spec.data_box, rng)))
         M = np.linalg.inv(R + 0.1 * np.eye(len(R)))
         Q = centro_unitary(len(R))
         h, _ = complex_route_weights(spec, Q @ M @ Q.conj().T)
@@ -504,7 +508,7 @@ def test_p0_trace_contract():
         assert np.isfinite(rec.cost)
 
     last = trace.records[-1]
-    w, _ = _gram_spectrum(spec, trace.x, 0.0, False)
+    w = _GramPenalty(spec, trace.x, 0.0, weighted=False).eigvals
     assert last.sigma_min == np.sqrt(w[0]) and last.sigma_max == np.sqrt(w[-1])
     data_term = np.linalg.norm((trace.x.values - samp.b.values)[samp.mask]) ** 2
     assert last.cost == data_term + cfg.lam * _smoothed_schatten_eigs(w, 0.0, last.eps)
