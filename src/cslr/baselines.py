@@ -346,10 +346,8 @@ def _irls_penalty(spec: LiftingSpec, W: np.ndarray):
     """IRLS penalty v -> T^*(T(v) W) on grid arrays, T the exact lifting:
     one gather, one (rows x n_filter)(n_filter x n_filter) matmul and one
     scatter per call."""
-    ws = [w.weights_on(spec.data_box) for w in spec.weightings]
-
     def penalty(v):
-        return _scatter_blocks(spec, ws, _gather_blocks(spec, [w * v for w in ws]) @ W)
+        return _scatter_blocks(spec, _gather_blocks(spec, [w * v for w in spec.block_weights]) @ W)
 
     return penalty
 

@@ -11,6 +11,7 @@ byte-comparable.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import copy
 import json
 import sys
@@ -36,8 +37,8 @@ from .giraf import (
     SolverError,
     _field_types,
     _GramPenalty,
+    _inner_solve,
     _working_problem,
-    admm_ls,
     cg_ls,
     eps_schedule,
     giraf_solve,
@@ -486,7 +487,10 @@ def _bench_tol(config: dict, out: Path, shift: int, threads: int) -> int:
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, tasks))
+            # each task runs in a copy of this thread's context, which holds
+            # the floating-point error state main() set
+            futures = [pool.submit(contextvars.copy_context().run, run, t) for t in tasks]
+            results = [f.result() for f in futures]
     else:
         results = [run(t) for t in tasks]
     rows = [row for _, row in sorted(results, key=lambda kr: kr[0])]
@@ -559,12 +563,7 @@ def _bench_subproblem(config: dict, out: Path, shift: int) -> int:
             dist = float(np.linalg.norm(xvals - ref_vals) ** 2) / ref_norm
             samples.append((it, sec, dist))
 
-        if leg.ls_solver == "admm":
-            admm_ls(spec, sampling, d, lam, p, iters=leg.inner_iters,
-                    delta=leg.delta, callback=log)
-        else:
-            cg_ls(spec, sampling, d, lam, p, iters=leg.inner_iters,
-                  tol=leg.cg_tol, callback=log)
+        _inner_solve(spec, sampling, d, lam, p, leg, callback=log)
         rows.extend((config["name"], label, it, sec, dist)
                     for it, sec, dist in samples)
 
@@ -662,17 +661,20 @@ def main(argv=None) -> int:
                     help="largest acceptable pairwise NMSE difference")
     args = parser.parse_args(argv)
 
+    # numpy's floating-point warnings stay silent: the solvers check
+    # finiteness themselves, and a failure prints one JSON line on stderr
     try:
-        if args.command == "compare":
-            return cmd_compare(args.files, args.truth, args.tol,
-                               args.max_diff, args.nmse_diff)
-        config = load_config(args.config)
-        out = Path(args.out)
-        if args.command == "gen":
-            return cmd_gen(config, out, args.seed)
-        if args.command == "recover":
-            return cmd_recover(config, out, args.seed)
-        return cmd_bench(config, out, args.seed, args.threads)
+        with np.errstate(all="ignore"):
+            if args.command == "compare":
+                return cmd_compare(args.files, args.truth, args.tol,
+                                   args.max_diff, args.nmse_diff)
+            config = load_config(args.config)
+            out = Path(args.out)
+            if args.command == "gen":
+                return cmd_gen(config, out, args.seed)
+            if args.command == "recover":
+                return cmd_recover(config, out, args.seed)
+            return cmd_bench(config, out, args.seed, args.threads)
     except (SolverError, BudgetError, MemoryError, np.linalg.LinAlgError) as exc:
         # ahead of the config clause: LinAlgError is a ValueError
         _emit_error(EXIT_SOLVER, exc)

@@ -201,9 +201,10 @@ def _tril_inverse(L: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def _weights_from(spec: LiftingSpec, M: np.ndarray) -> ComplexGrid:
     """Spatial weights of the real weight matrix M: real_gram_adjoint scatters
-    it to lags, numpy's unnormalized ifftn (the unitary inverse over sqrt(L),
-    the scale making d the sum of |idft(padded h_i)|^2 over eigenfilters)
-    takes them to space. A non-finite M spreads everywhere: one scan checks."""
+    it to lags, numpy's unnormalized ifftn takes them to space. That is the
+    unitary inverse over sqrt(L), the scale making d the sum over eigenfilters
+    h_i of |unitary inverse DFT of padded h_i|^2. A non-finite M spreads
+    everywhere: one scan checks."""
     draw = np.fft.ifftn(real_gram_adjoint(spec, M)).real
     top = float(np.max(np.abs(draw)))
     if not math.isfinite(top):
@@ -286,22 +287,16 @@ def filter_update(spec: LiftingSpec, x: ComplexGrid, eps: float, p: float) -> Co
     return _GramPenalty(spec, x, p, values=False).weights(eps)
 
 
-def _block_weights(spec: LiftingSpec):
-    ws = [w.weights_on(spec.data_box) for w in spec.weightings]
-    wsq = sum(np.abs(w) ** 2 for w in ws)
-    return ws, wsq
-
-
-def _check_coverage(spec: LiftingSpec, sampling: SamplingOp):
-    """Block weights (ws, wsq) of the lifting on its data box, once checked
-    to cover every unmeasured entry."""
-    ws, wsq = _block_weights(spec)
+def _check_coverage(spec: LiftingSpec, sampling: SamplingOp) -> np.ndarray:
+    """Summed squared block weights sum_j |M_j|^2 of the lifting on its data
+    box, once checked to cover every unmeasured entry."""
+    wsq = sum(np.abs(w) ** 2 for w in spec.block_weights)
     dead = (wsq == 0) & ~sampling.mask
     if np.any(dead):
         raise ConfigError(
             "weighting vanishes on unmeasured entries (sample k = 0 when "
             "using derivative weightings)")
-    return ws, wsq
+    return wsq
 
 
 def _interleaved(factor: np.ndarray) -> np.ndarray:
@@ -326,7 +321,7 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: ComplexGrid,
     which gives the bits of the complex operations they replace (numpy
     divides a complex by a real as a product with its reciprocal).
     """
-    ws, wsq = _check_coverage(spec, sampling)
+    wsq = _check_coverage(spec, sampling)
     dvals = d.values.real
     gam = float(np.max(dvals)) / delta
     bvals = sampling.b.values
@@ -344,9 +339,9 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: ComplexGrid,
         rden = _interleaved(1.0 / (sampling.mask.astype(float) + rho * wsq))
         bflat = bvals.view(np.float64)
 
-    W = np.stack(ws)
+    W = np.stack(spec.block_weights)
     Wc = np.conj(W)
-    del ws, wsq  # not held beside the stacked copy
+    del wsq  # not held through the iterations
     x = (x0.values if x0 is not None else bvals).copy()
     WX = W * x
     U = np.zeros_like(W)
@@ -386,7 +381,7 @@ def cg_ls(spec: LiftingSpec, sampling: SamplingOp, d: ComplexGrid,
     """Conjugate gradients on the normal equations of the weighted
     least-squares step. Equality mode optimizes only the unmeasured entries
     with the measured ones pinned to the data."""
-    ws, _ = _check_coverage(spec, sampling)
+    _check_coverage(spec, sampling)
     dvals = d.values.real
     bvals = sampling.b.values
     if float(np.max(dvals)) <= 0 or (lam is not None and lam * schatten_weight(p) == 0):
@@ -394,13 +389,26 @@ def cg_ls(spec: LiftingSpec, sampling: SamplingOp, d: ComplexGrid,
 
     def reg_op(v):
         out = np.zeros_like(v)
-        for w in ws:
+        for w in spec.block_weights:
             out += np.conj(w) * np.fft.fftn(dvals * np.fft.ifftn(w * v))
         return out
 
     x = _cg_normal(reg_op, sampling, lam, p, None if x0 is None else x0.values,
                    iters, tol, callback)
     return ComplexGrid(spec.data_box, x)
+
+
+def _inner_solve(spec: LiftingSpec, sampling: SamplingOp, d: ComplexGrid,
+                 lam: float | None, p: float, config: SolverConfig,
+                 x0: ComplexGrid | None = None, callback=None) -> ComplexGrid:
+    """The weighted least-squares step by the inner solver config.ls_solver
+    names, with config's inner_iters and its delta (admm) or cg_tol (cg).
+    Both solvers return the measured samples in place in equality mode."""
+    if config.ls_solver == "admm":
+        return admm_ls(spec, sampling, d, lam, p, iters=config.inner_iters,
+                       delta=config.delta, x0=x0, callback=callback)
+    return cg_ls(spec, sampling, d, lam, p, iters=config.inner_iters,
+                 tol=config.cg_tol, x0=x0, callback=callback)
 
 
 def _cg_normal(penalty, sampling: SamplingOp, lam: float | None, p: float,
@@ -583,22 +591,14 @@ def giraf_solve(spec: LiftingSpec, sampling: SamplingOp, config: SolverConfig,
     the original data box plus per-iteration diagnostics."""
     config.validate()
     work_spec, samp = _working_problem(spec, sampling, config)
-
-    def least_squares(d, x):
-        # both inner solvers return the measured samples in place in
-        # equality mode
-        if config.ls_solver == "admm":
-            return admm_ls(work_spec, samp, d, config.lam, config.p,
-                           iters=config.inner_iters, delta=config.delta, x0=x)
-        return cg_ls(work_spec, samp, d, config.lam, config.p,
-                     iters=config.inner_iters, tol=config.cg_tol, x0=x)
-
     error = None if ground_truth is None else (
         lambda x: nmse(restrict(x, spec.data_box), ground_truth))
     trace = _reweighted_loop(
         config, config.outer_iters, config.lam, samp.zero_filled(), samp,
         penalty_at=lambda x, values, weighted: _GramPenalty(work_spec, x, config.p,
                                                             values, weighted),
-        least_squares=least_squares, error=error, algorithm=f"giraf{config.p:g}")
+        least_squares=lambda d, x: _inner_solve(work_spec, samp, d, config.lam, config.p,
+                                                config, x0=x),
+        error=error, algorithm=f"giraf{config.p:g}")
     trace.x = restrict(trace.x, spec.data_box)
     return trace

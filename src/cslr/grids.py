@@ -2,10 +2,9 @@
 
 This module is the coordinate layer everything else builds on: rectangular
 index boxes with arbitrary integer offsets, complex-valued grids over a box,
-the unitary DFT pair on a box, zero padding / restriction / periodized
-embedding between boxes, and the circular convolution that realizes
-multi-level Toeplitz products. A small binary file format (CSLR1)
-serializes grids for the command line tools.
+zero padding / restriction / periodized embedding between boxes, and the
+circular convolution that realizes multi-level Toeplitz products. A small
+binary file format (CSLR1) serializes grids for the command line tools.
 
 Conventions:
 
@@ -13,7 +12,6 @@ Conventions:
   indices o, o+1, ..., o+E-1 along each axis. Grid values are stored in a
   C-ordered ndarray of shape E; array position m holds the value at absolute
   index o + m.
-* ``dft``/``idft`` are unitary (1/sqrt(L) both ways) over the box positions.
 * ``circ_conv`` places filter taps at (absolute index mod extent) before the
   FFT product. With that placement the restriction of the circular result to
   the valid set equals the direct valid-region linear convolution for any box
@@ -22,6 +20,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,8 +35,6 @@ __all__ = [
     "minkowski_sum",
     "reflect",
     "diff_index",
-    "dft",
-    "idft",
     "zero_pad",
     "restrict",
     "wrap_embed",
@@ -76,7 +73,7 @@ class IndexBox:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.extent))
+        return math.prod(self.extent)
 
     def axis_indices(self, axis: int) -> np.ndarray:
         """Absolute index values along one axis."""
@@ -181,16 +178,6 @@ def diff_index(a: IndexBox, b: IndexBox, target: IndexBox, wrap: bool = False,
         flat += diff
     flat.flags.writeable = False
     return flat
-
-
-def dft(x: ComplexGrid) -> ComplexGrid:
-    """Unitary DFT over the box positions."""
-    return ComplexGrid(x.box, np.fft.fftn(x.values, norm="ortho"))
-
-
-def idft(x: ComplexGrid) -> ComplexGrid:
-    """Unitary inverse DFT over the box positions."""
-    return ComplexGrid(x.box, np.fft.ifftn(x.values, norm="ortho"))
 
 
 def zero_pad(x: ComplexGrid, target: IndexBox) -> ComplexGrid:

@@ -16,6 +16,11 @@ filter-index differences (lags). Its real form Q^* G Q is one gather from
 the autocorrelation through a cached lag index (real_gram), and the adjoint
 of that gather (real_gram_adjoint) takes a real weight matrix back to lags.
 
+Every layer reads the per-block weight arrays M_j from the spec that
+defines them: LiftingSpec.block_weights builds them once, on first use, and
+hands the same read-only tuple to the Gram, the inner least-squares solvers
+and the exact lifting.
+
 Dense materializations are oracles for tests and small problems only and are
 capped by ORACLE_BUDGET entries; exceeding the cap raises BudgetError.
 """
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -66,20 +71,17 @@ class WeightingOp:
     """Diagonal weighting applied to the data grid before lifting.
 
     kind "identity" multiplies by one, "fourier_derivative" by 2j*pi*k along
-    one axis (k the absolute index), "elementwise" by a fixed grid.
+    one axis (k the absolute index).
     """
 
     kind: str
     axis: int | None = None
-    data: ComplexGrid | None = None
 
     def __post_init__(self):
-        if self.kind not in ("identity", "fourier_derivative", "elementwise"):
+        if self.kind not in ("identity", "fourier_derivative"):
             raise ValueError(f"unknown weighting kind {self.kind!r}")
-        if self.kind == "fourier_derivative" and self.axis is None:
-            raise ValueError("fourier_derivative weighting needs an axis")
-        if self.kind == "elementwise" and self.data is None:
-            raise ValueError("elementwise weighting needs a grid")
+        if self.kind == "fourier_derivative" and (self.axis is None or self.axis < 0):
+            raise ValueError("fourier_derivative weighting needs a nonnegative axis")
 
     @classmethod
     def identity(cls) -> "WeightingOp":
@@ -89,24 +91,14 @@ class WeightingOp:
     def fourier_derivative(cls, axis: int) -> "WeightingOp":
         return cls("fourier_derivative", axis=axis)
 
-    @classmethod
-    def elementwise(cls, data: ComplexGrid) -> "WeightingOp":
-        return cls("elementwise", data=data)
-
     def weights_on(self, box: IndexBox) -> np.ndarray:
         """Dense weight array on the given box."""
         if self.kind == "identity":
             return np.ones(box.extent, dtype=np.complex128)
-        if self.kind == "fourier_derivative":
-            if not 0 <= self.axis < box.ndim:
-                raise ValueError("derivative axis out of range for box")
-            k = box.axis_indices(self.axis).astype(np.complex128)
-            shape = [1] * box.ndim
-            shape[self.axis] = box.extent[self.axis]
-            return np.broadcast_to(2j * np.pi * k.reshape(shape), box.extent).copy()
-        if self.data.box != box:
-            raise ValueError("elementwise weighting grid does not match the box")
-        return self.data.values
+        k = box.axis_indices(self.axis).astype(np.complex128)
+        shape = [1] * box.ndim
+        shape[self.axis] = box.extent[self.axis]
+        return np.broadcast_to(2j * np.pi * k.reshape(shape), box.extent).copy()
 
 
 @dataclass(frozen=True, eq=True)
@@ -124,8 +116,17 @@ class LiftingSpec:
             raise ValueError("at least one weighting is required")
         if not self.data_box.contains(self.filter_box):
             raise ValueError("filter box must be contained in the data box")
-        for w in self.weightings:
-            w.weights_on(self.data_box)  # validates axes / elementwise boxes
+        if any(w.axis is not None and w.axis >= self.data_box.ndim for w in self.weightings):
+            raise ValueError("derivative axis out of range for the data box")
+
+    @cached_property
+    def block_weights(self) -> tuple[np.ndarray, ...]:
+        """Weight array M_j of each weighting on the data box, built on first
+        use and shared by every caller, so read-only."""
+        ws = tuple(w.weights_on(self.data_box) for w in self.weightings)
+        for w in ws:
+            w.flags.writeable = False
+        return ws
 
     @property
     def valid_box(self) -> IndexBox:
@@ -151,12 +152,10 @@ class LiftingSpec:
         """Per-block weighted data arrays M_j x on the data box."""
         if x.box != self.data_box:
             raise ValueError("grid box does not match the lifting data box")
-        return [w.weights_on(self.data_box) * x.values for w in self.weightings]
+        return [w * x.values for w in self.block_weights]
 
     def with_data_box(self, box: IndexBox) -> "LiftingSpec":
         """Same lifting on a different (typically enlarged) data box."""
-        if any(w.kind == "elementwise" for w in self.weightings):
-            raise ValueError("elementwise weightings cannot be transplanted")
         return LiftingSpec(box, self.filter_box, self.weightings)
 
 
@@ -292,15 +291,15 @@ def real_gram_adjoint(spec: LiftingSpec, M: np.ndarray) -> np.ndarray:
     return a.reshape(spec.data_box.extent)
 
 
-def _scatter_blocks(spec: LiftingSpec, ws: list[np.ndarray], X: np.ndarray) -> np.ndarray:
+def _scatter_blocks(spec: LiftingSpec, X: np.ndarray) -> np.ndarray:
     """Adjoint of the exact lifting on arrays: the sum over blocks j of
-    conj(ws[j]) times block j of X scatter-added through the valid gather.
+    conj(M_j) times block j of X scatter-added through the valid gather.
     np.add.at gets the flat index, whose fast path sums in the same row-major
     order as the (row, filter) index."""
-    flat = _valid_gather(spec.data_box, spec.filter_box).ravel()
-    m_gamma = spec.valid_box.size
+    gather = _valid_gather(spec.data_box, spec.filter_box)
+    m_gamma, flat = gather.shape[0], gather.ravel()
     out = np.zeros(spec.data_box.extent, dtype=np.complex128)
-    for j, w in enumerate(ws):
+    for j, w in enumerate(spec.block_weights):
         acc = np.zeros(spec.data_box.size, dtype=np.complex128)
         np.add.at(acc, flat, X[j * m_gamma:(j + 1) * m_gamma].ravel())
         out += np.conj(w) * acc.reshape(spec.data_box.extent)
@@ -312,8 +311,7 @@ def lift_adjoint(spec: LiftingSpec, X: np.ndarray) -> ComplexGrid:
     rows, cols = spec.shape_exact
     if X.shape != (rows, cols):
         raise ValueError(f"expected stacked matrix of shape {(rows, cols)}")
-    ws = [w.weights_on(spec.data_box) for w in spec.weightings]
-    return ComplexGrid(spec.data_box, _scatter_blocks(spec, ws, X))
+    return ComplexGrid(spec.data_box, _scatter_blocks(spec, X))
 
 
 def lift_normal_diagonal(spec: LiftingSpec) -> np.ndarray:
@@ -322,5 +320,5 @@ def lift_normal_diagonal(spec: LiftingSpec) -> np.ndarray:
     flat = _valid_gather(spec.data_box, spec.filter_box)
     count = np.zeros(spec.data_box.size)
     np.add.at(count, flat.ravel(), 1.0)
-    wsq = sum(np.abs(w.weights_on(spec.data_box)) ** 2 for w in spec.weightings)
+    wsq = sum(np.abs(w) ** 2 for w in spec.block_weights)
     return count.reshape(spec.data_box.extent) * wsq

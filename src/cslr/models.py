@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import ComplexGrid, IndexBox, restrict, zero_pad
+from .grids import ComplexGrid, IndexBox, zero_pad
 from .lifting import WeightingOp
 
 __all__ = [
@@ -84,14 +84,6 @@ class RectPhantom:
     @property
     def ndim(self) -> int:
         return len(self.rects[0][1])
-
-    def edge_coordinates(self, axis: int) -> np.ndarray:
-        """Distinct edge positions along one axis."""
-        coords = set()
-        for _, bounds in self.rects:
-            coords.add(bounds[axis][0])
-            coords.add(bounds[axis][1])
-        return np.asarray(sorted(coords))
 
 
 def _interval_fourier(k: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -175,10 +167,6 @@ class SamplingOp:
     def box(self) -> IndexBox:
         return self.b.box
 
-    @property
-    def n_measured(self) -> int:
-        return int(self.mask.sum())
-
     def zero_filled(self) -> ComplexGrid:
         """Adjoint applied to the measurements (zero-filled grid)."""
         return self.b.copy()
@@ -194,11 +182,6 @@ class SamplingOp:
                    for o, bo, e in zip(self.box.offset, big.offset, self.box.extent))
         bigmask[sl] = self.mask
         return SamplingOp(bigmask, zero_pad(self.b, big))
-
-    def restrict(self, sub: IndexBox) -> "SamplingOp":
-        sl = tuple(slice(so - o, so - o + se)
-                   for so, o, se in zip(sub.offset, self.box.offset, sub.extent))
-        return SamplingOp(self.mask[sl].copy(), restrict(self.b, sub))
 
 
 def add_noise(b: ComplexGrid, target_snr_db: float, seed: int,

@@ -6,7 +6,7 @@ index tuples, explicit O(L^2) transform matrices, and elementwise loops.
 
 import numpy as np
 
-from cslr.giraf import _block_weights, _check_coverage, schatten_weight
+from cslr.giraf import _check_coverage, schatten_weight
 from cslr.grids import ComplexGrid, IndexBox, minkowski_sum, reflect, valid_set, wrap_embed
 from cslr.lifting import LiftingSpec, diff_index
 from cslr.models import DiracSignal, RectPhantom, SamplingOp
@@ -185,12 +185,21 @@ def dirac_annihilator(signal: DiracSignal, filter_box: IndexBox) -> ComplexGrid:
     return ComplexGrid(filter_box, vals)
 
 
+def edge_coordinates(phantom: RectPhantom, axis: int) -> np.ndarray:
+    """Distinct rectangle edge positions of the phantom along one axis."""
+    coords = set()
+    for _, bounds in phantom.rects:
+        coords.add(bounds[axis][0])
+        coords.add(bounds[axis][1])
+    return np.asarray(sorted(coords))
+
+
 def rect_annihilator(phantom: RectPhantom, filter_box: IndexBox) -> ComplexGrid:
     """Separable annihilating filter vanishing on every edge line of the
     phantom; annihilates both gradient-weighted lifting blocks."""
     if filter_box.ndim != phantom.ndim:
         raise ValueError("dimension mismatch")
-    per_axis = [annihilator_taps(phantom.edge_coordinates(a))
+    per_axis = [annihilator_taps(edge_coordinates(phantom, a))
                 for a in range(phantom.ndim)]
     taps = per_axis[0]
     for t in per_axis[1:]:
@@ -223,7 +232,8 @@ def loop_admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: ComplexGrid,
         # no effective regularizer: the least-squares solution is A* b
         return ComplexGrid(spec.data_box, bvals.copy())
 
-    ws, wsq = _block_weights(spec)
+    ws = [w.weights_on(spec.data_box) for w in spec.weightings]
+    wsq = sum(np.abs(w) ** 2 for w in ws)
     maskf = sampling.mask.astype(float)
     rho = None if lam is None else gam * lam * schatten_weight(p)
     shrink = gam / (dvals + gam)

@@ -381,10 +381,9 @@ _IRLS_SHORT = {"algorithm": "irls", "p": 0, "max_iters": 3, "inner_iters": 5}
 _SVT_UV_SHORT = {"algorithm": "svt_uv", "rank_r": 4, "lam": 0.05, "max_iters": 3}
 
 
-def _recover_scaled_measurements(tmp_path, capsys, solver, scale):
-    """Recover the example config's measurements times scale through a file
-    signal with the given solver entry; expects exit 4 and returns the
-    parsed error line."""
+def _scaled_measurements_config(tmp_path, solver, scale):
+    """Config recovering the example config's measurements times scale
+    through a file signal with the given solver entry."""
     cfg = tmp_path / "cfg.json"
     _write_config(cfg)
     assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "gen")]) == 0
@@ -396,6 +395,13 @@ def _recover_scaled_measurements(tmp_path, capsys, solver, scale):
         "mask": str(tmp_path / "gen" / "mask.cslr"),
         "measured": str(tmp_path / "scaled.cslr"),
     })
+    return cfg
+
+
+def _recover_scaled_measurements(tmp_path, capsys, solver, scale):
+    """Recover the scaled measurements in-process; expects exit 4 and
+    returns the parsed error line."""
+    cfg = _scaled_measurements_config(tmp_path, solver, scale)
     assert main(["recover", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["exit_code"] == 4
@@ -433,11 +439,13 @@ def test_zero_measurements_exit_4(tmp_path, capsys, solver, scale):
             "largest eigenvalue of the first iterate's lifting is inf")
 
 
-@pytest.mark.parametrize("scale", [1e150, 1e-150])
-@pytest.mark.parametrize("solver", [
-    pytest.param({**_GIRAF_SHORT, "ls_solver": "cg"}, id="giraf_cg"),
-    pytest.param(_IRLS_SHORT, id="irls"),
-])
+_CG_BLOW_UP = pytest.mark.parametrize("solver, scale", [
+    pytest.param({**_GIRAF_SHORT, "ls_solver": "cg"}, scale, id=f"giraf_cg-{scale:g}")
+    for scale in (1e150, 1e-150)] + [
+    pytest.param(_IRLS_SHORT, scale, id=f"irls-{scale:g}") for scale in (1e150, 1e-150)])
+
+
+@_CG_BLOW_UP
 def test_cg_blow_up_exits_4(tmp_path, capsys, solver, scale):
     # at these scales the spectrum and the weights stay finite (ADMM
     # succeeds), but the first conjugate-gradient step leaves the float
@@ -446,6 +454,33 @@ def test_cg_blow_up_exits_4(tmp_path, capsys, solver, scale):
     err = _recover_scaled_measurements(tmp_path, capsys, solver, scale)
     assert err["error"]["type"] == "SolverError"
     assert err["error"]["message"] == "conjugate gradients went non-finite at step 1"
+
+
+def _assert_only_a_solver_error_line(run):
+    assert run.returncode == 4
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1, run.stderr
+    assert json.loads(lines[0])["error"]["type"] == "SolverError"
+
+
+@_CG_BLOW_UP
+def test_failed_run_prints_only_its_json_line(tmp_path, solver, scale):
+    # in a fresh interpreter, where no test harness captures warnings: the
+    # non-finite arithmetic ahead of the failure stays silent, so stderr
+    # holds the error line alone
+    cfg = _scaled_measurements_config(tmp_path, solver, scale)
+    _assert_only_a_solver_error_line(_python("-m", "cslr.cli", "recover", "--config", str(cfg),
+                                             "--out", str(tmp_path / "o")))
+
+
+def test_failed_threaded_bench_prints_only_its_json_line(tmp_path):
+    # the pool threads of a sweep run under the same silenced warnings
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg, signal={"kind": "dirac", "r": 4, "seed": 3, "min_separation": 0.1333,
+                               "amplitude_range": [1e150, 1.5e150]},
+                  sweep={"seeds": [0, 1], "solvers": [{**_GIRAF_SHORT, "ls_solver": "cg"}]})
+    _assert_only_a_solver_error_line(_python("-m", "cslr.cli", "bench", "--config", str(cfg),
+                                             "--threads", "2", "--out", str(tmp_path / "o")))
 
 
 def test_solver_schema_matches_config_fields():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume
 
 from cslr import giraf, grids, lifting
+from cslr.baselines import BaselineConfig, irls_direct
 from cslr.giraf import (
     ConfigError,
     SolverConfig,
@@ -23,11 +24,12 @@ from cslr.giraf import (
     oversampled_box,
     schatten_weight,
 )
-from cslr.grids import ComplexGrid, IndexBox, idft, wrap_embed, zero_pad
+from cslr.grids import ComplexGrid, IndexBox, wrap_embed, zero_pad
 from cslr.lifting import (
     LiftingSpec,
     autocorrelation,
     gram_surrogate,
+    lift_adjoint,
     real_gram,
     real_gram_adjoint,
 )
@@ -67,8 +69,8 @@ def direct_weights(spec, x, eps, p):
     total = np.zeros(spec.data_box.extent)
     for i in range(len(w)):
         hi = ComplexGrid(spec.filter_box, V[:, i].reshape(spec.filter_box.extent))
-        mu = idft(zero_pad(hi, spec.data_box))
-        total += (w[i] + eps) ** (-q) * np.abs(mu.values) ** 2
+        mu = np.fft.ifftn(zero_pad(hi, spec.data_box).values, norm="ortho")
+        total += (w[i] + eps) ** (-q) * np.abs(mu) ** 2
     return total
 
 
@@ -342,6 +344,33 @@ def test_solver_never_forms_the_complex_gram(monkeypatch, p, ls_solver):
     assert np.all(np.isfinite(trace.x.values)) and np.isfinite(trace.final_nmse)
 
 
+def test_solvers_read_the_spec_block_weights(monkeypatch):
+    # once a spec's block weights are built, no layer rebuilds them from the
+    # weightings: giraf (both inner solvers), direct IRLS and the adjoint
+    # lifting all read the one cached, read-only set
+    box = IndexBox((-8, -8), (17, 17))
+    spec = LiftingSpec(box, IndexBox((-2, -2), (5, 5)), gradient_weighting(2))
+    truth = rect_fourier(pwc_phantom(), box)
+    samp = SamplingOp.measure(truth, random_mask(box, 0.6, seed=22, force_dc=True))
+    ws = spec.block_weights
+    for w in ws:
+        with pytest.raises(ValueError):
+            w[0, 0] = 0.0
+
+    def forbidden(self, box):
+        raise AssertionError("block weights rebuilt")
+
+    monkeypatch.setattr(lifting.WeightingOp, "weights_on", forbidden)
+    for ls_solver in ("admm", "cg"):
+        cfg = SolverConfig(p=0.0, lam=5.0, outer_iters=2, ls_solver=ls_solver, inner_iters=5)
+        assert np.isfinite(giraf_solve(spec, samp, cfg, ground_truth=truth).final_nmse)
+    irls = BaselineConfig(algorithm="irls", p=0.0, max_iters=2, inner_iters=5)
+    assert np.isfinite(irls_direct(spec, samp, irls, ground_truth=truth).final_nmse)
+    X = np.ones(spec.shape_exact, dtype=np.complex128)
+    assert np.all(np.isfinite(lift_adjoint(spec, X).values))
+    assert spec.block_weights is ws
+
+
 def _dense_normal_solution(spec, sampling, d, lam, p):
     """Dense oracle for the regularized least-squares step: assemble
     mask + lam*C_p*sum_j M_j^H F D F^H M_j explicitly and solve."""
@@ -384,7 +413,7 @@ def test_admm_is_byte_identical_to_the_loop_reference(spec, seed, lam, p, with_x
     loop in tests/oracles.py: the same bits in every iterate and the result."""
     rng = np.random.default_rng(seed)
     truth = random_grid(rng, spec.data_box)
-    _, wsq = giraf._block_weights(spec)
+    wsq = sum(np.abs(w) ** 2 for w in spec.block_weights)
     mask = (rng.random(spec.data_box.extent) < 0.5) | (wsq == 0)
     samp = SamplingOp.measure(truth, mask)
     d = filter_update(spec, samp.zero_filled(), 0.1, p)

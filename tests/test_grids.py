@@ -1,4 +1,4 @@
-"""Grid, DFT and convolution primitives against brute-force oracles."""
+"""Grid and convolution primitives against brute-force oracles."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,6 @@ from cslr.grids import (
     GridFormatError,
     IndexBox,
     circ_conv,
-    dft,
-    idft,
     load_grid,
     minkowski_sum,
     reflect,
@@ -22,7 +20,6 @@ from cslr.grids import (
 from oracles import (
     brute_circ_conv,
     brute_valid_conv,
-    dense_dft_matrix,
     linear_conv_valid,
     random_box,
     random_grid,
@@ -94,33 +91,6 @@ def test_minkowski_sum_matches_enumeration():
 def test_minkowski_doubling_example():
     lam = IndexBox((-4, -4), (9, 9))
     assert minkowski_sum(lam, lam) == IndexBox((-8, -8), (17, 17))
-
-
-def test_dft_matches_dense_matrix():
-    rng = np.random.default_rng(3)
-    for ndim in (1, 2):
-        box = random_box(rng, ndim, min_extent=2, max_extent=7)
-        x = random_grid(rng, box)
-        F = dense_dft_matrix(box)
-        ref = (F @ x.values.ravel()).reshape(box.extent)
-        assert np.max(np.abs(dft(x).values - ref)) < 1e-12
-        ref_inv = (F.conj().T @ x.values.ravel()).reshape(box.extent)
-        assert np.max(np.abs(idft(x).values - ref_inv)) < 1e-12
-
-
-def test_dft_delta_and_roundtrip():
-    box = IndexBox((-3, 2), (4, 5))
-    delta = np.zeros(box.extent, dtype=complex)
-    delta[0, 0] = 1.0
-    spec = dft(ComplexGrid(box, delta))
-    assert np.max(np.abs(spec.values - 1 / np.sqrt(box.size))) < 1e-14
-
-    rng = np.random.default_rng(5)
-    x = random_grid(rng, box)
-    back = idft(dft(x))
-    assert np.max(np.abs(back.values - x.values)) < 1e-12
-    # unitary: energy preserved
-    assert abs(np.linalg.norm(dft(x).values) - np.linalg.norm(x.values)) < 1e-12
 
 
 def test_pad_restrict_adjoint_and_roundtrip():

@@ -263,14 +263,12 @@ def test_budget_guard():
 
 
 def test_with_data_box_transplants_index_weights():
+    # the transplanted spec builds its own weights, whatever the source holds
     spec = LiftingSpec(IndexBox((-4, -4), (9, 9)), IndexBox((-1, -1), (3, 3)), GRAD2D)
+    assert spec.block_weights[0][0, 0] == 2j * np.pi * (-4)
     big = spec.with_data_box(IndexBox((-6, -6), (13, 13)))
-    w = big.weightings[0].weights_on(big.data_box)
-    assert w[0, 0] == 2j * np.pi * (-6)
-    grid = ComplexGrid.zeros(spec.data_box)
-    ew = LiftingSpec(spec.data_box, spec.filter_box, (WeightingOp.elementwise(grid),))
-    with pytest.raises(ValueError):
-        ew.with_data_box(big.data_box)
+    w = big.block_weights[0]
+    assert w.shape == (13, 13) and w[0, 0] == 2j * np.pi * (-6)
 
 
 def test_weighting_validation():
@@ -278,6 +276,8 @@ def test_weighting_validation():
         WeightingOp("nope")
     with pytest.raises(ValueError):
         WeightingOp("fourier_derivative")
+    with pytest.raises(ValueError):
+        WeightingOp.fourier_derivative(-1)
     with pytest.raises(ValueError):
         LiftingSpec(IndexBox((0,), (4,)), IndexBox((0,), (6,)))
     # derivative axis out of range for a 1-D box
