@@ -36,11 +36,9 @@ from .giraf import (
     SolverConfig,
     SolverError,
     _field_types,
-    _GramPenalty,
     _inner_solve,
-    _working_problem,
     cg_ls,
-    eps_schedule,
+    first_step,
     giraf_solve,
 )
 from .grids import ComplexGrid, GridFormatError, IndexBox, load_grid, save_grid
@@ -522,9 +520,10 @@ def _subproblem_leg(entry: dict) -> SolverConfig:
 
 
 def _bench_subproblem(config: dict, out: Path, shift: int) -> int:
-    """Inner-solver study: freeze the weighted least-squares problem at the
-    zero-filled iterate and log each solver's normalized squared distance to
-    a tight conjugate-gradient reference against time."""
+    """Inner-solver study: freeze the weighted least-squares problem of the
+    solver entry's first step (giraf.first_step) and log each solver's
+    normalized squared distance to a tight conjugate-gradient reference
+    against time."""
     _require(config, ("solver",), "subproblem bench")
     base = config["solver"]
     if base["algorithm"] != "giraf":
@@ -538,12 +537,8 @@ def _bench_subproblem(config: dict, out: Path, shift: int) -> int:
     p = float(solver_cfg.p)
     legs = [(entry, _subproblem_leg(entry)) for entry in sweep["solvers"]]
 
-    # the first reweighting step of giraf_solve, on its working grid
     _, sampling = _build_instance(config, shift)
-    spec, sampling = _working_problem(_build_spec(config), sampling, solver_cfg)
-    penalty = _GramPenalty(spec, sampling.zero_filled(), p)
-    eps0, _ = eps_schedule(float(np.max(penalty.eigvals)), 1, solver_cfg.eps0)
-    d = penalty.weights(eps0)
+    spec, sampling, d, eps0 = first_step(_build_spec(config), sampling, solver_cfg)
     ref_iters = sweep.get("reference_iters", 4000)
     reference = cg_ls(spec, sampling, d, lam, p, iters=ref_iters, tol=1e-16)
     ref_vals = reference.values

@@ -52,6 +52,7 @@ __all__ = [
     "admm_ls",
     "cg_ls",
     "eps_schedule",
+    "first_step",
     "giraf_solve",
     "oversampled_box",
 ]
@@ -108,7 +109,8 @@ class SolverConfig:
     constrained mode where measured samples are held exactly. eps0="auto"
     sets the initial smoothing to lambda_max/100 from the first iterate's
     Gram spectrum. eps_min=None defaults to eps0 * eta^-outer_iters, floored
-    at 1e-9 * eps0.
+    at 1e-9 * eps0. oversample_factor sizes the box that oversample turns on
+    (see oversampled_box) and is refused without it.
     """
 
     p: float = 0.0
@@ -137,10 +139,8 @@ class SolverConfig:
             raise ConfigError("delta must be at least 1")
         if self.oversample_factor is not None and not self.oversample_factor >= 1.0:
             raise ConfigError("oversample factor must be at least 1")
-
-    @property
-    def equality(self) -> bool:
-        return self.lam is None
+        if self.oversample_factor is not None and not self.oversample:
+            raise ConfigError("oversample_factor needs oversample")
 
 
 def schatten_weight(p: float) -> float:
@@ -199,19 +199,19 @@ def _tril_inverse(L: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _weights_from(spec: LiftingSpec, M: np.ndarray) -> ComplexGrid:
-    """Spatial weights of the real weight matrix M: real_gram_adjoint scatters
-    it to lags, numpy's unnormalized ifftn takes them to space. That is the
-    unitary inverse over sqrt(L), the scale making d the sum over eigenfilters
-    h_i of |unitary inverse DFT of padded h_i|^2. A non-finite M spreads
-    everywhere: one scan checks."""
+def _weights_from(spec: LiftingSpec, M: np.ndarray) -> np.ndarray:
+    """Spatial weights (real) of the real weight matrix M: real_gram_adjoint
+    scatters it to lags, numpy's unnormalized ifftn takes them to space. That
+    is the unitary inverse over sqrt(L), the scale making d the sum over
+    eigenfilters h_i of |unitary inverse DFT of padded h_i|^2. A non-finite M
+    spreads everywhere: one scan checks."""
     draw = np.fft.ifftn(real_gram_adjoint(spec, M)).real
     top = float(np.max(np.abs(draw)))
     if not math.isfinite(top):
         raise SolverError("annihilation weights are not finite")
     if np.min(draw) < -1e-12 * max(1.0, top):
         raise SolverError("annihilation weights lost positivity")
-    return ComplexGrid._trusted(spec.data_box, np.maximum(draw, 0.0).astype(np.complex128))
+    return np.maximum(draw, 0.0)
 
 
 class _GramPenalty:
@@ -265,7 +265,7 @@ class _GramPenalty:
             return _smoothed_schatten_eigs(self.eigvals, self.p, eps)
         return float(np.log(self.factor(eps).diagonal()).sum())
 
-    def weights(self, eps: float) -> ComplexGrid:
+    def weights(self, eps: float) -> np.ndarray:
         """Spatial weights d of the weight matrix (R + eps I)^(p/2 - 1), the
         last use of this object: for p = 0, R and L are let go on the way,
         so that neither is held while the weights are assembled."""
@@ -282,8 +282,9 @@ class _GramPenalty:
         return _weights_from(self.spec, M)
 
 
-def filter_update(spec: LiftingSpec, x: ComplexGrid, eps: float, p: float) -> ComplexGrid:
-    """Spatial weights d of the annihilating filter at the current iterate."""
+def filter_update(spec: LiftingSpec, x: ComplexGrid, eps: float, p: float) -> np.ndarray:
+    """Spatial weights d of the annihilating filter at the current iterate, the
+    diagonal D of the least-squares step: a real array of the data box's extent."""
     return _GramPenalty(spec, x, p, values=False).weights(eps)
 
 
@@ -299,13 +300,19 @@ def _check_coverage(spec: LiftingSpec, sampling: SamplingOp) -> np.ndarray:
     return wsq
 
 
+def _check_weights(spec: LiftingSpec, d: np.ndarray) -> None:
+    """d is real and of the data box's extent; another shape would broadcast."""
+    if np.iscomplexobj(d) or np.shape(d) != spec.data_box.extent:
+        raise ValueError(f"weights must be a real array of shape {spec.data_box.extent}")
+
+
 def _interleaved(factor: np.ndarray) -> np.ndarray:
     """A real factor repeated along the last axis, to scale the float64 view
     of a complex array (real and imaginary parts alike) in one pass."""
     return np.repeat(factor, 2, axis=-1)
 
 
-def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: ComplexGrid,
+def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
             lam: float | None, p: float, iters: int = 200, delta: float = 10.0,
             x0: ComplexGrid | None = None, callback=None) -> ComplexGrid:
     """ADMM for the weighted least-squares step.
@@ -321,15 +328,15 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: ComplexGrid,
     which gives the bits of the complex operations they replace (numpy
     divides a complex by a real as a product with its reciprocal).
     """
+    _check_weights(spec, d)
     wsq = _check_coverage(spec, sampling)
-    dvals = d.values.real
-    gam = float(np.max(dvals)) / delta
+    gam = float(np.max(d)) / delta
     bvals = sampling.b.values
     if gam <= 0 or (lam is not None and lam * schatten_weight(p) == 0):
         # no effective regularizer: the least-squares solution is A* b
         return ComplexGrid(spec.data_box, bvals.copy())
 
-    shrink = _interleaved(gam / (dvals + gam))
+    shrink = _interleaved(gam / (d + gam))
     if lam is None:
         rden = _interleaved(1.0 / np.where(wsq > 0, wsq, 1.0))
         measured = np.flatnonzero(sampling.mask)
@@ -375,22 +382,22 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: ComplexGrid,
     return ComplexGrid(spec.data_box, x)
 
 
-def cg_ls(spec: LiftingSpec, sampling: SamplingOp, d: ComplexGrid,
+def cg_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
           lam: float | None, p: float, iters: int = 200, tol: float = 1e-12,
           x0: ComplexGrid | None = None, callback=None) -> ComplexGrid:
     """Conjugate gradients on the normal equations of the weighted
     least-squares step. Equality mode optimizes only the unmeasured entries
     with the measured ones pinned to the data."""
+    _check_weights(spec, d)
     _check_coverage(spec, sampling)
-    dvals = d.values.real
     bvals = sampling.b.values
-    if float(np.max(dvals)) <= 0 or (lam is not None and lam * schatten_weight(p) == 0):
+    if float(np.max(d)) <= 0 or (lam is not None and lam * schatten_weight(p) == 0):
         return ComplexGrid(spec.data_box, bvals.copy())
 
     def reg_op(v):
         out = np.zeros_like(v)
         for w in spec.block_weights:
-            out += np.conj(w) * np.fft.fftn(dvals * np.fft.ifftn(w * v))
+            out += np.conj(w) * np.fft.fftn(d * np.fft.ifftn(w * v))
         return out
 
     x = _cg_normal(reg_op, sampling, lam, p, None if x0 is None else x0.values,
@@ -398,7 +405,7 @@ def cg_ls(spec: LiftingSpec, sampling: SamplingOp, d: ComplexGrid,
     return ComplexGrid(spec.data_box, x)
 
 
-def _inner_solve(spec: LiftingSpec, sampling: SamplingOp, d: ComplexGrid,
+def _inner_solve(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
                  lam: float | None, p: float, config: SolverConfig,
                  x0: ComplexGrid | None = None, callback=None) -> ComplexGrid:
     """The weighted least-squares step by the inner solver config.ls_solver
@@ -574,8 +581,9 @@ def _reweighted_loop(config, n_outer: int, lam: float | None, x: ComplexGrid,
 
 
 def _working_problem(spec: LiftingSpec, sampling: SamplingOp, config: SolverConfig):
-    """Spec and sampling operator a solve works on: on the oversampled box
-    when config asks for it, checked for weighting coverage."""
+    """Spec and sampling operator a solve works on, config validated: on the
+    oversampled box when config asks for it, checked for weighting coverage."""
+    config.validate()
     if sampling.box != spec.data_box:
         raise ConfigError("sampling operator does not live on the data box")
     if config.oversample:
@@ -585,11 +593,21 @@ def _working_problem(spec: LiftingSpec, sampling: SamplingOp, config: SolverConf
     return spec, sampling
 
 
+def first_step(spec: LiftingSpec, sampling: SamplingOp, config: SolverConfig):
+    """(work_spec, work_sampling, d, eps0): the working problem of giraf_solve,
+    the weights d of its first step (zero-filled iterate, eps = max(eps0,
+    eps_min), the schedule's first) and the resolved eps0."""
+    spec, sampling = _working_problem(spec, sampling, config)
+    penalty = _GramPenalty(spec, sampling.zero_filled(), config.p)
+    eps0, schedule = eps_schedule(float(np.max(penalty.eigvals)), config.outer_iters,
+                                  config.eps0, config.eta, config.eps_min)
+    return spec, sampling, penalty.weights(schedule[0]), eps0
+
+
 def giraf_solve(spec: LiftingSpec, sampling: SamplingOp, config: SolverConfig,
                 ground_truth: ComplexGrid | None = None) -> RecoveryTrace:
     """Run the full reweighted recovery; returns the iterate restricted to
     the original data box plus per-iteration diagnostics."""
-    config.validate()
     work_spec, samp = _working_problem(spec, sampling, config)
     error = None if ground_truth is None else (
         lambda x: nmse(restrict(x, spec.data_box), ground_truth))

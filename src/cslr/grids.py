@@ -137,20 +137,6 @@ class ComplexGrid:
             raise ValueError("grid values must be finite")
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def _trusted(cls, box: IndexBox, values: np.ndarray) -> "ComplexGrid":
-        """Grid over values the package computed itself: a C-contiguous
-        complex128 array of the box's extent, finite by construction, so
-        the conversion and the finiteness scan are skipped."""
-        grid = object.__new__(cls)
-        object.__setattr__(grid, "box", box)
-        object.__setattr__(grid, "values", values)
-        return grid
-
-    @classmethod
-    def zeros(cls, box: IndexBox) -> "ComplexGrid":
-        return cls(box, np.zeros(box.extent, dtype=np.complex128))
-
     def copy(self) -> "ComplexGrid":
         return ComplexGrid(self.box, self.values.copy())
 
@@ -214,7 +200,7 @@ def wrap_embed(x: ComplexGrid, target: IndexBox) -> ComplexGrid:
     slots = diff_index(x.box, IndexBox(zero, (1,) * target.ndim), IndexBox(zero, target.extent),
                        wrap=True)
     np.add.at(out.reshape(-1), slots.ravel(), x.values.ravel())
-    return ComplexGrid._trusted(target, out)
+    return ComplexGrid(target, out)
 
 
 def circ_conv(y: ComplexGrid, h: ComplexGrid) -> ComplexGrid:

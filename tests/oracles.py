@@ -211,7 +211,7 @@ def rect_annihilator(phantom: RectPhantom, filter_box: IndexBox) -> ComplexGrid:
     return ComplexGrid(filter_box, vals)
 
 
-def loop_admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: ComplexGrid,
+def loop_admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
                  lam: float | None, p: float, iters: int = 200, delta: float = 10.0,
                  x0: ComplexGrid | None = None, callback=None) -> ComplexGrid:
     """ADMM for the weighted least-squares step.
@@ -225,8 +225,7 @@ def loop_admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: ComplexGrid,
     operation, with the arithmetic in the order the fast path keeps.
     """
     _check_coverage(spec, sampling)
-    dvals = d.values.real
-    gam = float(np.max(dvals)) / delta
+    gam = float(np.max(d)) / delta
     bvals = sampling.b.values
     if gam <= 0 or (lam is not None and lam * schatten_weight(p) == 0):
         # no effective regularizer: the least-squares solution is A* b
@@ -236,7 +235,7 @@ def loop_admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: ComplexGrid,
     wsq = sum(np.abs(w) ** 2 for w in ws)
     maskf = sampling.mask.astype(float)
     rho = None if lam is None else gam * lam * schatten_weight(p)
-    shrink = gam / (dvals + gam)
+    shrink = gam / (d + gam)
     if lam is None:
         denom = np.where(wsq > 0, wsq, 1.0)
     else:

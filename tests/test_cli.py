@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import cslr
-from cslr import cli
+from cslr import cli, giraf
 from cslr.baselines import BaselineConfig
 from cslr.cli import main
 from cslr.giraf import SolverConfig
@@ -36,6 +36,11 @@ def _write_config(path, **overrides):
     config.update(overrides)
     path.write_text(json.dumps(config))
     return config
+
+
+def _read_csv(path):
+    with path.open() as f:
+        return list(csv.DictReader(f))
 
 
 def test_gen_roundtrip_and_determinism(tmp_path):
@@ -83,7 +88,7 @@ def test_recover_outputs(tmp_path):
     assert summary["final_nmse"] < 1e-3
     assert summary["final_snr_db"] > 30.0
     assert summary["wall_seconds"] == 0.0  # timing: none
-    rows = list(csv.DictReader((out / "trace.csv").open()))
+    rows = _read_csv(out / "trace.csv")
     assert list(rows[0]) == ["iter", "eps", "nmse", "cost", "sigma_min",
                              "sigma_max", "seconds"]
     assert len(rows) == summary["iterations"] == 25
@@ -101,7 +106,7 @@ def test_p0_trace_csv_leaves_sigma_empty_before_the_last_row(tmp_path):
     _write_config(cfg)
     out = tmp_path / "rec"
     assert main(["recover", "--config", str(cfg), "--out", str(out)]) == 0
-    rows = list(csv.DictReader((out / "trace.csv").open()))
+    rows = _read_csv(out / "trace.csv")
     for row in rows[:-1]:
         assert row["sigma_min"] == row["sigma_max"] == ""
     assert 0.0 <= float(rows[-1]["sigma_min"]) <= float(rows[-1]["sigma_max"])
@@ -121,7 +126,7 @@ def test_recover_from_files_without_truth(tmp_path):
     })
     out = tmp_path / "rec"
     assert main(["recover", "--config", str(file_cfg), "--out", str(out)]) == 0
-    rows = list(csv.DictReader((out / "trace.csv").open()))
+    rows = _read_csv(out / "trace.csv")
     assert "nmse" not in rows[0]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["final_nmse"] is None and summary["final_snr_db"] is None
@@ -170,6 +175,13 @@ def test_config_errors_exit_2(tmp_path, capsys):
     del base["solver"]
     cfg.write_text(json.dumps(base))
     assert main(["recover", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    # an oversampling factor the solve would not read
+    capsys.readouterr()
+    _write_config(cfg, solver={"algorithm": "giraf", "oversample_factor": 2.0})
+    assert main(["recover", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError" and "oversample_factor" in err["message"]
 
 
 @pytest.mark.parametrize("algorithm", ["giraf", "irls"])
@@ -236,7 +248,7 @@ def test_bench_tol_protocol(tmp_path):
         assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / d)]) == 0
     assert (tmp_path / "b1" / "bench.csv").read_bytes() == \
         (tmp_path / "b2" / "bench.csv").read_bytes()
-    rows = list(csv.DictReader((tmp_path / "b1" / "bench.csv").open()))
+    rows = _read_csv(tmp_path / "b1" / "bench.csv")
     assert list(rows[0]) == ["dataset", "algorithm", "p", "usf", "seed",
                              "iters_to_tol", "seconds_to_tol", "final_nmse"]
     assert len(rows) == 4
@@ -267,7 +279,7 @@ def test_bench_mem_marker(tmp_path):
     base["sweep"] = {"solvers": [{"algorithm": "ap", "rank_r": 4, "max_iters": 2}]}
     cfg.write_text(json.dumps(base))
     assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 0
-    rows = list(csv.DictReader((tmp_path / "m" / "bench.csv").open()))
+    rows = _read_csv(tmp_path / "m" / "bench.csv")
     assert rows[0]["iters_to_tol"] == "Mem"
     assert rows[0]["final_nmse"] == "Mem"
 
@@ -286,7 +298,7 @@ def test_bench_subproblem_protocol(tmp_path):
     }
     cfg.write_text(json.dumps(base))
     assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
-    rows = list(csv.DictReader((tmp_path / "s" / "subproblem.csv").open()))
+    rows = _read_csv(tmp_path / "s" / "subproblem.csv")
     assert list(rows[0]) == ["dataset", "solver", "iter", "seconds", "nmsd"]
     assert len(rows) == 50
     by_solver = {}
@@ -327,6 +339,38 @@ def test_subproblem_oversampled_eps0_matches_recover(tmp_path):
     (tmp_path / "plain").mkdir()
     plain, _ = _subproblem_and_recover_eps0(tmp_path / "plain")
     assert plain != bench
+
+
+def test_subproblem_freezes_the_weights_of_the_first_step(tmp_path, monkeypatch):
+    # with eps_min above eps0 the solve's first step runs at eps_min, not at
+    # eps0: the bench must freeze the weights that step uses, on the same
+    # working grid
+    seen = {}
+
+    def spy_on(module, command):
+        inner = module._inner_solve
+
+        def spy(spec, sampling, d, *args, **kwargs):
+            seen.setdefault(command, (spec.data_box, d))
+            return inner(spec, sampling, d, *args, **kwargs)
+
+        monkeypatch.setattr(module, "_inner_solve", spy)
+
+    spy_on(giraf, "recover")
+    spy_on(cli, "bench")
+    cfg = tmp_path / "cfg.json"
+    base = _write_config(cfg, solver={
+        "algorithm": "giraf", "p": 0, "lam": 0.05, "eps0": 1e-3, "eps_min": 1e-2,
+        "outer_iters": 2, "oversample": True})
+    base["sweep"] = {"protocol": "subproblem", "reference_iters": 10,
+                     "solvers": [{"algorithm": "giraf", "ls_solver": "cg",
+                                  "inner_iters": 2}]}
+    cfg.write_text(json.dumps(base))
+    for command in ("recover", "bench"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+    (solve_box, solve_d), (bench_box, bench_d) = seen["recover"], seen["bench"]
+    assert bench_box == solve_box and bench_box.extent != (63,)
+    assert np.array_equal(bench_d, solve_d)
 
 
 def test_compare_exit_codes(tmp_path, capsys):

@@ -14,6 +14,7 @@ from cslr.giraf import (
     SolverConfig,
     SolverError,
     _GramPenalty,
+    _inner_solve,
     _smoothed_schatten_eigs,
     _tril_inverse,
     _weights_from,
@@ -85,7 +86,7 @@ def test_weights_single_filter_path_matches_direct_sum(p):
         eps = 10.0 ** rng.uniform(-3, 1)
         d = filter_update(spec, x, eps, p)
         want = direct_weights(spec, x, eps, p)
-        rel = np.linalg.norm(d.values.real - want) / np.linalg.norm(want)
+        rel = np.linalg.norm(d - want) / np.linalg.norm(want)
         assert rel < 1e-10
 
 
@@ -104,7 +105,7 @@ def test_weights_even_filter_order_match_direct_sum(data, filt, p):
         eps = 10.0 ** rng.uniform(-3, 1)
         d = filter_update(spec, x, eps, p)
         want = direct_weights(spec, x, eps, p)
-        rel = np.linalg.norm(d.values.real - want) / np.linalg.norm(want)
+        rel = np.linalg.norm(d - want) / np.linalg.norm(want)
         assert rel < 1e-10
 
 
@@ -116,7 +117,7 @@ def test_weights_gradient_lifting_and_offsets():
     x = _random_grid(data, rng)
     d = filter_update(spec, x, 0.05, 0.0)
     want = direct_weights(spec, x, 0.05, 0.0)
-    rel = np.linalg.norm(d.values.real - want) / np.linalg.norm(want)
+    rel = np.linalg.norm(d - want) / np.linalg.norm(want)
     assert rel < 1e-10
 
 
@@ -125,11 +126,11 @@ def test_weights_at_zero_iterate_are_uniform():
     filt = IndexBox((-3,), (7,))
     spec = LiftingSpec(data, filt)
     eps, p = 0.37, 0.5
-    d = filter_update(spec, ComplexGrid.zeros(data), eps, p)
+    d = filter_update(spec, ComplexGrid(data, np.zeros(data.extent)), eps, p)
     # all Gram eigenvalues are zero, so every eigenfilter gets the same
     # weight and the spatial sum collapses to N/L times eps^-q
     expect = eps ** (-(1.0 - p / 2.0)) * filt.size / data.size
-    assert np.max(np.abs(d.values.real - expect)) < 1e-12 * expect
+    assert np.max(np.abs(d - expect)) < 1e-12 * expect
 
 
 @pytest.mark.parametrize("data, filt, weighted", [
@@ -152,7 +153,7 @@ def test_p0_inverse_matches_eigenvector_weights(data, filt, weighted):
         eps = 10.0 ** rng.uniform(-6, -2) * np.max(w)  # the schedule's range
         w = np.maximum(w, 0.0)
         _, want = complex_route_weights(spec, (V / (w + eps)) @ V.conj().T)
-        got = _GramPenalty(spec, x, 0.0).weights(eps).values
+        got = _GramPenalty(spec, x, 0.0).weights(eps)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -195,7 +196,7 @@ def test_real_form_matches_unitary_oracle(spec, seed):
     lam_g = np.maximum(lam_g, 0.0)
     for p in (0.0, 0.5, 1.0):
         _, want = complex_route_weights(spec, (V * (lam_g + eps) ** (p / 2 - 1)) @ V.conj().T)
-        got = _GramPenalty(spec, x, p).weights(eps).values
+        got = _GramPenalty(spec, x, p).weights(eps)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -311,16 +312,28 @@ def test_filter_is_conjugate_symmetric():
 
 
 def test_non_finite_weight_matrix_is_a_solver_error():
-    # the weight grid is not re-scanned on construction, so a blow-up in the
-    # weight matrix has to surface from the weights' own checks; (1, 2) sits
-    # in the middle column, (4, 0) in the imaginary block
+    # nothing downstream scans the weight array, so a blow-up in the weight
+    # matrix has to surface from the weights' own checks; (1, 2) sits in the
+    # middle column, (4, 0) in the imaginary block
     spec = LiftingSpec(IndexBox((-6,), (13,)), IndexBox((-2,), (5,)))
     for where in ((1, 2), (4, 0)):
         for bad in (np.nan, np.inf, -np.inf):
             M = np.eye(5)
             M[where] = bad
-            with pytest.raises(SolverError, match="not finite"):
+            with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="not finite"):
                 _weights_from(spec, M)
+
+
+def test_failed_cholesky_and_nonpositive_eps_are_solver_errors():
+    spec = LiftingSpec(IndexBox((-6,), (13,)), IndexBox((-2,), (5,)))
+    x = _random_grid(spec.data_box, np.random.default_rng(50))
+    penalty = _GramPenalty(spec, x, 0.0)
+    # R - eps I with eps beyond the largest eigenvalue is not positive definite
+    with pytest.raises(SolverError, match="Cholesky"):
+        penalty.factor(-2.0 * penalty.eigvals[-1])
+    for eps in (0.0, -1.0):
+        with pytest.raises(SolverError, match="positive epsilon"):
+            penalty.weights(eps)
 
 
 @pytest.mark.parametrize("p, ls_solver", [(0.0, "admm"), (0.5, "cg")])
@@ -376,7 +389,7 @@ def _dense_normal_solution(spec, sampling, d, lam, p):
     mask + lam*C_p*sum_j M_j^H F D F^H M_j explicitly and solve."""
     box = spec.data_box
     W = dense_dft_matrix(box)
-    D = np.diag(d.values.real.ravel())
+    D = np.diag(d.ravel())
     Q = np.diag(sampling.mask.ravel().astype(float)).astype(complex)
     cp = schatten_weight(p)
     for op in spec.weightings:
@@ -465,11 +478,30 @@ def test_zero_weights_return_zero_filled_data():
     spec = LiftingSpec(box, IndexBox((-1,), (3,)))
     truth = ComplexGrid(box, np.arange(9, dtype=complex).reshape(9) + 1j)
     samp = SamplingOp.measure(truth, random_mask(box, 0.5, seed=8))
-    d = ComplexGrid.zeros(box)
+    d = np.zeros(box.extent)
     out = admm_ls(spec, samp, d, 2.0, 0.0, iters=50)
     np.testing.assert_array_equal(out.values, samp.b.values)
     out = cg_ls(spec, samp, d, 2.0, 0.0, iters=50)
     np.testing.assert_array_equal(out.values, samp.b.values)
+
+
+def test_inner_solvers_refuse_weights_off_the_data_box():
+    # a bare array of another shape would broadcast silently
+    box = IndexBox((-4,), (9,))
+    spec = LiftingSpec(box, IndexBox((-1,), (3,)))
+    samp = SamplingOp.measure(_random_grid(box, np.random.default_rng(51)),
+                              random_mask(box, 0.5, seed=8))
+    good = filter_update(spec, samp.zero_filled(), 0.1, 0.0)
+    bad = (good.astype(complex), good[:1], good[:, None], ComplexGrid(box, good))
+    for ls_solver in ("admm", "cg"):
+        cfg = SolverConfig(ls_solver=ls_solver, inner_iters=2)
+        for d in bad:
+            with pytest.raises(ValueError, match="weights must be a real array"):
+                _inner_solve(spec, samp, d, 2.0, 0.0, cfg)
+    for solve in (admm_ls, cg_ls):
+        for d in bad:
+            with pytest.raises(ValueError, match="weights must be a real array"):
+                solve(spec, samp, d, 2.0, 0.0, iters=2)
 
 
 def test_oversampled_box_margins():
@@ -584,7 +616,9 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         SolverConfig(eps0=-1.0).validate()
     with pytest.raises(ConfigError):
-        SolverConfig(oversample_factor=0.5).validate()
+        SolverConfig(oversample=True, oversample_factor=0.5).validate()
+    with pytest.raises(ConfigError, match="needs oversample"):
+        SolverConfig(oversample_factor=2.0).validate()
 
 
 def test_unsampled_dc_with_gradient_weighting_is_rejected():

@@ -255,7 +255,7 @@ def test_normal_diagonal_matches_operator_columns():
 
 def test_budget_guard():
     spec = LiftingSpec(IndexBox((-300, -300), (600, 600)), IndexBox((-4, -4), (9, 9)))
-    x = ComplexGrid.zeros(spec.data_box)
+    x = ComplexGrid(spec.data_box, np.zeros(spec.data_box.extent))
     with pytest.raises(BudgetError):
         materialize_exact(spec, x)
     with pytest.raises(BudgetError):
