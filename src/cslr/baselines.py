@@ -1,7 +1,6 @@
 """Reference algorithms operating on the exact (non-circulant) lifting:
 direct IRLS, alternating projections (Cadzow), its proximal relaxation,
-singular value thresholding, and the UV-factorized variant, plus Schatten
-penalty utilities and the majorizer gap check.
+singular value thresholding, and the UV-factorized variant.
 
 All solvers consume a LiftingSpec + SamplingOp pair and emit the same
 RecoveryTrace as the reweighted solver. They materialize the lifted matrix
@@ -27,7 +26,6 @@ from .giraf import (
     _check_reweighting,
     _reweighted_loop,
     _smoothed_schatten_eigs,
-    schatten_weight,
 )
 from .grids import ComplexGrid
 from .lifting import (
@@ -42,9 +40,6 @@ from .models import SamplingOp, nmse
 
 __all__ = [
     "BaselineConfig",
-    "schatten_p",
-    "smoothed_schatten",
-    "majorizer_gap",
     "irls_direct",
     "ap_solve",
     "ap_prox_solve",
@@ -107,49 +102,6 @@ def _check_config(config: BaselineConfig, algorithm: str) -> None:
     config.validate()
     if config.algorithm != algorithm:
         raise ConfigError(f"config.algorithm must be {algorithm!r}")
-
-
-def schatten_p(m: np.ndarray, p: float) -> float:
-    """Schatten-p norm for p in (0, 1], log-determinant surrogate for p=0
-    (sum of log singular values; error if the matrix is rank-deficient)."""
-    s = np.linalg.svd(m, compute_uv=False)
-    if p == 0:
-        if s[-1] <= 0:
-            raise ValueError("log-det Schatten value is -inf for a singular matrix")
-        return float(np.sum(np.log(s)))
-    if not 0 < p <= 1:
-        raise ValueError("p must lie in [0, 1]")
-    return float(np.sum(s ** p) ** (1.0 / p))
-
-
-def smoothed_schatten(m: np.ndarray, p: float, eps: float) -> float:
-    """Smoothed Schatten penalty: sum (sigma^2 + eps)^(p/2), or the p=0
-    limit 1/2 sum log(sigma^2 + eps)."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if not 0 <= p <= 1:
-        raise ValueError("p must lie in [0, 1]")
-    # the penalty counts all min(shape) singular values, which svd returns
-    s2 = np.linalg.svd(m, compute_uv=False) ** 2
-    if p == 0 and eps == 0 and s2[-1] <= 0:
-        raise ValueError("log-det Schatten value is -inf for a singular matrix")
-    return _smoothed_schatten_eigs(s2, p, eps)
-
-
-def majorizer_gap(X: np.ndarray, X0: np.ndarray, p: float, eps: float) -> float:
-    """Value of the quadratic tangent majorizer of the smoothed Schatten
-    penalty at X0, evaluated at X, minus the penalty at X. Nonnegative by
-    the matrix form of Klein's inequality; zero at X = X0."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    cp = schatten_weight(p)
-    gram0 = X0.conj().T @ X0
-    w, V = np.linalg.eigh(gram0)
-    w = np.maximum(w, 0.0)
-    H0 = (V * (w + eps) ** (p / 2 - 1)) @ V.conj().T
-    quad = np.trace(H0 @ (X.conj().T @ X - gram0)).real
-    major = smoothed_schatten(X0, p, eps) + cp * quad
-    return float(major - smoothed_schatten(X, p, eps))
 
 
 def _relative_step(new: np.ndarray, old: np.ndarray) -> float:

@@ -11,12 +11,11 @@ byte-comparable.
 from __future__ import annotations
 
 import argparse
-import contextvars
 import copy
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -465,6 +464,13 @@ def _tol_row(config, entry, usf, seed, tol, timing):
     return key, key + (hit.iteration, hit.seconds, trace.final_nmse)
 
 
+def _tol_cell(config, entry, usf, seed, tol, timing):
+    """One sweep cell in a worker process, under the silenced floating-point
+    warnings main() sets for its own process."""
+    with np.errstate(all="ignore"):
+        return _tol_row(config, entry, usf, seed, tol, timing)
+
+
 def _bench_tol(config: dict, out: Path, shift: int, threads: int) -> int:
     if config["signal"]["kind"] == "file":
         raise ConfigError("bench needs a generative signal")
@@ -479,18 +485,27 @@ def _bench_tol(config: dict, out: Path, shift: int, threads: int) -> int:
     tasks = [(entry, usf, seed)
              for entry in sweep["solvers"] for usf in usfs for seed in seeds]
 
-    def run(task):
-        entry, usf, seed = task
-        return _tol_row(config, entry, usf, seed, tol, timing)
-
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # each task runs in a copy of this thread's context, which holds
-            # the floating-point error state main() set
-            futures = [pool.submit(contextvars.copy_context().run, run, t) for t in tasks]
+        # processes, not threads: a cell makes thousands of small numpy
+        # calls, and two threads trading the interpreter lock ran a sweep
+        # slower than one. fork, not spawn: a spawned worker re-imports the
+        # caller's __main__ and numpy. Imported here: multiprocessing adds
+        # ~15 ms and ~1 MB to every command that starts no pool.
+        import multiprocessing
+        from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks)),
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_tol_cell, config, entry, usf, seed, tol, timing)
+                       for entry, usf, seed in tasks]
+            # the first failing cell cancels the cells not yet started;
+            # reading the results in submission order re-raises its error
+            wait(futures, return_when=FIRST_EXCEPTION)
+            pool.shutdown(cancel_futures=True)
             results = [f.result() for f in futures]
     else:
-        results = [run(t) for t in tasks]
+        results = [_tol_row(config, entry, usf, seed, tol, timing)
+                   for entry, usf, seed in tasks]
     rows = [row for _, row in sorted(results, key=lambda kr: kr[0])]
 
     out.mkdir(parents=True, exist_ok=True)
@@ -642,7 +657,8 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=True, help="JSON experiment config")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--threads", type=int, default=1,
-                        help="worker pool size for sweeps")
+                        help="worker processes for bench sweeps (default 1: "
+                             "cells run in this process)")
         sp.add_argument("--seed", type=int, default=0,
                         help="shift added to every seed in the config")
     cp = sub.add_parser("compare", help="compare recovered grids")
@@ -663,6 +679,8 @@ def main(argv=None) -> int:
             if args.command == "compare":
                 return cmd_compare(args.files, args.truth, args.tol,
                                    args.max_diff, args.nmse_diff)
+            if args.threads < 1:
+                raise ConfigError(f"--threads must be at least 1, got {args.threads}")
             config = load_config(args.config)
             out = Path(args.out)
             if args.command == "gen":
@@ -670,8 +688,10 @@ def main(argv=None) -> int:
             if args.command == "recover":
                 return cmd_recover(config, out, args.seed)
             return cmd_bench(config, out, args.seed, args.threads)
-    except (SolverError, BudgetError, MemoryError, np.linalg.LinAlgError) as exc:
-        # ahead of the config clause: LinAlgError is a ValueError
+    except (SolverError, BudgetError, MemoryError, np.linalg.LinAlgError,
+            BrokenExecutor) as exc:
+        # ahead of the config clause: LinAlgError is a ValueError. A sweep
+        # worker that died (killed, out of memory) is a solver failure too.
         _emit_error(EXIT_SOLVER, exc)
         return EXIT_SOLVER
     except (ConfigError, ValueError) as exc:

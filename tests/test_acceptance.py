@@ -15,7 +15,6 @@ from cslr.baselines import (
     BaselineConfig,
     ap_solve,
     irls_direct,
-    majorizer_gap,
     svt_solve,
     svt_uv_solve,
 )
@@ -40,6 +39,7 @@ from cslr.models import (
     rect_fourier,
 )
 
+from oracles import majorizer_gap
 from test_giraf import _dense_normal_solution, direct_weights
 from test_lifting import GRAD2D, random_spec
 

@@ -16,9 +16,6 @@ from cslr.baselines import (
     ap_prox_solve,
     ap_solve,
     irls_direct,
-    majorizer_gap,
-    schatten_p,
-    smoothed_schatten,
     svt_solve,
     svt_uv_solve,
 )
@@ -34,7 +31,7 @@ from cslr.models import (
     random_mask,
     rect_fourier,
 )
-from oracles import irls_fft_penalty, random_grid
+from oracles import irls_fft_penalty, majorizer_gap, random_grid, schatten_p, smoothed_schatten
 from test_lifting import given_specs
 
 

@@ -4,9 +4,12 @@ CSV/JSON output contracts, and rerun determinism."""
 import csv
 import dataclasses
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 import typing
 from pathlib import Path
 
@@ -518,13 +521,104 @@ def test_failed_run_prints_only_its_json_line(tmp_path, solver, scale):
 
 
 def test_failed_threaded_bench_prints_only_its_json_line(tmp_path):
-    # the pool threads of a sweep run under the same silenced warnings
+    # the worker processes of a sweep run under the same silenced warnings
     cfg = tmp_path / "cfg.json"
     _write_config(cfg, signal={"kind": "dirac", "r": 4, "seed": 3, "min_separation": 0.1333,
                                "amplitude_range": [1e150, 1.5e150]},
                   sweep={"seeds": [0, 1], "solvers": [{**_GIRAF_SHORT, "ls_solver": "cg"}]})
     _assert_only_a_solver_error_line(_python("-m", "cslr.cli", "bench", "--config", str(cfg),
                                              "--threads", "2", "--out", str(tmp_path / "o")))
+
+
+def _sweep_config(tmp_path, seeds, solvers):
+    cfg = tmp_path / "cfg.json"
+    base = _write_config(cfg, sweep={"seeds": seeds, "solvers": solvers})
+    del base["solver"]
+    cfg.write_text(json.dumps(base))
+    return cfg
+
+
+def _bench(cfg, out, threads):
+    return main(["bench", "--config", str(cfg), "--threads", str(threads),
+                 "--out", str(out)])
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_one_exit_2(tmp_path, capsys, threads):
+    cfg = _sweep_config(tmp_path, [0], [_GIRAF_SHORT])
+    assert _bench(cfg, tmp_path / "o", threads) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError" and "--threads" in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_bench_outputs_do_not_depend_on_worker_processes(tmp_path):
+    cfg = _sweep_config(tmp_path, [0, 1], [
+        {**_GIRAF_SHORT, "ls_solver": "admm", "oversample": True},
+        {**_GIRAF_SHORT, "ls_solver": "cg", "label": "giraf_cg"},
+        _IRLS_SHORT,
+        {"algorithm": "ap", "rank_r": 4, "max_iters": 20},
+    ])
+    for threads in (1, 2):
+        assert _bench(cfg, tmp_path / f"t{threads}", threads) == 0
+    assert not multiprocessing.active_children()
+    for name in ("bench.csv", "manifest.json"):
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
+    assert len(_read_csv(tmp_path / "t2" / "bench.csv")) == 8
+
+
+def test_bench_cells_run_in_worker_processes(tmp_path, monkeypatch):
+    tol_row = cli._tol_row
+
+    def recording(config, entry, usf, seed, tol, timing):
+        (tmp_path / f"cell{seed}.pid").write_text(str(os.getpid()))
+        return tol_row(config, entry, usf, seed, tol, timing)
+
+    monkeypatch.setattr(cli, "_tol_row", recording)
+    cfg = _sweep_config(tmp_path, [0, 1, 2], [{"algorithm": "ap", "rank_r": 4, "max_iters": 5}])
+    assert _bench(cfg, tmp_path / "o", 2) == 0
+    assert not multiprocessing.active_children()
+    pids = {int((tmp_path / f"cell{seed}.pid").read_text()) for seed in (0, 1, 2)}
+    assert os.getpid() not in pids
+
+
+def test_failed_cell_cancels_the_cells_not_started(tmp_path, monkeypatch, capsys):
+    # the cell of seed 0 fails at once while the others take a while, so
+    # the cells the pool has not yet handed to a worker never start
+    def failing(config, entry, usf, seed, tol, timing):
+        (tmp_path / f"started{seed}").touch()
+        if seed == 0:
+            raise giraf.SolverError("cell failed")
+        time.sleep(0.3)
+        key = (config["name"], "ap", 0.0, usf, seed)
+        return key, key + (1, 0.0, 0.0)
+
+    monkeypatch.setattr(cli, "_tol_row", failing)
+    cfg = _sweep_config(tmp_path, list(range(12)),
+                        [{"algorithm": "ap", "rank_r": 4, "max_iters": 5}])
+    assert _bench(cfg, tmp_path / "o", 2) == 4
+    assert not multiprocessing.active_children()
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "SolverError" and err["message"] == "cell failed"
+    assert len(list(tmp_path.glob("started*"))) < 12
+
+
+def test_dead_worker_exits_4(tmp_path, monkeypatch, capsys):
+    tol_row, caller = cli._tol_row, os.getpid()
+
+    def killed(*args):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return tol_row(*args)
+
+    monkeypatch.setattr(cli, "_tol_row", killed)
+    cfg = _sweep_config(tmp_path, [0, 1], [{"algorithm": "ap", "rank_r": 4, "max_iters": 5}])
+    assert _bench(cfg, tmp_path / "o", 2) == 4
+    assert not multiprocessing.active_children()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["exit_code"] == 4 and err["type"] == "BrokenProcessPool"
 
 
 def test_solver_schema_matches_config_fields():
