@@ -9,8 +9,8 @@ Subpackages:
 * ``models``    synthetic signals, sampling masks, noise, error metrics
 * ``cli``       gen / recover / bench / compare command line tools
 
-``cli`` (which needs jsonschema) is not imported with the package; import
-``cslr.cli`` to use it.
+``cli`` is not imported with the package; import ``cslr.cli`` to use it.
+It loads jsonschema on its first config read.
 """
 
 from . import baselines, giraf, grids, lifting, models

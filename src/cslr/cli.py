@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import sys
 import time
@@ -19,7 +20,6 @@ from concurrent.futures import BrokenExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .baselines import (
@@ -233,16 +233,31 @@ def _as_integers(value, schema: dict):
     return value
 
 
+@functools.cache
+def _config_validator():
+    """The validator of CONFIG_SCHEMA, built once, on the first config
+    read. jsonschema is imported here, so that a process that reads no
+    config does not load it. The schema itself is checked against its
+    metaschema by the test suite, not on every read: that check was
+    nearly all of the time jsonschema.validate took."""
+    import jsonschema
+
+    return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 def load_config(path) -> dict:
     with open(path) as f:
         try:
             config = json.load(f)
-            jsonschema.validate(config, CONFIG_SCHEMA)
         except json.JSONDecodeError as exc:
             raise ConfigError(str(exc)) from exc
-        except jsonschema.ValidationError as exc:
-            # str() of a schema error embeds the whole schema and instance
-            raise ConfigError(f"{exc.json_path}: {exc.message}") from exc
+    from jsonschema.exceptions import best_match
+
+    # the error jsonschema.validate would raise; str() of it embeds the
+    # whole schema and instance
+    error = best_match(_config_validator().iter_errors(config))
+    if error is not None:
+        raise ConfigError(f"{error.json_path}: {error.message}") from error
     return _as_integers(config, CONFIG_SCHEMA)
 
 
@@ -590,6 +605,9 @@ def cmd_bench(config: dict, out: Path, shift: int, threads: int) -> int:
     _require(config, ("sweep",), "bench")
     protocol = config["sweep"].get("protocol", "tol")
     if protocol == "subproblem":
+        if threads > 1:
+            raise ConfigError("a subproblem bench runs in one process: "
+                              f"--threads must be 1, got {threads}")
         return _bench_subproblem(config, out, shift)
     return _bench_tol(config, out, shift, threads)
 
@@ -656,9 +674,9 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name, help=doc)
         sp.add_argument("--config", required=True, help="JSON experiment config")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker processes for bench sweeps (default 1: "
-                             "cells run in this process)")
+        sp.add_argument("--threads", type=int,
+                        help="worker processes for a tol bench sweep, bench "
+                             "only (default 1: cells run in this process)")
         sp.add_argument("--seed", type=int, default=0,
                         help="shift added to every seed in the config")
     cp = sub.add_parser("compare", help="compare recovered grids")
@@ -679,15 +697,18 @@ def main(argv=None) -> int:
             if args.command == "compare":
                 return cmd_compare(args.files, args.truth, args.tol,
                                    args.max_diff, args.nmse_diff)
-            if args.threads < 1:
-                raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+            if args.threads is not None and args.command != "bench":
+                raise ConfigError(f"--threads applies to bench only, not {args.command}")
+            threads = 1 if args.threads is None else args.threads
+            if threads < 1:
+                raise ConfigError(f"--threads must be at least 1, got {threads}")
             config = load_config(args.config)
             out = Path(args.out)
             if args.command == "gen":
                 return cmd_gen(config, out, args.seed)
             if args.command == "recover":
                 return cmd_recover(config, out, args.seed)
-            return cmd_bench(config, out, args.seed, args.threads)
+            return cmd_bench(config, out, args.seed, threads)
     except (SolverError, BudgetError, MemoryError, np.linalg.LinAlgError,
             BrokenExecutor) as exc:
         # ahead of the config clause: LinAlgError is a ValueError. A sweep

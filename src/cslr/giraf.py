@@ -246,15 +246,20 @@ class _GramPenalty:
         self.eigvals = None if w is None else np.maximum(w, 0.0)
 
     def factor(self, eps: float) -> np.ndarray:
-        """Cholesky factor L of R + eps I, the latest one kept."""
+        """Cholesky factor L of R + eps I, the latest one kept. The shift is
+        written into R's diagonal and undone afterwards, in place of a
+        shifted copy: np.linalg.cholesky copies its input anyway."""
         if eps != self._eps:
             self._L = None  # not held while the next one is formed
-            shifted = self._R.copy()
-            shifted.flat[::shifted.shape[0] + 1] += eps
+            diag = self._R.diagonal().copy()
+            step = self._R.shape[0] + 1
+            self._R.flat[::step] = diag + eps
             try:
-                self._L = np.linalg.cholesky(shifted)
+                self._L = np.linalg.cholesky(self._R)
             except np.linalg.LinAlgError as exc:
                 raise SolverError(f"Gram Cholesky factorization failed: {exc}") from exc
+            finally:
+                self._R.flat[::step] = diag
             self._eps = eps
         return self._L
 
@@ -279,6 +284,7 @@ class _GramPenalty:
             Linv = _tril_inverse(L)
             del L
             M = Linv.T @ Linv
+            del Linv
         return _weights_from(self.spec, M)
 
 

@@ -270,24 +270,30 @@ def real_gram_adjoint(spec: LiftingSpec, M: np.ndarray) -> np.ndarray:
     (S11 - S33) / 2 at Toeplitz and Hankel positions in the real part, S31
     at both in the imaginary part, sqrt(2) S[:m, m] and sqrt(2) S[lo:, m] in
     the middle column, and lag 0 gets S[m, m] / 2. The Hermitian part of a, whose inverse FFT is
-    ifftn(a).real, is the filter-difference sum of Q S Q^* / 2."""
+    ifftn(a).real, is the filter-difference sum of Q S Q^* / 2. S is never
+    formed: S11 and S31 are summed straight into the weight arrays and S33
+    is the one temporary block, each from the same elementwise sums as the
+    full M + M^T, so the bits are the same."""
     n = spec.n_filter
     m, lo = n // 2, n - n // 2
-    S = M + M.T
-    S11, S31, S33 = S[:m, :m], S[lo:, :m], S[lo:, lo:]
     wr, wi = np.zeros((m, n)), np.zeros((m, n))
-    np.add(S11, S33, out=wr[:, :m])
-    np.subtract(S11, S33, out=wr[:, ::-1][:, :m])
+    toeplitz, hankel = wr[:, :m], wr[:, ::-1][:, :m]
+    np.add(M[:m, :m], M[:m, :m].T, out=toeplitz)  # S11
+    S33 = M[lo:, lo:] + M[lo:, lo:].T
+    np.subtract(toeplitz, S33, out=hankel)
+    np.add(toeplitz, S33, out=toeplitz)
+    del S33
     wr *= 0.5
-    wi[:, :m] = wi[:, ::-1][:, :m] = S31
+    np.add(M[lo:, :m], M[:m, lo:].T, out=wi[:, :m])  # S31
+    wi[:, ::-1][:, :m] = wi[:, :m]
     if n % 2:
-        np.multiply(S[:m, m], math.sqrt(2.0), out=wr[:, m])
-        np.multiply(S[lo:, m], math.sqrt(2.0), out=wi[:, m])
+        np.multiply(M[:m, m] + M[m, :m], math.sqrt(2.0), out=wr[:, m])
+        np.multiply(M[lo:, m] + M[m, lo:], math.sqrt(2.0), out=wi[:, m])
     top = _lag_index(spec, m).ravel()
     size = spec.data_box.size
     a = np.bincount(top, wr.ravel(), size) + 1j * np.bincount(top, wi.ravel(), size)
     if n % 2:
-        a[0] += 0.5 * S[m, m]
+        a[0] += 0.5 * (M[m, m] + M[m, m])
     return a.reshape(spec.data_box.extent)
 
 

@@ -13,8 +13,10 @@ import time
 import typing
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from jsonschema.validators import validator_for
 
 import cslr
 from cslr import cli, giraf
@@ -552,6 +554,40 @@ def test_threads_below_one_exit_2(tmp_path, capsys, threads):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "recover"])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_threads_outside_bench_exit_2(tmp_path, capsys, command, threads):
+    # nothing but a tol bench sweep reads --threads, so passing it anywhere
+    # else is refused rather than ignored, also at its default value
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--threads", threads, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "ConfigError" and "--threads" in err["message"]
+    assert not out.exists()
+
+
+def test_subproblem_bench_refuses_worker_processes(tmp_path, capsys):
+    # the subproblem bench runs in one process: more than one worker is
+    # refused, one is the default
+    cfg = tmp_path / "cfg.json"
+    base = _write_config(cfg, solver={"algorithm": "giraf", "p": 0, "lam": 0.1})
+    base["sweep"] = {"protocol": "subproblem", "reference_iters": 10,
+                     "solvers": [{"algorithm": "giraf", "inner_iters": 5}]}
+    cfg.write_text(json.dumps(base))
+    assert _bench(cfg, tmp_path / "o", 2) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "ConfigError" and "--threads" in err["message"]
+    assert not (tmp_path / "o").exists()
+    assert _bench(cfg, tmp_path / "o1", 1) == 0
+    assert (tmp_path / "o1" / "subproblem.csv").exists()
+
+
 def test_bench_outputs_do_not_depend_on_worker_processes(tmp_path):
     cfg = _sweep_config(tmp_path, [0, 1], [
         {**_GIRAF_SHORT, "ls_solver": "admm", "oversample": True},
@@ -711,11 +747,49 @@ def _python(*args, cwd=None):
                           capture_output=True, text=True, timeout=120)
 
 
-def test_import_cslr_leaves_cli_dependencies_unloaded():
+def test_import_cslr_leaves_cli_dependencies_unloaded(tmp_path):
+    # jsonschema is loaded by the first config read, not by importing the
+    # package or its CLI
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg)
     run = _python("-c", "import sys, cslr; "
-                        "print('jsonschema' in sys.modules, 'cslr.cli' in sys.modules)")
+                        "print('jsonschema' in sys.modules, 'cslr.cli' in sys.modules); "
+                        "import cslr.cli; print('jsonschema' in sys.modules); "
+                        f"cslr.cli.load_config({str(cfg)!r}); print('jsonschema' in sys.modules)")
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["False", "False"]
+    assert run.stdout.split() == ["False", "False", "False", "True"]
+
+
+def test_config_schema_is_valid_against_its_metaschema():
+    # load_config does not check the constant schema on every read; this does
+    validator_for(cli.CONFIG_SCHEMA).check_schema(cli.CONFIG_SCHEMA)
+
+
+def test_config_reads_build_one_validator(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg)
+    cli._config_validator.cache_clear()
+    assert cli.load_config(cfg) == cli.load_config(cfg)
+    assert cli._config_validator.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param({"weighting": "cubic"}, id="one-violation"),
+    pytest.param({"weighting": "cubic", "timing": 0, "surprise": 1,
+                  "sampling": {"usf": 2, "seed": "s"},
+                  "solver": {"algorithm": "giraf", "p": "0", "outer_iters": 1.5}},
+                 id="several-violations"),
+    pytest.param({"data_box": {"offset": [0]}, "signal": {"kind": "dirac", "r": 0}},
+                 id="nested-violations"),
+])
+def test_config_error_message_matches_jsonschema_validate(tmp_path, overrides):
+    cfg = tmp_path / "cfg.json"
+    config = _write_config(cfg, **overrides)
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(config, cli.CONFIG_SCHEMA)
+    with pytest.raises(giraf.ConfigError) as got:
+        cli.load_config(cfg)
+    assert str(got.value) == f"{expected.value.json_path}: {expected.value.message}"
 
 
 def test_module_entry_point_runs_without_warning():
