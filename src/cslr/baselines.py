@@ -274,10 +274,11 @@ def svt_uv_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig
 class _ExactPenalty:
     """The smoothed penalty of the exact lifting T(x) in the protocol of the
     reweighted loop (see giraf._GramPenalty), from its dense SVD T(x) = U
-    diag(sigma) V^*: eigvals are the squared singular values sigma^2, cost(eps)
-    their smoothed Schatten sum, and weights(eps) the Hermitian IRLS weight
-    matrix V diag((sigma^2 + eps)^(p/2 - 1)) V^*. Without weighted, the SVD
-    takes no singular vectors."""
+    diag(sigma) V^*: eigvals are the squared singular values sigma^2, lam_max
+    the largest of them, cost(eps) their smoothed Schatten sum, and
+    weights(eps) the Hermitian IRLS weight matrix V diag((sigma^2 +
+    eps)^(p/2 - 1)) V^*. Without weighted, the SVD takes no singular
+    vectors."""
 
     def __init__(self, spec: LiftingSpec, x: ComplexGrid, p: float, weighted: bool = True):
         T = materialize_exact(spec, x)
@@ -286,6 +287,7 @@ class _ExactPenalty:
         else:
             s, self._Vh = np.linalg.svd(T, compute_uv=False), None
         self.eigvals, self.p = s ** 2, p
+        self.lam_max = float(np.max(self.eigvals))
 
     def cost(self, eps: float) -> float:
         return _smoothed_schatten_eigs(self.eigvals, self.p, eps)
@@ -299,7 +301,7 @@ def _irls_penalty(spec: LiftingSpec, W: np.ndarray):
     one gather, one (rows x n_filter)(n_filter x n_filter) matmul and one
     scatter per call."""
     def penalty(v):
-        return _scatter_blocks(spec, _gather_blocks(spec, [w * v for w in spec.block_weights]) @ W)
+        return _scatter_blocks(spec, _gather_blocks(spec, spec.block_weights * v) @ W)
 
     return penalty
 

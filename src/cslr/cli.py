@@ -10,13 +10,11 @@ byte-comparable.
 
 from __future__ import annotations
 
-import argparse
 import copy
 import functools
 import json
 import sys
 import time
-from concurrent.futures import BrokenExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -507,17 +505,27 @@ def _bench_tol(config: dict, out: Path, shift: int, threads: int) -> int:
         # caller's __main__ and numpy. Imported here: multiprocessing adds
         # ~15 ms and ~1 MB to every command that starts no pool.
         import multiprocessing
-        from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+        from concurrent.futures import (
+            FIRST_EXCEPTION,
+            BrokenExecutor,
+            ProcessPoolExecutor,
+            wait,
+        )
 
-        with ProcessPoolExecutor(max_workers=min(threads, len(tasks)),
-                                 mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_tol_cell, config, entry, usf, seed, tol, timing)
-                       for entry, usf, seed in tasks]
-            # the first failing cell cancels the cells not yet started;
-            # reading the results in submission order re-raises its error
-            wait(futures, return_when=FIRST_EXCEPTION)
-            pool.shutdown(cancel_futures=True)
-            results = [f.result() for f in futures]
+        try:
+            with ProcessPoolExecutor(max_workers=min(threads, len(tasks)),
+                                     mp_context=multiprocessing.get_context("fork")) as pool:
+                futures = [pool.submit(_tol_cell, config, entry, usf, seed, tol, timing)
+                           for entry, usf, seed in tasks]
+                # the first failing cell cancels the cells not yet started;
+                # reading the results in submission order re-raises its error
+                wait(futures, return_when=FIRST_EXCEPTION)
+                pool.shutdown(cancel_futures=True)
+                results = [f.result() for f in futures]
+        except BrokenExecutor as exc:
+            # a worker that died (killed, out of memory) is a solver failure
+            _emit_error(EXIT_SOLVER, exc)
+            return EXIT_SOLVER
     else:
         results = [_tol_row(config, entry, usf, seed, tol, timing)
                    for entry, usf, seed in tasks]
@@ -663,6 +671,8 @@ def _emit_error(code: int, exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
+    import argparse  # here, not at module level: importing cslr.cli stays light
+
     parser = argparse.ArgumentParser(
         prog="cslr",
         description="Structured low-rank recovery experiments: generate "
@@ -709,10 +719,8 @@ def main(argv=None) -> int:
             if args.command == "recover":
                 return cmd_recover(config, out, args.seed)
             return cmd_bench(config, out, args.seed, threads)
-    except (SolverError, BudgetError, MemoryError, np.linalg.LinAlgError,
-            BrokenExecutor) as exc:
-        # ahead of the config clause: LinAlgError is a ValueError. A sweep
-        # worker that died (killed, out of memory) is a solver failure too.
+    except (SolverError, BudgetError, MemoryError, np.linalg.LinAlgError) as exc:
+        # ahead of the config clause: LinAlgError is a ValueError
         _emit_error(EXIT_SOLVER, exc)
         return EXIT_SOLVER
     except (ConfigError, ValueError) as exc:

@@ -10,9 +10,11 @@ The solver alternates two matrix-free steps on gridded Fourier data:
    and G is never formed. One _GramPenalty per outer iterate gives the loop
    three things from R, in real arithmetic: eigenvalues (the smoothing
    schedule and the singular-value range; for p = 0 only at the first and
-   the closing iterate), the smoothed penalty at eps, and the weights from
-   (R + eps I)^(p/2 - 1), by an eigendecomposition for p > 0 and by a
-   Cholesky factor L for p = 0 (L^-T L^-1, cost sum log diag L). The adjoint
+   the closing iterate, and at the first only the largest, by Lanczos, on
+   large Grams), the smoothed penalty at eps, and the weights from
+   (R + eps I)^(p/2 - 1), by an eigendecomposition for p > 0 and for p = 0
+   by the inverse of a Cholesky factor L, formed blockwise on matrix
+   products (L^-T L^-1, cost sum log diag L). The adjoint
    of the gather scatters the weight matrix back to lags, and one inverse
    FFT gives the nonnegative spatial weights d. Direct IRLS supplies the
    same three from an SVD of the exact lifting, through the same loop.
@@ -39,7 +41,15 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .grids import ComplexGrid, IndexBox, minkowski_sum, reflect, restrict
-from .lifting import LiftingSpec, autocorrelation, real_gram, real_gram_adjoint
+from .lifting import (
+    LiftingSpec,
+    autocorrelation,
+    block_fftn,
+    block_ifftn,
+    block_sum,
+    real_gram,
+    real_gram_adjoint,
+)
 from .models import SamplingOp, nmse
 
 __all__ = [
@@ -175,28 +185,72 @@ class RecoveryTrace:
         return self.records[-1].nmse if self.records else None
 
 
-_TRIL_BLOCK = 64  # rows below which np.linalg.inv inverts a triangular block
+_TRIL_BLOCK = 64  # rows up to which np.linalg.cholesky and inv factor a block
+# Gram orders above which Lanczos, not eigvalsh, gives the first lambda_max:
+# on 2-D Grams at one BLAS thread eigvalsh took 6.8 ms at order 324 against
+# 7.5 ms, Lanczos 7.9 ms at 361 against 8.9 ms, and 13 against 28 ms at 625
+_LANCZOS_ORDER = 350
+_LANCZOS_STEPS = 128  # Lanczos steps before eigvalsh takes over
+_LANCZOS_TOL = 1e-12  # Ritz residual, relative to the Ritz value, that stops Lanczos
 
 
-def _tril_inverse(L: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of the lower-triangular L, by halving: [[A, 0], [B, C]]^-1 is
-    [[A^-1, 0], [-C^-1 B A^-1, C^-1]], with np.linalg.inv on blocks of at
-    most _TRIL_BLOCK rows. The blocks are written into out (zeros when not
-    given) in place, so that no block result is copied."""
-    n = L.shape[0]
+def _cholesky_inverse(A: np.ndarray) -> float:
+    """Overwrite the symmetric positive definite A with L^-1, for L the lower
+    Cholesky factor of A, and return sum log diag L. One halving recursion on
+    matrix products: with A = [[A11, .], [A21, A22]], L11 the factor of A11,
+    L21 = A21 L11^-T, L22 the factor of the Schur complement A22 - L21
+    L21^T, the inverse is [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]].
+    np.linalg.cholesky and inv run on blocks of at most _TRIL_BLOCK rows
+    only. Reads the lower triangle of A and leaves zeros above the diagonal.
+    A block that is not positive definite raises np.linalg.LinAlgError,
+    with A partly overwritten."""
+    n = A.shape[0]
     if n <= _TRIL_BLOCK:
-        if out is None:
-            return np.tril(np.linalg.inv(L))
-        out[...] = np.tril(np.linalg.inv(L))
-        return out
-    if out is None:
-        out = np.zeros_like(L)
+        L = np.linalg.cholesky(A)
+        A[...] = np.tril(np.linalg.inv(L))
+        return float(np.log(L.diagonal()).sum())
     h = n // 2
-    _tril_inverse(L[:h, :h], out[:h, :h])
-    _tril_inverse(L[h:, h:], out[h:, h:])
-    np.matmul(out[h:, h:] @ L[h:, :h], out[:h, :h], out=out[h:, :h])
-    np.negative(out[h:, :h], out=out[h:, :h])
-    return out
+    A11, A21, A22 = A[:h, :h], A[h:, :h], A[h:, h:]
+    logdet = _cholesky_inverse(A11)
+    L21 = A21 @ A11.T
+    A22 -= L21 @ L21.T
+    logdet += _cholesky_inverse(A22)
+    np.matmul(A22 @ L21, A11, out=A21)
+    np.negative(A21, out=A21)
+    A[:h, h:] = 0.0
+    return logdet
+
+
+def _lanczos_lam_max(R: np.ndarray) -> float:
+    """Largest eigenvalue of the symmetric R by a Lanczos iteration with full
+    reorthogonalization (Lanczos 1950; Parlett, The Symmetric Eigenvalue
+    Problem), from a fixed start vector, so that reruns give the same bits.
+    It stops once the Ritz residual beta_k |s_k| of the largest Ritz value
+    (s the Ritz vector in the Krylov basis) is at most _LANCZOS_TOL of the
+    value, which is then within that residual of an eigenvalue; an
+    invariant subspace (beta_k = 0) stops it too. Without a stop within
+    _LANCZOS_STEPS steps, eigvalsh gives the value."""
+    n = R.shape[0]
+    steps = min(n, _LANCZOS_STEPS)
+    basis = np.empty((steps, n))
+    T = np.zeros((steps, steps))  # the tridiagonal projection of R, row by row
+    q = np.random.default_rng(0).standard_normal(n)
+    basis[0] = q / np.linalg.norm(q)
+    for k in range(steps):
+        w = R @ basis[k]
+        T[k, k] = basis[k] @ w
+        Q = basis[:k + 1]
+        for _ in range(2):  # classical Gram-Schmidt, twice is enough
+            w -= (Q @ w) @ Q
+        beta = np.linalg.norm(w)
+        ritz, S = np.linalg.eigh(T[:k + 1, :k + 1])
+        top = ritz[-1]
+        if not math.isfinite(top) or beta * abs(S[-1, -1]) <= _LANCZOS_TOL * abs(top):
+            return float(top)
+        if k + 1 < steps:
+            basis[k + 1] = w / beta
+            T[k, k + 1] = T[k + 1, k] = beta
+    return float(np.linalg.eigvalsh(R)[-1])
 
 
 def _weights_from(spec: LiftingSpec, M: np.ndarray) -> np.ndarray:
@@ -216,27 +270,32 @@ def _weights_from(spec: LiftingSpec, M: np.ndarray) -> np.ndarray:
 
 class _GramPenalty:
     """The smoothed penalty of the surrogate lifting at one iterate x, as the
-    three members _reweighted_loop reads: eigvals (the Gram eigenvalues
-    clipped at zero, or None), cost(eps) and weights(eps). The linear
-    algebra runs on the real form R (real_gram), which has the Gram's
-    eigenvalues, and computes only what is asked for. With weighted, p > 0
-    takes eigh, whose vectors give the weight matrix V diag((eigvals +
-    eps)^(p/2 - 1)) V^T, and p = 0 keeps R for a Cholesky factor L of
-    R + eps I, whose L^-T L^-1 is (R + eps I)^-1; otherwise eigvalsh runs
-    only when values is set. The latest factor is kept, so the lagged cost
-    at eps_(n-1) and the weights at eps_n share one when the two epsilons
-    are equal (frozen or floored eps). R + eps I is positive definite, so a
+    four members _reweighted_loop reads: eigvals (the Gram eigenvalues
+    clipped at zero, or None), lam_max (the largest of them, or None),
+    cost(eps) and weights(eps). The linear algebra runs on the real form R
+    (real_gram), which has the Gram's eigenvalues, and computes only what is
+    asked for. With weighted, p > 0 takes eigh, whose vectors give the
+    weight matrix V diag((eigvals + eps)^(p/2 - 1)) V^T, and p = 0 keeps R
+    for the inverse L^-1 of a Cholesky factor L of R + eps I, whose L^-T
+    L^-1 is (R + eps I)^-1; there values asks for lam_max only, which
+    Lanczos gives above _LANCZOS_ORDER. Otherwise eigvalsh runs when values
+    is set. The latest inverse factor is kept, so the lagged cost at
+    eps_(n-1) and the weights at eps_n share one when the two epsilons are
+    equal (frozen or floored eps). R + eps I is positive definite, so a
     failed factorization means the data overflowed or eps fell below R's
     rounding: a SolverError."""
 
     def __init__(self, spec: LiftingSpec, x: ComplexGrid, p: float, values: bool = True,
                  weighted: bool = True):
         self.spec, self.p = spec, p
-        self._R = self._V = self._L = self._eps = w = None
+        self._R = self._V = self._Linv = self._logdet = self._eps = w = None
+        self.lam_max = None
         R = real_gram(spec, autocorrelation(spec, x))
         try:
             if weighted and p > 0:
                 w, self._V = np.linalg.eigh(R)
+            elif values and weighted and R.shape[0] > _LANCZOS_ORDER:
+                self.lam_max = max(_lanczos_lam_max(R), 0.0)
             elif values:
                 w = np.linalg.eigvalsh(R)
         except np.linalg.LinAlgError as exc:
@@ -244,45 +303,45 @@ class _GramPenalty:
         if weighted and p == 0:
             self._R = R
         self.eigvals = None if w is None else np.maximum(w, 0.0)
+        if self.eigvals is not None:
+            self.lam_max = float(np.max(self.eigvals))
 
-    def factor(self, eps: float) -> np.ndarray:
-        """Cholesky factor L of R + eps I, the latest one kept. The shift is
-        written into R's diagonal and undone afterwards, in place of a
-        shifted copy: np.linalg.cholesky copies its input anyway."""
+    def inverse_factor(self, eps: float, overwrite: bool = False) -> tuple[np.ndarray, float]:
+        """(L^-1, sum log diag L) for the Cholesky factor L of R + eps I,
+        the latest pair kept. _cholesky_inverse forms it on a copy of R, or
+        with overwrite on R itself, whose storage it then takes over (the
+        weights' last use of R)."""
         if eps != self._eps:
-            self._L = None  # not held while the next one is formed
-            diag = self._R.diagonal().copy()
-            step = self._R.shape[0] + 1
-            self._R.flat[::step] = diag + eps
+            self._Linv = None  # not held while the next one is formed
+            A = self._R if overwrite else self._R.copy()
+            if overwrite:
+                self._R = None
+            A.flat[::A.shape[0] + 1] += eps
             try:
-                self._L = np.linalg.cholesky(self._R)
+                self._logdet = _cholesky_inverse(A)
             except np.linalg.LinAlgError as exc:
                 raise SolverError(f"Gram Cholesky factorization failed: {exc}") from exc
-            finally:
-                self._R.flat[::step] = diag
-            self._eps = eps
-        return self._L
+            self._Linv, self._eps = A, eps
+        return self._Linv, self._logdet
 
     def cost(self, eps: float) -> float:
         """Smoothed Schatten penalty at eps: from the eigenvalues where they
-        were taken, else (p = 0) sum log diag L."""
+        were taken, else (p = 0) sum log diag L, R left intact."""
         if self.eigvals is not None:
             return _smoothed_schatten_eigs(self.eigvals, self.p, eps)
-        return float(np.log(self.factor(eps).diagonal()).sum())
+        return self.inverse_factor(eps)[1]
 
     def weights(self, eps: float) -> np.ndarray:
         """Spatial weights d of the weight matrix (R + eps I)^(p/2 - 1), the
-        last use of this object: for p = 0, R and L are let go on the way,
+        last use of this object: for p = 0, R and L^-1 are let go on the way,
         so that neither is held while the weights are assembled."""
         if eps <= 0:
             raise SolverError("filter update needs a positive epsilon")
         if self.p > 0:
             M = (self._V * (self.eigvals + eps) ** (self.p / 2.0 - 1.0)) @ self._V.T
         else:
-            L = self.factor(eps)
-            self._R = self._eps = self._L = None
-            Linv = _tril_inverse(L)
-            del L
+            Linv, _ = self.inverse_factor(eps, overwrite=True)
+            self._R = self._eps = self._Linv = None
             M = Linv.T @ Linv
             del Linv
         return _weights_from(self.spec, M)
@@ -329,9 +388,11 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
     lam=None holds the measured samples fixed (equality mode).
 
     The K blocks are stacked in (K, *extent) buffers allocated once, so an
-    iteration allocates only its new iterate x. Sums and differences run on
-    float64 views and the real factors scale both parts of a float64 view,
-    which gives the bits of the complex operations they replace (numpy
+    iteration allocates only its new iterate x, and each direction takes one
+    FFT over the stack. The dual update of an iteration runs at the top of
+    the next one, so that the last iteration skips it. Sums and differences
+    run on float64 views and the real factors scale both parts of a float64
+    view, which gives the bits of the complex operations they replace (numpy
     divides a complex by a real as a product with its reciprocal).
     """
     _check_weights(spec, d)
@@ -352,26 +413,28 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
         rden = _interleaved(1.0 / (sampling.mask.astype(float) + rho * wsq))
         bflat = bvals.view(np.float64)
 
-    W = np.stack(spec.block_weights)
+    W = spec.block_weights
     Wc = np.conj(W)
     del wsq  # not held through the iterations
     x = (x0.values if x0 is not None else bvals).copy()
-    WX = W * x
+    WX = np.empty_like(W)
     U = np.zeros_like(W)
     Z = np.empty_like(W)
     S = np.empty_like(W)
     WXf, Uf, Zf, Sf = (a.view(np.float64) for a in (WX, U, Z, S))
 
     for it in range(iters):
+        np.multiply(W, x, out=WX)
+        if it:  # the previous iteration's dual update
+            np.subtract(Zf, WXf, out=Sf)
+            np.add(Uf, Sf, out=Uf)
         np.subtract(WXf, Uf, out=Zf)
-        for j in range(len(W)):
-            np.fft.ifftn(Z[j], out=S[j])
+        block_ifftn(Z, out=S)
         np.multiply(Sf, shrink, out=Sf)
-        for j in range(len(W)):
-            np.fft.fftn(S[j], out=Z[j])
+        block_fftn(S, out=Z)
         np.add(Zf, Uf, out=Sf)
         np.multiply(Wc, S, out=S)
-        x = np.add.reduce(S, axis=0, initial=0.0)
+        x = block_sum(S)
         xf = x.view(np.float64)
         if lam is None:
             np.multiply(xf, rden, out=xf)
@@ -380,9 +443,6 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
             np.multiply(xf, rho, out=xf)
             np.add(xf, bflat, out=xf)
             np.multiply(xf, rden, out=xf)
-        np.multiply(W, x, out=WX)
-        np.subtract(Zf, WXf, out=Sf)
-        np.add(Uf, Sf, out=Uf)
         if callback is not None:
             callback(it + 1, x)
     return ComplexGrid(spec.data_box, x)
@@ -400,11 +460,15 @@ def cg_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
     if float(np.max(d)) <= 0 or (lam is not None and lam * schatten_weight(p) == 0):
         return ComplexGrid(spec.data_box, bvals.copy())
 
+    W = spec.block_weights
+    Wc = np.conj(W)
+
     def reg_op(v):
-        out = np.zeros_like(v)
-        for w in spec.block_weights:
-            out += np.conj(w) * np.fft.fftn(d * np.fft.ifftn(w * v))
-        return out
+        Y = block_ifftn(W * v)
+        np.multiply(d, Y, out=Y)
+        block_fftn(Y, out=Y)
+        np.multiply(Wc, Y, out=Y)
+        return block_sum(Y)
 
     x = _cg_normal(reg_op, sampling, lam, p, None if x0 is None else x0.values,
                    iters, tol, callback)
@@ -526,14 +590,16 @@ def _reweighted_loop(config, n_outer: int, lam: float | None, x: ComplexGrid,
     """Outer iteration shared by GIRAF and direct IRLS.
 
     penalty_at(x, values, weighted) gives the smoothed penalty of the lifting
-    at x as an object with three members: eigvals, its squared singular
-    values (None where they were not taken), cost(eps), the penalty at eps,
-    and weights(eps), the reweighting least_squares(weights, x) -> x solves
-    with. Each iteration asks for a weighted penalty at the current iterate,
-    sets the smoothing schedule from the first one's eigenvalues and solves
-    at weights(eps_n). Eigenvalues are asked for (values=True) only at the
-    first iterate and at the closing, unweighted penalty after the last one;
-    a penalty may have them anyway. An iterate's cost and singular-value
+    at x as an object with four members: eigvals, its squared singular
+    values (None where they were not taken), lam_max, the largest of them
+    (None where not taken), cost(eps), the penalty at eps, and weights(eps),
+    the reweighting least_squares(weights, x) -> x solves with. Each
+    iteration asks for a weighted penalty at the current iterate, sets the
+    smoothing schedule from the first one's lam_max and solves at
+    weights(eps_n). Eigenvalues are asked for (values=True) only at the
+    first iterate, where a weighted penalty may give lam_max alone, and at
+    the closing, unweighted penalty after the last one, which gives them
+    all; a penalty may have them anyway. An iterate's cost and singular-value
     range come from the penalty at the next iterate, or from the closing
     one; without eigenvalues the range stays None. config supplies p, eps0,
     eta and eps_min; lam=None is equality mode; error(x) gives the NMSE or
@@ -557,11 +623,12 @@ def _reweighted_loop(config, n_outer: int, lam: float | None, x: ComplexGrid,
         if records:
             finish_record(records[-1], penalty)
         if n == 1:
-            eps0, schedule = eps_schedule(float(np.max(penalty.eigvals)), n_outer,
-                                          config.eps0, config.eta, config.eps_min)
+            eps0, schedule = eps_schedule(penalty.lam_max, n_outer, config.eps0, config.eta,
+                                          config.eps_min)
         eps_n = schedule[n - 1]
-        # without eigenvalues (p = 0) a failed Cholesky factorization and
-        # the finiteness scan of the weights stand in for this check
+        # without eigenvalues (p = 0, and its first iterate above
+        # _LANCZOS_ORDER) a failed Cholesky factorization and the
+        # finiteness scan of the weights stand in for this check
         if penalty.eigvals is not None:
             smallest = np.min(penalty.eigvals) + eps_n
             with np.errstate(divide="ignore", over="ignore"):
@@ -605,8 +672,8 @@ def first_step(spec: LiftingSpec, sampling: SamplingOp, config: SolverConfig):
     eps_min), the schedule's first) and the resolved eps0."""
     spec, sampling = _working_problem(spec, sampling, config)
     penalty = _GramPenalty(spec, sampling.zero_filled(), config.p)
-    eps0, schedule = eps_schedule(float(np.max(penalty.eigvals)), config.outer_iters,
-                                  config.eps0, config.eta, config.eps_min)
+    eps0, schedule = eps_schedule(penalty.lam_max, config.outer_iters, config.eps0,
+                                  config.eta, config.eps_min)
     return spec, sampling, penalty.weights(schedule[0]), eps0
 
 

@@ -17,9 +17,11 @@ the autocorrelation through a cached lag index (real_gram), and the adjoint
 of that gather (real_gram_adjoint) takes a real weight matrix back to lags.
 
 Every layer reads the per-block weight arrays M_j from the spec that
-defines them: LiftingSpec.block_weights builds them once, on first use, and
-hands the same read-only tuple to the Gram, the inner least-squares solvers
-and the exact lifting.
+defines them: LiftingSpec.block_weights builds them once, on first use, as
+one read-only (K, *extent) stack, and hands it to the Gram, the inner
+least-squares solvers and the exact lifting. Iterating the stack yields the
+per-block arrays; the FFT layers transform the whole stack in one call per
+direction (block_fftn, block_ifftn).
 
 Dense materializations are oracles for tests and small problems only and are
 capped by ORACLE_BUDGET entries; exceeding the cap raises BudgetError.
@@ -120,12 +122,12 @@ class LiftingSpec:
             raise ValueError("derivative axis out of range for the data box")
 
     @cached_property
-    def block_weights(self) -> tuple[np.ndarray, ...]:
-        """Weight array M_j of each weighting on the data box, built on first
-        use and shared by every caller, so read-only."""
-        ws = tuple(w.weights_on(self.data_box) for w in self.weightings)
-        for w in ws:
-            w.flags.writeable = False
+    def block_weights(self) -> np.ndarray:
+        """Weight arrays M_j of the weightings on the data box, stacked into
+        one (K, *extent) array: built on first use and shared by every
+        caller, so read-only (and so is each block it iterates over)."""
+        ws = np.stack([w.weights_on(self.data_box) for w in self.weightings])
+        ws.flags.writeable = False
         return ws
 
     @property
@@ -148,11 +150,12 @@ class LiftingSpec:
     def shape_surrogate(self) -> tuple[int, int]:
         return (self.n_blocks * self.data_box.size, self.n_filter)
 
-    def weighted_data(self, x: ComplexGrid) -> list[np.ndarray]:
-        """Per-block weighted data arrays M_j x on the data box."""
+    def weighted_data(self, x: ComplexGrid) -> np.ndarray:
+        """Weighted data arrays M_j x on the data box, stacked like
+        block_weights."""
         if x.box != self.data_box:
             raise ValueError("grid box does not match the lifting data box")
-        return [w * x.values for w in self.block_weights]
+        return self.block_weights * x.values
 
     def with_data_box(self, box: IndexBox) -> "LiftingSpec":
         """Same lifting on a different (typically enlarged) data box."""
@@ -194,9 +197,9 @@ def materialize_exact(spec: LiftingSpec, x: ComplexGrid) -> np.ndarray:
     return _gather_blocks(spec, spec.weighted_data(x))
 
 
-def _gather_blocks(spec: LiftingSpec, ys: list[np.ndarray]) -> np.ndarray:
+def _gather_blocks(spec: LiftingSpec, ys: np.ndarray) -> np.ndarray:
     """Exact lifting on arrays: the valid gather of each per-block weighted
-    data array in ys, blocks stacked vertically."""
+    data array in the stack ys, blocks stacked vertically."""
     flat = _valid_gather(spec.data_box, spec.filter_box)
     return np.concatenate([y.ravel()[flat] for y in ys], axis=0)
 
@@ -210,14 +213,33 @@ def materialize_surrogate(spec: LiftingSpec, x: ComplexGrid) -> np.ndarray:
     return np.concatenate([y.ravel()[flat] for y in spec.weighted_data(x)], axis=0)
 
 
+def block_fftn(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """fftn of each block of a (K, *extent) stack, in one call. The extent
+    and the axes are passed explicitly: given axes alone, numpy derives the
+    shape through np.take, a cost per call. Each block gets the bits of its
+    own fftn."""
+    return np.fft.fftn(a, s=a.shape[1:], axes=tuple(range(1, a.ndim)), out=out)
+
+
+def block_ifftn(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """ifftn of each block of a (K, *extent) stack, in one call (see
+    block_fftn)."""
+    return np.fft.ifftn(a, s=a.shape[1:], axes=tuple(range(1, a.ndim)), out=out)
+
+
+def block_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the blocks of a (K, *extent) stack, added block by block in
+    order onto zeros, as a loop of += would."""
+    return np.add.reduce(a, axis=0, initial=0.0)
+
+
 def autocorrelation(spec: LiftingSpec, x: ComplexGrid) -> np.ndarray:
     """Circular autocorrelation g = sum_j ifft(|fft(M_j x)|^2) of the
     weighted data on the lag grid (data extent, lag 0 first), the generator
-    of the surrogate's circulant normal matrix. Returned as its Hermitian
-    part, so g[-d] == conj(g[d]) to the last bit."""
-    g = np.zeros(spec.data_box.extent, dtype=np.complex128)
-    for y in spec.weighted_data(x):
-        g += np.fft.ifftn(np.abs(np.fft.fftn(y)) ** 2)
+    of the surrogate's circulant normal matrix: one FFT per direction over
+    the stacked blocks. Returned as its Hermitian part, so g[-d] ==
+    conj(g[d]) to the last bit."""
+    g = block_sum(block_ifftn(np.abs(block_fftn(spec.weighted_data(x))) ** 2))
     negated = np.roll(np.flip(g), 1, axis=tuple(range(g.ndim)))  # g[-d mod extent]
     return 0.5 * (g + negated.conj())
 

@@ -6,7 +6,13 @@ index tuples, explicit O(L^2) transform matrices, and elementwise loops.
 
 import numpy as np
 
-from cslr.giraf import _check_coverage, _smoothed_schatten_eigs, schatten_weight
+from cslr.giraf import (
+    _cg_normal,
+    _check_coverage,
+    _check_weights,
+    _smoothed_schatten_eigs,
+    schatten_weight,
+)
 from cslr.grids import ComplexGrid, IndexBox, minkowski_sum, reflect, valid_set, wrap_embed
 from cslr.lifting import LiftingSpec, diff_index
 from cslr.models import DiracSignal, RectPhantom, SamplingOp
@@ -260,6 +266,56 @@ def loop_admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
         if callback is not None:
             callback(it + 1, x)
     return ComplexGrid(spec.data_box, x)
+
+
+def loop_cg_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
+               lam: float | None, p: float, iters: int = 200, tol: float = 1e-12,
+               x0: ComplexGrid | None = None, callback=None) -> ComplexGrid:
+    """The reference for giraf.cg_ls: the same conjugate gradients, with a
+    regularizer that transforms one block at a time and adds the blocks
+    onto zeros in order."""
+    _check_weights(spec, d)
+    _check_coverage(spec, sampling)
+    bvals = sampling.b.values
+    if float(np.max(d)) <= 0 or (lam is not None and lam * schatten_weight(p) == 0):
+        return ComplexGrid(spec.data_box, bvals.copy())
+    ws = [w.weights_on(spec.data_box) for w in spec.weightings]
+
+    def reg_op(v):
+        out = np.zeros_like(v)
+        for w in ws:
+            out += np.conj(w) * np.fft.fftn(d * np.fft.ifftn(w * v))
+        return out
+
+    x = _cg_normal(reg_op, sampling, lam, p, None if x0 is None else x0.values,
+                   iters, tol, callback)
+    return ComplexGrid(spec.data_box, x)
+
+
+def loop_autocorrelation(spec: LiftingSpec, x: ComplexGrid) -> np.ndarray:
+    """The reference for lifting.autocorrelation: sum_j ifft(|fft(M_j x)|^2)
+    one block at a time onto zeros, then its Hermitian part."""
+    g = np.zeros(spec.data_box.extent, dtype=np.complex128)
+    for op in spec.weightings:
+        g += np.fft.ifftn(np.abs(np.fft.fftn(op.weights_on(spec.data_box) * x.values)) ** 2)
+    negated = np.roll(np.flip(g), 1, axis=tuple(range(g.ndim)))
+    return 0.5 * (g + negated.conj())
+
+
+def halving_tril_inverse(L: np.ndarray, block: int = 64) -> np.ndarray:
+    """Inverse of the lower-triangular L by halving, [[A, 0], [B, C]]^-1 =
+    [[A^-1, 0], [-C^-1 B A^-1, C^-1]], np.linalg.inv on blocks of at most
+    `block` rows: the route (after np.linalg.cholesky) that the blocked
+    Cholesky inverse of giraf replaced, kept as its accuracy yardstick."""
+    n = L.shape[0]
+    if n <= block:
+        return np.tril(np.linalg.inv(L))
+    h = n // 2
+    out = np.zeros_like(L)
+    out[:h, :h] = halving_tril_inverse(L[:h, :h], block)
+    out[h:, h:] = halving_tril_inverse(L[h:, h:], block)
+    out[h:, :h] = -(out[h:, h:] @ L[h:, :h]) @ out[:h, :h]
+    return out
 
 
 def schatten_p(m: np.ndarray, p: float) -> float:

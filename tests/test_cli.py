@@ -315,10 +315,11 @@ def test_bench_subproblem_protocol(tmp_path):
     assert by_solver["cg"][-1] < 1e-12
 
 
-def _subproblem_and_recover_eps0(tmp_path, **solver):
+def _subproblem_and_recover_eps0(tmp_path, boxes=None, **solver):
     cfg = tmp_path / "cfg.json"
     base = _write_config(cfg, noise={"snr_db": 30.0, "seed": 17}, solver={
-        "algorithm": "giraf", "p": 0, "lam": 0.05, "outer_iters": 1, **solver})
+        "algorithm": "giraf", "p": 0, "lam": 0.05, "outer_iters": 1, **solver},
+        **(boxes or {}))
     base["sweep"] = {"protocol": "subproblem", "reference_iters": 50,
                      "solvers": [{"algorithm": "giraf", "ls_solver": "cg",
                                   "inner_iters": 5}]}
@@ -344,6 +345,28 @@ def test_subproblem_oversampled_eps0_matches_recover(tmp_path):
     (tmp_path / "plain").mkdir()
     plain, _ = _subproblem_and_recover_eps0(tmp_path / "plain")
     assert plain != bench
+
+
+def test_subproblem_eps0_matches_recover_above_the_lanczos_order(tmp_path, monkeypatch):
+    # with a Gram of order 361, above giraf._LANCZOS_ORDER, both take the
+    # first lambda_max from the same Lanczos routine and no spectrum: the
+    # same eps0 to the last bit, and a rerun of the solve writes the same
+    # bytes (criterion 13)
+    spectra = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, **kw: spectra.append(a.shape[0]) or eigvalsh(a, **kw))
+    boxes = {"data_box": {"offset": [-200], "extent": [401]},
+             "filter_box": {"offset": [-180], "extent": [361]}}
+    assert 361 > giraf._LANCZOS_ORDER
+    bench, recover = _subproblem_and_recover_eps0(tmp_path, boxes, outer_iters=2)
+    assert bench == recover
+    assert spectra == [361]  # the closing row of the solve only
+    files = ("recovered.cslr", "trace.csv", "summary.json")
+    first = {f: (tmp_path / "r" / f).read_bytes() for f in files}
+    assert main(["recover", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path / "r")]) == 0
+    assert {f: (tmp_path / "r" / f).read_bytes() for f in files} == first
 
 
 def test_subproblem_freezes_the_weights_of_the_first_step(tmp_path, monkeypatch):
@@ -748,16 +771,19 @@ def _python(*args, cwd=None):
 
 
 def test_import_cslr_leaves_cli_dependencies_unloaded(tmp_path):
-    # jsonschema is loaded by the first config read, not by importing the
-    # package or its CLI
+    # jsonschema is loaded by the first config read, argparse by main and
+    # concurrent.futures by a pooled sweep, not by importing the package or
+    # its CLI
     cfg = tmp_path / "cfg.json"
     _write_config(cfg)
+    lazy = "('jsonschema', 'argparse', 'concurrent.futures')"
     run = _python("-c", "import sys, cslr; "
-                        "print('jsonschema' in sys.modules, 'cslr.cli' in sys.modules); "
-                        "import cslr.cli; print('jsonschema' in sys.modules); "
+                        f"print(*[m in sys.modules for m in {lazy}], "
+                        "'cslr.cli' in sys.modules); "
+                        f"import cslr.cli; print(*[m in sys.modules for m in {lazy}]); "
                         f"cslr.cli.load_config({str(cfg)!r}); print('jsonschema' in sys.modules)")
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["False", "False", "False", "True"]
+    assert run.stdout.split() == ["False"] * 7 + ["True"]
 
 
 def test_config_schema_is_valid_against_its_metaschema():

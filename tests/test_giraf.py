@@ -14,9 +14,10 @@ from cslr.giraf import (
     SolverConfig,
     SolverError,
     _GramPenalty,
+    _cholesky_inverse,
     _inner_solve,
+    _lanczos_lam_max,
     _smoothed_schatten_eigs,
-    _tril_inverse,
     _weights_from,
     admm_ls,
     cg_ls,
@@ -48,7 +49,10 @@ from oracles import (
     centro_unitary,
     complex_route_weights,
     dense_dft_matrix,
+    halving_tril_inverse,
     loop_admm_ls,
+    loop_autocorrelation,
+    loop_cg_ls,
     random_grid,
     reverse_conjugate,
 )
@@ -205,52 +209,182 @@ def test_cholesky_cost_matches_eigenvalue_sum(spec, seed):
     # the p = 0 cost between the first and the closing iterate is
     # sum log diag L for L L^T = R + eps I: it must equal 1/2 sum log(lambda
     # + eps) of the eigenvalue route, at a new eps (a new factorization) and
-    # at the same eps again (the kept factor, as with eps frozen)
+    # at the same eps again (the kept inverse factor, as with eps frozen);
+    # the cost leaves R intact for the weights
     rng = np.random.default_rng(seed)
     x = random_grid(rng, spec.data_box)
     w = _GramPenalty(spec, x, 0.0, weighted=False).eigvals
     assume(w[-1] > 0)
     penalty = _GramPenalty(spec, x, 0.0, values=False)
     assert penalty.eigvals is None
+    R = penalty._R.copy()
     for eps in 10.0 ** np.sort(rng.uniform(-3, 0, 2))[::-1] * w[-1]:
         want = _smoothed_schatten_eigs(w, 0.0, eps)
         # a sum of logs of both signs can cancel; scale by its terms
         scale = 0.5 * np.sum(np.abs(np.log(w + eps)))
-        first = penalty.factor(eps)
+        first, _ = penalty.inverse_factor(eps)
         assert abs(penalty.cost(eps) - want) <= 1e-12 * scale
-        assert penalty.factor(eps) is first
+        assert penalty.inverse_factor(eps)[0] is first
         assert abs(penalty.cost(eps) - want) <= 1e-12 * scale
+        assert penalty._R.tobytes() == R.tobytes()
 
 
-def _assert_tril_inverse(L):
+def test_frozen_eps_shares_one_factorization(monkeypatch):
+    # the lagged cost and the weights at the same eps (frozen or floored)
+    # form L^-1 once; at a new eps the weights form it again, on R itself
+    calls = []
+    blocked = giraf._cholesky_inverse
+    monkeypatch.setattr(giraf, "_cholesky_inverse",
+                        lambda A: calls.append(A.shape) or blocked(A))
+    spec = LiftingSpec(IndexBox((-8, -8), (17, 17)), IndexBox((-2, -2), (5, 5)),
+                       gradient_weighting(2))
+    x = _random_grid(spec.data_box, np.random.default_rng(52))
+    for eps_weights, factorizations in ((1.0, 1), (0.5, 2)):
+        calls.clear()
+        penalty = _GramPenalty(spec, x, 0.0, values=False)
+        assert np.isfinite(penalty.cost(1.0))
+        assert np.all(np.isfinite(penalty.weights(eps_weights)))
+        assert len(calls) == factorizations
+        assert penalty._R is None and penalty._Linv is None
+
+
+def _assert_tril_inverse(A):
+    # the blocked routine overwrites A = L L^T with L^-1: the oracle and the
+    # tolerance of the triangular inverse it replaced, on L = cholesky(A)
+    L = np.linalg.cholesky(A)
     want = np.linalg.inv(L)
-    got = _tril_inverse(L)
+    got = A.copy()
+    logdet = _cholesky_inverse(got)
     assert np.array_equal(got, np.tril(got))
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    logs = np.log(L.diagonal())
+    assert abs(logdet - logs.sum()) <= 1e-12 * np.sum(np.abs(logs))
 
 
 @given_specs
 def test_tril_inverse_of_gram_factor_matches_inv(spec, seed):
-    # the Cholesky factors of drawn Gram matrices, with the base block
+    # the shifted real forms of drawn Gram matrices, with the base block
     # shrunk so that their small orders run through every level of halving
     rng = np.random.default_rng(seed)
     penalty = _GramPenalty(spec, random_grid(rng, spec.data_box), 0.0)
-    L = penalty.factor(10.0 ** rng.uniform(-3, 0) * max(penalty.eigvals[-1], 1.0))
+    eps = 10.0 ** rng.uniform(-3, 0) * max(penalty.eigvals[-1], 1.0)
+    A = penalty._R + eps * np.eye(len(penalty._R))
     for block in (1, 2, 3):
         with mock.patch.object(giraf, "_TRIL_BLOCK", block):
-            _assert_tril_inverse(L)
+            _assert_tril_inverse(A)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 63, 64, 65, 127, 128, 129, 255])
 def test_tril_inverse_matches_inv_around_the_block_size(n):
     # orders on both sides of the base block (64) and of its double, odd
-    # orders halving into unequal blocks; L is the factor of a Gram-like
-    # R + eps I with eps in the schedule's range
+    # orders halving into unequal blocks; A is a Gram-like R + eps I with
+    # eps in the schedule's range
     rng = np.random.default_rng(n)
-    A = rng.standard_normal((n, n)) @ np.diag(np.logspace(0, -4, n))
-    R = A @ A.T
-    L = np.linalg.cholesky(R + 1e-3 * np.linalg.norm(R, 2) * np.eye(n))
-    _assert_tril_inverse(L)
+    B = rng.standard_normal((n, n)) @ np.diag(np.logspace(0, -4, n))
+    R = B @ B.T
+    _assert_tril_inverse(R + 1e-3 * np.linalg.norm(R, 2) * np.eye(n))
+
+
+@pytest.mark.parametrize("n", [65, 130, 257, 700])
+def test_blocked_inverse_is_as_accurate_as_factor_then_invert(n):
+    # against the eigh oracle (R + eps I)^-1, the blocked L^-T L^-1 errs at
+    # most twice as much as cholesky followed by the halving triangular
+    # inverse, the route it replaced, down to eps = 1e-8 lambda_max. Its
+    # sum log diag L matches cholesky's to 1e-12 relative, plus n eps
+    # cond(A), the first-order change of log det A under a backward error of
+    # eps ||A|| (eps the machine epsilon), by which any two stable
+    # factorizations may differ: at cond(A) = 1e8 cholesky's own sum is
+    # 6e-12 relative off the eigenvalues
+    rng = np.random.default_rng(n)
+    B = rng.standard_normal((n, n)) @ np.diag(np.logspace(0, -5, n))
+    R = B @ B.T
+    w, V = np.linalg.eigh(R)
+    w = np.maximum(w, 0.0)
+    for rel in (1e-2, 1e-4, 1e-6, 1e-8):
+        eps = rel * w[-1]
+        want = (V / (w + eps)) @ V.T
+        A = R + eps * np.eye(n)
+        L = np.linalg.cholesky(A)
+        old = halving_tril_inverse(L)
+        new = A.copy()
+        logdet = _cholesky_inverse(new)
+        old_err = np.linalg.norm(old.T @ old - want)
+        new_err = np.linalg.norm(new.T @ new - want)
+        assert new_err <= 2.0 * old_err
+        logs = np.log(L.diagonal())
+        cond = (w[-1] + eps) / (w[0] + eps)
+        assert abs(logdet - logs.sum()) <= (1e-12 * np.sum(np.abs(logs))
+                                           + n * np.finfo(float).eps * cond)
+
+
+def _gram_above_lanczos_order(spec, seed):
+    rng = np.random.default_rng(seed)
+    R = real_gram(spec, autocorrelation(spec, random_grid(rng, spec.data_box)))
+    assert R.shape[0] > giraf._LANCZOS_ORDER
+    return R
+
+
+def _near_degenerate_top_pair(R):
+    # R's eigenvectors with its top eigenvalue moved to 1 + 1e-9 times the next
+    w, V = np.linalg.eigh(R)
+    w[-1] = w[-2] * (1.0 + 1e-9)
+    S = (V * w) @ V.T
+    return 0.5 * (S + S.T)
+
+
+@pytest.mark.parametrize("which", ["1d-401", "2d-19x19", "near-degenerate"])
+def test_lanczos_lam_max_matches_eigvalsh(which):
+    # real Grams above the order where Lanczos takes over: a 1-D filter of
+    # 401 taps, a 2-D 19 x 19 filter with gradient weighting, and one matrix
+    # whose top two eigenvalues lie 1e-9 apart; equal bytes on a rerun
+    if which == "1d-401":
+        R = _gram_above_lanczos_order(
+            LiftingSpec(IndexBox((-300,), (601,)), IndexBox((-200,), (401,))), 53)
+    else:
+        R = _gram_above_lanczos_order(
+            LiftingSpec(IndexBox((-20, -20), (41, 41)), IndexBox((-9, -9), (19, 19)),
+                        gradient_weighting(2)), 54)
+        if which == "near-degenerate":
+            R = _near_degenerate_top_pair(R)
+    want = np.linalg.eigvalsh(R)[-1]
+    got = _lanczos_lam_max(R)
+    assert abs(got - want) <= 1e-12 * want
+    assert np.float64(_lanczos_lam_max(R)).tobytes() == np.float64(got).tobytes()
+
+
+def test_lanczos_without_a_stop_within_its_steps_falls_back_to_eigvalsh():
+    R = _gram_above_lanczos_order(
+        LiftingSpec(IndexBox((-20, -20), (41, 41)), IndexBox((-9, -9), (19, 19)),
+                    gradient_weighting(2)), 54)
+    with mock.patch.object(giraf, "_LANCZOS_STEPS", 3):
+        assert _lanczos_lam_max(R) == np.linalg.eigvalsh(R)[-1]
+
+
+def test_lanczos_lam_max_of_a_zero_matrix_is_zero():
+    # the zero-data case: the first step spans an invariant subspace
+    assert _lanczos_lam_max(np.zeros((400, 400))) == 0.0
+
+
+def test_p0_solve_above_the_lanczos_order_takes_one_spectrum(monkeypatch):
+    # above _LANCZOS_ORDER the first iterate's lambda_max comes from Lanczos:
+    # the closing row's eigvalsh is the one order-n spectrum of the solve,
+    # and every eigh is of a Lanczos tridiagonal, far below order n
+    spectra, eighs = [], []
+    eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, **kw: spectra.append(a.shape) or eigvalsh(a, **kw))
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a, **kw: eighs.append(a.shape[0]) or eigh(a, **kw))
+    box = IndexBox((-250,), (501,))
+    spec = LiftingSpec(box, IndexBox((-180,), (361,)))
+    truth = _random_grid(box, np.random.default_rng(55))
+    samp = SamplingOp.measure(truth, random_mask(box, 0.6, seed=24))
+    trace = giraf_solve(spec, samp, SolverConfig(p=0.0, lam=5.0, outer_iters=3,
+                                                 inner_iters=5))
+    assert spectra == [(361, 361)]
+    assert eighs and max(eighs) <= giraf._LANCZOS_STEPS
+    assert [r.sigma_max is None for r in trace.records] == [True, True, False]
+    assert all(np.isfinite(r.cost) for r in trace.records)
 
 
 @pytest.mark.parametrize("outer_iters", [3, 8])
@@ -330,7 +464,7 @@ def test_failed_cholesky_and_nonpositive_eps_are_solver_errors():
     penalty = _GramPenalty(spec, x, 0.0)
     # R - eps I with eps beyond the largest eigenvalue is not positive definite
     with pytest.raises(SolverError, match="Cholesky"):
-        penalty.factor(-2.0 * penalty.eigvals[-1])
+        penalty.inverse_factor(-2.0 * penalty.eigvals[-1])
     for eps in (0.0, -1.0):
         with pytest.raises(SolverError, match="positive epsilon"):
             penalty.weights(eps)
@@ -440,6 +574,27 @@ def test_admm_is_byte_identical_to_the_loop_reference(spec, seed, lam, p, with_x
     assert results["fast"].values.tobytes() == results["loop"].values.tobytes()
     assert seen["fast"] == seen["loop"]
     assert [it for it, _ in seen["fast"]] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("lam", [None, 0.5])
+@given_specs
+def test_cg_is_byte_identical_to_the_loop_reference(spec, seed, lam):
+    """cg_ls's regularizer, one FFT per direction over the stacked blocks,
+    gives the bits of the block-by-block loop in tests/oracles.py."""
+    rng = np.random.default_rng(seed)
+    truth = random_grid(rng, spec.data_box)
+    wsq = sum(np.abs(w) ** 2 for w in spec.block_weights)
+    mask = (rng.random(spec.data_box.extent) < 0.5) | (wsq == 0)
+    samp = SamplingOp.measure(truth, mask)
+    d = filter_update(spec, samp.zero_filled(), 0.1, 0.0)
+    seen = {"fast": [], "loop": []}
+    results = {}
+    for name, solve in (("fast", cg_ls), ("loop", loop_cg_ls)):
+        results[name] = solve(spec, samp, d, lam, 0.0, iters=4, tol=0.0,
+                              callback=lambda it, x, name=name: seen[name].append(
+                                  (it, x.tobytes())))
+    assert results["fast"].values.tobytes() == results["loop"].values.tobytes()
+    assert seen["fast"] == seen["loop"]
 
 
 def test_cg_matches_dense_normal_equations():

@@ -22,7 +22,7 @@ from cslr.lifting import (
     real_gram_adjoint,
 )
 from cslr.models import gradient_weighting
-from oracles import grid_dict, random_grid
+from oracles import grid_dict, loop_autocorrelation, random_grid
 
 
 def brute_exact_lift(spec, x):
@@ -197,6 +197,26 @@ def test_gram_is_the_lag_gather_of_the_autocorrelation(spec, seed):
     idx = spec.filter_box.indices()
     lag = np.mod(idx[:, None, :] - idx[None, :, :], spec.data_box.extent)
     assert np.array_equal(gram_surrogate(spec, x), g[tuple(np.moveaxis(lag, -1, 0))])
+
+
+@given_specs
+def test_autocorrelation_is_byte_identical_to_the_loop_reference(spec, seed):
+    # one FFT per direction over the stacked blocks and a sum over the stack
+    # give the bits of the block-by-block loop in tests/oracles.py
+    x = random_grid(np.random.default_rng(seed), spec.data_box)
+    assert autocorrelation(spec, x).tobytes() == loop_autocorrelation(spec, x).tobytes()
+
+
+def test_block_weights_are_one_read_only_stack():
+    # K blocks of the data box's extent in one array; iterating it yields
+    # the per-block weights, read-only like the stack
+    spec = LiftingSpec(IndexBox((-4, -4), (9, 9)), IndexBox((-1, -1), (3, 3)), GRAD2D)
+    ws = spec.block_weights
+    assert ws.shape == (2, 9, 9) and not ws.flags.writeable
+    for w, op in zip(ws, spec.weightings):
+        assert np.array_equal(w, op.weights_on(spec.data_box))
+        assert not w.flags.writeable
+    assert spec.block_weights is ws
 
 
 def test_gram_1d_generator_example():
