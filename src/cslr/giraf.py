@@ -194,30 +194,35 @@ _LANCZOS_STEPS = 128  # Lanczos steps before eigvalsh takes over
 _LANCZOS_TOL = 1e-12  # Ritz residual, relative to the Ritz value, that stops Lanczos
 
 
-def _cholesky_inverse(A: np.ndarray) -> float:
-    """Overwrite the symmetric positive definite A with L^-1, for L the lower
-    Cholesky factor of A, and return sum log diag L. One halving recursion on
-    matrix products: with A = [[A11, .], [A21, A22]], L11 the factor of A11,
-    L21 = A21 L11^-T, L22 the factor of the Schur complement A22 - L21
-    L21^T, the inverse is [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]].
-    np.linalg.cholesky and inv run on blocks of at most _TRIL_BLOCK rows
-    only. Reads the lower triangle of A and leaves zeros above the diagonal.
-    A block that is not positive definite raises np.linalg.LinAlgError,
-    with A partly overwritten."""
+def _cholesky_inverse(A: np.ndarray, inverse: bool = True) -> float:
+    """Return sum log diag L for L the lower Cholesky factor of the symmetric
+    positive definite A, and with inverse overwrite A with L^-1. One halving
+    recursion on matrix products: with A = [[A11, .], [A21, A22]], L11 the
+    factor of A11, L21 = A21 L11^-T, L22 the factor of the Schur complement
+    A22 - L21 L21^T, the inverse is [[L11^-1, 0], [-L22^-1 L21 L11^-1,
+    L22^-1]]. Without inverse the off-diagonal block and the base blocks'
+    inv are skipped (L21 still needs L11^-1), the same sum comes out to the
+    last bit and A is left as scratch. np.linalg.cholesky and inv run on
+    blocks of at most _TRIL_BLOCK rows only. Reads the lower triangle of A;
+    with inverse, leaves zeros above the diagonal. A block that is not
+    positive definite raises np.linalg.LinAlgError, with A partly
+    overwritten."""
     n = A.shape[0]
     if n <= _TRIL_BLOCK:
         L = np.linalg.cholesky(A)
-        A[...] = np.tril(np.linalg.inv(L))
+        if inverse:
+            A[...] = np.tril(np.linalg.inv(L))
         return float(np.log(L.diagonal()).sum())
     h = n // 2
     A11, A21, A22 = A[:h, :h], A[h:, :h], A[h:, h:]
     logdet = _cholesky_inverse(A11)
     L21 = A21 @ A11.T
     A22 -= L21 @ L21.T
-    logdet += _cholesky_inverse(A22)
-    np.matmul(A22 @ L21, A11, out=A21)
-    np.negative(A21, out=A21)
-    A[:h, h:] = 0.0
+    logdet += _cholesky_inverse(A22, inverse)
+    if inverse:
+        np.matmul(A22 @ L21, A11, out=A21)
+        np.negative(A21, out=A21)
+        A[:h, h:] = 0.0
     return logdet
 
 
@@ -279,16 +284,13 @@ class _GramPenalty:
     for the inverse L^-1 of a Cholesky factor L of R + eps I, whose L^-T
     L^-1 is (R + eps I)^-1; there values asks for lam_max only, which
     Lanczos gives above _LANCZOS_ORDER. Otherwise eigvalsh runs when values
-    is set. The latest inverse factor is kept, so the lagged cost at
-    eps_(n-1) and the weights at eps_n share one when the two epsilons are
-    equal (frozen or floored eps). R + eps I is positive definite, so a
-    failed factorization means the data overflowed or eps fell below R's
-    rounding: a SolverError."""
+    is set. R + eps I is positive definite, so a failed factorization means
+    the data overflowed or eps fell below R's rounding: a SolverError."""
 
     def __init__(self, spec: LiftingSpec, x: ComplexGrid, p: float, values: bool = True,
                  weighted: bool = True):
         self.spec, self.p = spec, p
-        self._R = self._V = self._Linv = self._logdet = self._eps = w = None
+        self._R = self._V = w = None
         self.lam_max = None
         R = real_gram(spec, autocorrelation(spec, x))
         try:
@@ -306,42 +308,35 @@ class _GramPenalty:
         if self.eigvals is not None:
             self.lam_max = float(np.max(self.eigvals))
 
-    def inverse_factor(self, eps: float, overwrite: bool = False) -> tuple[np.ndarray, float]:
-        """(L^-1, sum log diag L) for the Cholesky factor L of R + eps I,
-        the latest pair kept. _cholesky_inverse forms it on a copy of R, or
-        with overwrite on R itself, whose storage it then takes over (the
-        weights' last use of R)."""
-        if eps != self._eps:
-            self._Linv = None  # not held while the next one is formed
-            A = self._R if overwrite else self._R.copy()
-            if overwrite:
-                self._R = None
-            A.flat[::A.shape[0] + 1] += eps
-            try:
-                self._logdet = _cholesky_inverse(A)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"Gram Cholesky factorization failed: {exc}") from exc
-            self._Linv, self._eps = A, eps
-        return self._Linv, self._logdet
+    @staticmethod
+    def _factor(A: np.ndarray, eps: float, inverse: bool) -> float:
+        """_cholesky_inverse of A + eps I, formed in A."""
+        A.flat[::A.shape[0] + 1] += eps
+        try:
+            return _cholesky_inverse(A, inverse)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"Gram Cholesky factorization failed: {exc}") from exc
 
     def cost(self, eps: float) -> float:
         """Smoothed Schatten penalty at eps: from the eigenvalues where they
-        were taken, else (p = 0) sum log diag L, R left intact."""
+        were taken, else (p = 0) sum log diag L, by a log-det-only pass on
+        a copy of R."""
         if self.eigvals is not None:
             return _smoothed_schatten_eigs(self.eigvals, self.p, eps)
-        return self.inverse_factor(eps)[1]
+        return self._factor(self._R.copy(), eps, inverse=False)
 
     def weights(self, eps: float) -> np.ndarray:
         """Spatial weights d of the weight matrix (R + eps I)^(p/2 - 1), the
-        last use of this object: for p = 0, R and L^-1 are let go on the way,
-        so that neither is held while the weights are assembled."""
+        last use of this object: for p = 0, L^-1 is formed in R's storage and
+        let go once L^-T L^-1 is, so that neither R nor L^-1 is held while
+        the weights are assembled."""
         if eps <= 0:
             raise SolverError("filter update needs a positive epsilon")
         if self.p > 0:
             M = (self._V * (self.eigvals + eps) ** (self.p / 2.0 - 1.0)) @ self._V.T
         else:
-            Linv, _ = self.inverse_factor(eps, overwrite=True)
-            self._R = self._eps = self._Linv = None
+            Linv, self._R = self._R, None
+            self._factor(Linv, eps, inverse=True)
             M = Linv.T @ Linv
             del Linv
         return _weights_from(self.spec, M)

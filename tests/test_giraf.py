@@ -208,9 +208,8 @@ def test_real_form_matches_unitary_oracle(spec, seed):
 def test_cholesky_cost_matches_eigenvalue_sum(spec, seed):
     # the p = 0 cost between the first and the closing iterate is
     # sum log diag L for L L^T = R + eps I: it must equal 1/2 sum log(lambda
-    # + eps) of the eigenvalue route, at a new eps (a new factorization) and
-    # at the same eps again (the kept inverse factor, as with eps frozen);
-    # the cost leaves R intact for the weights
+    # + eps) of the eigenvalue route, at each eps and at the same eps again
+    # (as with eps frozen); the cost leaves R intact for the weights
     rng = np.random.default_rng(seed)
     x = random_grid(rng, spec.data_box)
     w = _GramPenalty(spec, x, 0.0, weighted=False).eigvals
@@ -222,30 +221,30 @@ def test_cholesky_cost_matches_eigenvalue_sum(spec, seed):
         want = _smoothed_schatten_eigs(w, 0.0, eps)
         # a sum of logs of both signs can cancel; scale by its terms
         scale = 0.5 * np.sum(np.abs(np.log(w + eps)))
-        first, _ = penalty.inverse_factor(eps)
-        assert abs(penalty.cost(eps) - want) <= 1e-12 * scale
-        assert penalty.inverse_factor(eps)[0] is first
-        assert abs(penalty.cost(eps) - want) <= 1e-12 * scale
-        assert penalty._R.tobytes() == R.tobytes()
+        for _ in range(2):
+            assert abs(penalty.cost(eps) - want) <= 1e-12 * scale
+            assert penalty._R.tobytes() == R.tobytes()
 
 
-def test_frozen_eps_shares_one_factorization(monkeypatch):
-    # the lagged cost and the weights at the same eps (frozen or floored)
-    # form L^-1 once; at a new eps the weights form it again, on R itself
+def test_lagged_cost_and_weights_each_factor_once(monkeypatch):
+    # whether or not the two epsilons are equal (frozen or floored eps), the
+    # lagged cost runs one log-det-only pass on a copy of R and the weights
+    # one full pass on R itself, which they let go
     calls = []
     blocked = giraf._cholesky_inverse
-    monkeypatch.setattr(giraf, "_cholesky_inverse",
-                        lambda A: calls.append(A.shape) or blocked(A))
+    monkeypatch.setattr(giraf, "_cholesky_inverse", lambda A, inverse=True: (
+        calls.append((inverse, np.shares_memory(A, R))) or blocked(A, inverse)))
     spec = LiftingSpec(IndexBox((-8, -8), (17, 17)), IndexBox((-2, -2), (5, 5)),
                        gradient_weighting(2))
     x = _random_grid(spec.data_box, np.random.default_rng(52))
-    for eps_weights, factorizations in ((1.0, 1), (0.5, 2)):
+    for eps_weights in (1.0, 0.5):
         calls.clear()
         penalty = _GramPenalty(spec, x, 0.0, values=False)
+        R = penalty._R
         assert np.isfinite(penalty.cost(1.0))
         assert np.all(np.isfinite(penalty.weights(eps_weights)))
-        assert len(calls) == factorizations
-        assert penalty._R is None and penalty._Linv is None
+        assert calls == [(False, False), (True, True)]
+        assert penalty._R is None
 
 
 def _assert_tril_inverse(A):
@@ -255,6 +254,8 @@ def _assert_tril_inverse(A):
     want = np.linalg.inv(L)
     got = A.copy()
     logdet = _cholesky_inverse(got)
+    # the log-det-only pass gives the same sum to the last bit
+    assert _cholesky_inverse(A.copy(), inverse=False) == logdet
     assert np.array_equal(got, np.tril(got))
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     logs = np.log(L.diagonal())
@@ -461,10 +462,10 @@ def test_non_finite_weight_matrix_is_a_solver_error():
 def test_failed_cholesky_and_nonpositive_eps_are_solver_errors():
     spec = LiftingSpec(IndexBox((-6,), (13,)), IndexBox((-2,), (5,)))
     x = _random_grid(spec.data_box, np.random.default_rng(50))
-    penalty = _GramPenalty(spec, x, 0.0)
+    penalty = _GramPenalty(spec, x, 0.0, values=False)
     # R - eps I with eps beyond the largest eigenvalue is not positive definite
     with pytest.raises(SolverError, match="Cholesky"):
-        penalty.inverse_factor(-2.0 * penalty.eigvals[-1])
+        penalty.cost(-2.0 * np.linalg.eigvalsh(penalty._R)[-1])
     for eps in (0.0, -1.0):
         with pytest.raises(SolverError, match="positive epsilon"):
             penalty.weights(eps)
