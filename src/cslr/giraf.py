@@ -21,8 +21,12 @@ The solver alternates two matrix-free steps on gridded Fourier data:
 
 2. Least squares. Minimize ||A x - b||^2 + lam * C_p * sum_j ||D^{1/2} F^*
    M_j x||^2 with D = diag(d), solved either by ADMM with a splitting
-   y_j = F^* M_j x (every subproblem is diagonal, a few FFTs per pass) or by
-   conjugate gradients on the normal equations.
+   y_j = F^* M_j x (every subproblem is diagonal) or by conjugate gradients
+   on the normal equations. Each pass of either applies F D' F^* for a real
+   diagonal D' (lifting.fourier_diagonal): an FFT pair over the stacked
+   blocks on large grids, and on grids of at most lifting._DENSE_GRID points
+   one dense circulant matrix per block, built once per solve from one
+   inverse FFT.
 
 An epsilon smoothing schedule eps_n = max(eps0 * eta^-n, eps_min) steers the
 reweighting from convex-like to sharply rank-seeking; with eps frozen the
@@ -44,9 +48,9 @@ from .grids import ComplexGrid, IndexBox, minkowski_sum, reflect, restrict
 from .lifting import (
     LiftingSpec,
     autocorrelation,
-    block_fftn,
-    block_ifftn,
     block_sum,
+    fourier_diagonal,
+    interleaved,
     real_gram,
     real_gram_adjoint,
 )
@@ -366,12 +370,6 @@ def _check_weights(spec: LiftingSpec, d: np.ndarray) -> None:
         raise ValueError(f"weights must be a real array of shape {spec.data_box.extent}")
 
 
-def _interleaved(factor: np.ndarray) -> np.ndarray:
-    """A real factor repeated along the last axis, to scale the float64 view
-    of a complex array (real and imaginary parts alike) in one pass."""
-    return np.repeat(factor, 2, axis=-1)
-
-
 def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
             lam: float | None, p: float, iters: int = 200, delta: float = 10.0,
             x0: ComplexGrid | None = None, callback=None) -> ComplexGrid:
@@ -383,12 +381,15 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
     lam=None holds the measured samples fixed (equality mode).
 
     The K blocks are stacked in (K, *extent) buffers allocated once, so an
-    iteration allocates only its new iterate x, and each direction takes one
-    FFT over the stack. The dual update of an iteration runs at the top of
-    the next one, so that the last iteration skips it. Sums and differences
-    run on float64 views and the real factors scale both parts of a float64
-    view, which gives the bits of the complex operations they replace (numpy
-    divides a complex by a real as a product with its reciprocal).
+    iteration allocates only its new iterate x, and the shrinkage F
+    diag(gamma/(d + gamma)) F^* is one lifting.fourier_diagonal, built once
+    per call: an FFT per direction over the stack, or on small grids one
+    dense matrix product per block. The dual update of an iteration runs at
+    the top of the next one, so that the last iteration skips it. Sums and
+    differences run on float64 views and the real factors scale both parts
+    of a float64 view, which gives the bits of the complex operations they
+    replace (numpy divides a complex by a real as a product with its
+    reciprocal).
     """
     _check_weights(spec, d)
     wsq = _check_coverage(spec, sampling)
@@ -398,14 +399,14 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
         # no effective regularizer: the least-squares solution is A* b
         return ComplexGrid(spec.data_box, bvals.copy())
 
-    shrink = _interleaved(gam / (d + gam))
+    shrink = fourier_diagonal(gam / (d + gam))
     if lam is None:
-        rden = _interleaved(1.0 / np.where(wsq > 0, wsq, 1.0))
+        rden = interleaved(1.0 / np.where(wsq > 0, wsq, 1.0))
         measured = np.flatnonzero(sampling.mask)
         bmeasured = bvals.ravel()[measured]
     else:
         rho = gam * lam * schatten_weight(p)
-        rden = _interleaved(1.0 / (sampling.mask.astype(float) + rho * wsq))
+        rden = interleaved(1.0 / (sampling.mask.astype(float) + rho * wsq))
         bflat = bvals.view(np.float64)
 
     W = spec.block_weights
@@ -423,10 +424,8 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
         if it:  # the previous iteration's dual update
             np.subtract(Zf, WXf, out=Sf)
             np.add(Uf, Sf, out=Uf)
-        np.subtract(WXf, Uf, out=Zf)
-        block_ifftn(Z, out=S)
-        np.multiply(Sf, shrink, out=Sf)
-        block_fftn(S, out=Z)
+        np.subtract(WXf, Uf, out=Sf)
+        shrink(S, out=Z)
         np.add(Zf, Uf, out=Sf)
         np.multiply(Wc, S, out=S)
         x = block_sum(S)
@@ -448,7 +447,9 @@ def cg_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
           x0: ComplexGrid | None = None, callback=None) -> ComplexGrid:
     """Conjugate gradients on the normal equations of the weighted
     least-squares step. Equality mode optimizes only the unmeasured entries
-    with the measured ones pinned to the data."""
+    with the measured ones pinned to the data. The regularizer applies F D
+    F^* as one lifting.fourier_diagonal, built once per call, and writes
+    into two (K, *extent) buffers allocated once."""
     _check_weights(spec, d)
     _check_coverage(spec, sampling)
     bvals = sampling.b.values
@@ -457,11 +458,13 @@ def cg_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
 
     W = spec.block_weights
     Wc = np.conj(W)
+    reg = fourier_diagonal(d)
+    V = np.empty_like(W)
+    Y = np.empty_like(W)
 
     def reg_op(v):
-        Y = block_ifftn(W * v)
-        np.multiply(d, Y, out=Y)
-        block_fftn(Y, out=Y)
+        np.multiply(W, v, out=V)
+        reg(V, out=Y)
         np.multiply(Wc, Y, out=Y)
         return block_sum(Y)
 

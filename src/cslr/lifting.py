@@ -21,7 +21,9 @@ defines them: LiftingSpec.block_weights builds them once, on first use, as
 one read-only (K, *extent) stack, and hands it to the Gram, the inner
 least-squares solvers and the exact lifting. Iterating the stack yields the
 per-block arrays; the FFT layers transform the whole stack in one call per
-direction (block_fftn, block_ifftn).
+direction (block_fftn, block_ifftn). The inner solvers' F diag(s) F^-1
+(fourier_diagonal) is that FFT pair on large grids and one dense circulant
+matrix per block on small ones, where an FFT call costs mostly overhead.
 
 Dense materializations are oracles for tests and small problems only and are
 capped by ORACLE_BUDGET entries; exceeding the cap raises BudgetError.
@@ -225,6 +227,55 @@ def block_ifftn(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """ifftn of each block of a (K, *extent) stack, in one call (see
     block_fftn)."""
     return np.fft.ifftn(a, s=a.shape[1:], axes=tuple(range(1, a.ndim)), out=out)
+
+
+def interleaved(factor: np.ndarray) -> np.ndarray:
+    """A real factor repeated along the last axis, to scale the float64 view
+    of a complex array (real and imaginary parts alike) in one pass."""
+    return np.repeat(factor, 2, axis=-1)
+
+
+# Grids of at most this many points apply F diag(s) F^-1 as one dense
+# matrix: the measured crossover (1 BLAS thread, matrix build included)
+# against the FFT pair, which costs mostly per-call overhead on small grids.
+_DENSE_GRID = 240
+
+
+def fourier_diagonal(s: np.ndarray):
+    """The operator V -> fftn(s * ifftn(V)) on each block of a (K, *extent)
+    stack, for a real s on the data box, returned as apply(V, out): it
+    writes into out, a C-contiguous stack of V's shape that is not V, and
+    returns it.
+
+    Above _DENSE_GRID points, apply runs block_ifftn into out, scales it by
+    s and runs block_fftn in place. Up to _DENSE_GRID points the operator is
+    circulant in the Fourier-index domain, out[k] = sum_j V[j] c[j - k] with
+    c = ifftn(s) (multi-level, indices mod the extent), so it is built once
+    as the dense matrix CT[j, k] = c[(j - k) mod extent], one gather through
+    the cached wrapped difference index, and apply multiplies each block's
+    flat vector by CT. It does so as one matmul over a (K, 1, N) stack,
+    which numpy runs as one vector-matrix product per block and so gives
+    each block the bits of its own v @ CT; a (K, N) @ CT product would run
+    one matrix-matrix product, whose bits differ."""
+    if s.size > _DENSE_GRID:
+        factor = interleaved(s)
+
+        def apply(V, out):
+            block_ifftn(V, out=out)
+            flat = out.view(np.float64)
+            np.multiply(flat, factor, out=flat)
+            return block_fftn(out, out=out)
+
+        return apply
+
+    lags = IndexBox((0,) * s.ndim, s.shape)
+    CT = np.fft.ifftn(s).ravel()[diff_index(lags, lags, lags, wrap=True)]
+
+    def apply(V, out):
+        np.matmul(V.reshape(len(V), 1, -1), CT, out=out.reshape(len(out), 1, -1))
+        return out
+
+    return apply
 
 
 def block_sum(a: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ index tuples, explicit O(L^2) transform matrices, and elementwise loops.
 
 import numpy as np
 
+from cslr import lifting
 from cslr.giraf import (
     _cg_normal,
     _check_coverage,
@@ -217,6 +218,22 @@ def rect_annihilator(phantom: RectPhantom, filter_box: IndexBox) -> ComplexGrid:
     return ComplexGrid(filter_box, vals)
 
 
+def loop_fourier_diagonal(s: np.ndarray):
+    """The reference for lifting.fourier_diagonal, on one block: the FFT
+    pair fftn(s * ifftn(v)) above lifting._DENSE_GRID points, and up to it
+    the flat vector times the dense matrix CT[j, k] = ifftn(s)[(j - k) mod
+    extent], its entries placed one multi-index at a time."""
+    if s.size > lifting._DENSE_GRID:
+        return lambda v: np.fft.fftn(s * np.fft.ifftn(v))
+    c = np.fft.ifftn(s)
+    coords = list(np.ndindex(s.shape))
+    CT = np.empty((s.size, s.size), dtype=np.complex128)
+    for a, j in enumerate(coords):
+        for b, k in enumerate(coords):
+            CT[a, b] = c[tuple((jj - kk) % e for jj, kk, e in zip(j, k, s.shape))]
+    return lambda v: (v.ravel() @ CT).reshape(s.shape)
+
+
 def loop_admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
                  lam: float | None, p: float, iters: int = 200, delta: float = 10.0,
                  x0: ComplexGrid | None = None, callback=None) -> ComplexGrid:
@@ -241,7 +258,7 @@ def loop_admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
     wsq = sum(np.abs(w) ** 2 for w in ws)
     maskf = sampling.mask.astype(float)
     rho = None if lam is None else gam * lam * schatten_weight(p)
-    shrink = gam / (d + gam)
+    shrink = loop_fourier_diagonal(gam / (d + gam))
     if lam is None:
         denom = np.where(wsq > 0, wsq, 1.0)
     else:
@@ -253,7 +270,7 @@ def loop_admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
 
     for it in range(iters):
         for j, w in enumerate(ws):
-            z[j] = np.fft.fftn(shrink * np.fft.ifftn(w * x - u[j]))
+            z[j] = shrink(w * x - u[j])
         acc = np.zeros(spec.data_box.extent, dtype=np.complex128)
         for j, w in enumerate(ws):
             acc += np.conj(w) * (z[j] + u[j])
@@ -280,11 +297,12 @@ def loop_cg_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
     if float(np.max(d)) <= 0 or (lam is not None and lam * schatten_weight(p) == 0):
         return ComplexGrid(spec.data_box, bvals.copy())
     ws = [w.weights_on(spec.data_box) for w in spec.weightings]
+    reg = loop_fourier_diagonal(d)
 
     def reg_op(v):
         out = np.zeros_like(v)
         for w in ws:
-            out += np.conj(w) * np.fft.fftn(d * np.fft.ifftn(w * v))
+            out += np.conj(w) * reg(w * v)
         return out
 
     x = _cg_normal(reg_op, sampling, lam, p, None if x0 is None else x0.values,

@@ -552,13 +552,25 @@ def test_admm_matches_dense_normal_equations(weighted):
     assert rel < 1e-6
 
 
+# values of lifting._DENSE_GRID that put every drawn grid on one side: the
+# FFT pair (0) or the dense circulant matrix (above the largest drawn grid)
+BOTH_SIDES = (0, 10**6)
+
+
 @pytest.mark.parametrize("with_x0", [False, True])
 @pytest.mark.parametrize("p", [0.0, 0.5])
 @pytest.mark.parametrize("lam", [None, 0.5, 3e-4])
 @given_specs
 def test_admm_is_byte_identical_to_the_loop_reference(spec, seed, lam, p, with_x0):
     """The stacked-buffer ADMM keeps the arithmetic of the block-by-block
-    loop in tests/oracles.py: the same bits in every iterate and the result."""
+    loop in tests/oracles.py, on both sides of lifting._DENSE_GRID: the same
+    bits in every iterate and the result."""
+    for dense_grid in BOTH_SIDES:
+        with mock.patch.object(lifting, "_DENSE_GRID", dense_grid):
+            _admm_against_loop(spec, seed, lam, p, with_x0)
+
+
+def _admm_against_loop(spec, seed, lam, p, with_x0):
     rng = np.random.default_rng(seed)
     truth = random_grid(rng, spec.data_box)
     wsq = sum(np.abs(w) ** 2 for w in spec.block_weights)
@@ -580,8 +592,15 @@ def test_admm_is_byte_identical_to_the_loop_reference(spec, seed, lam, p, with_x
 @pytest.mark.parametrize("lam", [None, 0.5])
 @given_specs
 def test_cg_is_byte_identical_to_the_loop_reference(spec, seed, lam):
-    """cg_ls's regularizer, one FFT per direction over the stacked blocks,
+    """cg_ls's regularizer, one FFT per direction over the stacked blocks or
+    one dense matrix product per block (both sides of lifting._DENSE_GRID),
     gives the bits of the block-by-block loop in tests/oracles.py."""
+    for dense_grid in BOTH_SIDES:
+        with mock.patch.object(lifting, "_DENSE_GRID", dense_grid):
+            _cg_against_loop(spec, seed, lam)
+
+
+def _cg_against_loop(spec, seed, lam):
     rng = np.random.default_rng(seed)
     truth = random_grid(rng, spec.data_box)
     wsq = sum(np.abs(w) ** 2 for w in spec.block_weights)
@@ -596,6 +615,24 @@ def test_cg_is_byte_identical_to_the_loop_reference(spec, seed, lam):
                                   (it, x.tobytes())))
     assert results["fast"].values.tobytes() == results["loop"].values.tobytes()
     assert seen["fast"] == seen["loop"]
+
+
+@pytest.mark.parametrize("ls_solver", ["admm", "cg"])
+def test_dirac_solve_agrees_on_both_sides_of_the_dense_grid(ls_solver):
+    # the README example (155-point working grid) solved once with the FFT
+    # pair and once with the dense circulant matrix in the inner solver
+    box = IndexBox((-63,), (127,))
+    spec = LiftingSpec(box, IndexBox((-7,), (15,)))
+    truth = dirac_fourier(random_diracs(4, seed=0, min_separation=2 / 15), box)
+    samp = SamplingOp.measure(truth, random_mask(box, 0.5, seed=1))
+    cfg = SolverConfig(p=0.0, outer_iters=40, ls_solver=ls_solver, inner_iters=20,
+                       oversample=True)
+    final = {}
+    for dense_grid in BOTH_SIDES:
+        with mock.patch.object(lifting, "_DENSE_GRID", dense_grid):
+            final[dense_grid] = giraf_solve(spec, samp, cfg, ground_truth=truth).x.values
+    fft, dense = (final[g] for g in BOTH_SIDES)
+    assert np.linalg.norm(dense - fft) <= 1e-10 * np.linalg.norm(fft)
 
 
 def test_cg_matches_dense_normal_equations():

@@ -1,10 +1,13 @@
 """Lifted matrices, surrogates and Gram identities against dense oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cslr import lifting
 from cslr.grids import ComplexGrid, IndexBox, circ_conv, zero_pad
 from cslr.lifting import (
     BudgetError,
@@ -13,6 +16,7 @@ from cslr.lifting import (
     WeightingOp,
     apply_lift,
     autocorrelation,
+    fourier_diagonal,
     gram_surrogate,
     lift_adjoint,
     lift_normal_diagonal,
@@ -205,6 +209,23 @@ def test_autocorrelation_is_byte_identical_to_the_loop_reference(spec, seed):
     # give the bits of the block-by-block loop in tests/oracles.py
     x = random_grid(np.random.default_rng(seed), spec.data_box)
     assert autocorrelation(spec, x).tobytes() == loop_autocorrelation(spec, x).tobytes()
+
+
+@given_specs
+def test_dense_fourier_diagonal_matches_the_fft_pair(spec, seed):
+    # below lifting._DENSE_GRID the operator is one dense circulant matrix
+    # per block; it agrees with fftn(s * ifftn(v)) on each block, in 1-D to
+    # 3-D, for a random real s
+    rng = np.random.default_rng(seed)
+    s = rng.standard_normal(spec.data_box.extent)
+    V = np.stack([random_grid(rng, spec.data_box).values for _ in range(spec.n_blocks)])
+    got = {}
+    for side, dense_grid in (("fft", 0), ("dense", spec.data_box.size)):
+        with mock.patch.object(lifting, "_DENSE_GRID", dense_grid):
+            got[side] = fourier_diagonal(s)(V, np.empty_like(V))
+    want = np.stack([np.fft.fftn(s * np.fft.ifftn(v)) for v in V])
+    assert got["fft"].tobytes() == want.tobytes()
+    assert np.linalg.norm(got["dense"] - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_block_weights_are_one_read_only_stack():
