@@ -11,7 +11,11 @@ same instance so their iteration counts and accuracy can be compared.
 import time
 
 from cslr.baselines import (
-    BaselineConfig,
+    APConfig,
+    APProxConfig,
+    IRLSConfig,
+    SVTConfig,
+    SVTUVConfig,
     ap_prox_solve,
     ap_solve,
     irls_direct,
@@ -51,29 +55,26 @@ runs = {
                      oversample=True),
         ground_truth=truth),
     "alternating projection": lambda: ap_solve(
-        spec, sampling, BaselineConfig(algorithm="ap", rank_r=24, max_iters=40),
+        spec, sampling, APConfig(rank_r=24, max_iters=40),
         ground_truth=truth),
     # the relaxed projection blends data in softly instead of inserting it,
     # so it needs many more sweeps to creep to the same accuracy
     "relaxed projection": lambda: ap_prox_solve(
         spec, sampling,
-        BaselineConfig(algorithm="ap_prox", rank_r=24, lam=1e-4,
-                       equality=False, max_iters=60),
+        APProxConfig(rank_r=24, lam=1e-4, max_iters=60),
         ground_truth=truth),
     "singular value thresholding": lambda: svt_solve(
         spec, sampling,
-        BaselineConfig(algorithm="svt", lam=6.5, beta=1.0, equality=True,
-                       max_iters=40),
+        SVTConfig(lam=6.5, beta=1.0, equality=True, max_iters=40),
         ground_truth=truth),
     "thresholding, factored": lambda: svt_uv_solve(
         spec, sampling,
-        BaselineConfig(algorithm="svt_uv", rank_r=40, lam=0.026, beta=1.0,
-                       equality=True, max_iters=40, seed=0),
+        SVTUVConfig(rank_r=40, lam=0.026, beta=1.0, equality=True, max_iters=40,
+                    seed=0),
         ground_truth=truth),
     "direct reweighting (dense)": lambda: irls_direct(
         spec, sampling,
-        BaselineConfig(algorithm="irls", p=0.0, equality=True, max_iters=5,
-                       inner_iters=60, cg_tol=1e-10),
+        IRLSConfig(p=0.0, equality=True, max_iters=5, inner_iters=60, cg_tol=1e-10),
         ground_truth=truth),
 }
 

@@ -6,7 +6,8 @@ All solvers consume a LiftingSpec + SamplingOp pair and emit the same
 RecoveryTrace as the reweighted solver. They materialize the lifted matrix
 densely each iteration, so they are subject to the lifting module's entry
 budget; exceeding it raises BudgetError (reported as a memory failure by the
-benchmark front end).
+benchmark front end). Each solver takes a dataclass of the fields it reads,
+and stops once the relative mean squared step between iterates is below tol.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .giraf import (
     _cg_normal,
     _check_integers,
     _check_reweighting,
+    _relative_step,
     _reweighted_loop,
     _smoothed_schatten_eigs,
 )
@@ -39,7 +41,11 @@ from .lifting import (
 from .models import SamplingOp, nmse
 
 __all__ = [
-    "BaselineConfig",
+    "APConfig",
+    "APProxConfig",
+    "SVTConfig",
+    "SVTUVConfig",
+    "IRLSConfig",
     "irls_direct",
     "ap_solve",
     "ap_prox_solve",
@@ -48,67 +54,85 @@ __all__ = [
 ]
 
 
+class _Checked:
+    """validate() of the baseline configs: a declared rank_r, and lam where
+    needs_lam, is given and positive; beta > 0 and max_iters >= 1."""
+
+    def validate(self, needs_lam: bool = True) -> None:
+        _check_integers(self)
+        if hasattr(self, "rank_r") and (self.rank_r is None or self.rank_r < 1):
+            raise ConfigError("rank_r must be given and at least 1")
+        if hasattr(self, "lam") and needs_lam and (self.lam is None or not self.lam > 0):
+            raise ConfigError("lam must be given and positive")
+        if hasattr(self, "beta") and not self.beta > 0:
+            raise ConfigError("beta must be positive")
+        if self.max_iters < 1:
+            raise ConfigError("max_iters must be at least 1")
+
+
 @dataclass
-class BaselineConfig:
-    """Shared knob set for the reference algorithms.
+class APConfig(_Checked):
+    """Fields of ap_solve, which always pins the measured samples."""
 
-    rank_r is required by ap, ap_prox, and svt_uv (factor width). lam is the
-    regularization weight; equality=True pins measured samples exactly
-    instead (ap is always equality-constrained, ap_prox never is). beta is
-    the ADMM penalty for svt/svt_uv. tol stops a solver once the relative
-    mean squared difference between iterates drops below it.
-    """
+    rank_r: int | None = None
+    max_iters: int = 100
+    tol: float = 1e-8
 
-    algorithm: str = "ap"
+
+@dataclass
+class APProxConfig(_Checked):
+    """Fields of ap_prox_solve, which never pins them."""
+
+    rank_r: int | None = None
+    lam: float | None = None
+    max_iters: int = 100
+    tol: float = 1e-8
+
+
+@dataclass
+class SVTConfig(_Checked):
+    """Fields of svt_solve; equality pins the samples."""
+
+    lam: float | None = None
+    beta: float = 1.0
+    equality: bool = True
+    max_iters: int = 100
+    tol: float = 1e-8
+
+
+@dataclass
+class SVTUVConfig(_Checked):
+    """Fields of svt_uv_solve; rank_r is the factor width."""
+
     rank_r: int | None = None
     lam: float | None = None
     beta: float = 1.0
     equality: bool = True
     max_iters: int = 100
     tol: float = 1e-8
+    seed: int = 0
+
+
+@dataclass
+class IRLSConfig(_Checked):
+    """Fields of irls_direct, which reads lam only without equality."""
+
     p: float = 0.0
+    lam: float | None = None
+    equality: bool = True
     eps0: float | str = "auto"
     eta: float = 1.2
     eps_min: float | None = None
+    max_iters: int = 100
     inner_iters: int = 200
     cg_tol: float = 1e-12
-    seed: int = 0
+    tol: float = 1e-8
 
     def validate(self) -> None:
-        _check_integers(self)
-        algos = ("irls", "ap", "ap_prox", "svt", "svt_uv")
-        if self.algorithm not in algos:
-            raise ConfigError(f"algorithm must be one of {algos}")
-        if self.rank_r is None and self.algorithm in ("ap", "ap_prox", "svt_uv"):
-            raise ConfigError(f"{self.algorithm} needs a positive rank_r")
-        if self.rank_r is not None and self.rank_r < 1:
-            raise ConfigError("rank_r must be at least 1")
-        needs_lam = {"ap_prox": True, "svt": True, "svt_uv": True,
-                     "irls": not self.equality, "ap": False}
-        if needs_lam[self.algorithm] and (self.lam is None or not self.lam > 0):
-            raise ConfigError(f"{self.algorithm} needs a positive lam")
-        if self.algorithm == "ap" and not self.equality:
-            raise ConfigError("ap is equality-constrained; use ap_prox for a data term")
-        if self.algorithm == "ap_prox" and self.equality:
-            raise ConfigError("ap_prox keeps a data term; use ap for equality mode")
-        if not self.beta > 0:
-            raise ConfigError("beta must be positive")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be at least 1")
+        if self.equality and self.lam is not None:
+            raise ConfigError("irls reads lam only without equality")
+        super().validate(needs_lam=not self.equality)
         _check_reweighting(self)
-
-
-def _check_config(config: BaselineConfig, algorithm: str) -> None:
-    config.validate()
-    if config.algorithm != algorithm:
-        raise ConfigError(f"config.algorithm must be {algorithm!r}")
-
-
-def _relative_step(new: np.ndarray, old: np.ndarray) -> float:
-    denom = float(np.linalg.norm(old) ** 2)
-    if denom == 0:
-        return math.inf
-    return float(np.linalg.norm(new - old) ** 2) / denom
 
 
 def _truncate_svd(r: int, scale: float):
@@ -147,7 +171,7 @@ def _fit_lifted(spec: LiftingSpec, sampling: SamplingOp, X: np.ndarray,
     return _diagonal_solve(rhs, sampling.mask.astype(float) + weight * diag, x)
 
 
-def _lifted_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
+def _lifted_solve(spec: LiftingSpec, sampling: SamplingOp, config,
                   algorithm: str, step, phases: tuple[str, str], weight: float | None,
                   dual: bool, ground_truth: ComplexGrid | None,
                   x0: ComplexGrid | None) -> RecoveryTrace:
@@ -157,11 +181,11 @@ def _lifted_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfi
     sigmas in descending order, to the exact lifting W of the iterate, fits
     the grid to X with _fit_lifted's weight and re-lifts it. With dual set,
     W and the fit target carry a scaled dual, which then moves by the lifting
-    residual (ADMM). The cost is the penalty plus, unless in equality mode,
-    the data residual; the run stops once the relative step drops below
-    config.tol. phases names the timers of the low-rank step and of the fit.
+    residual (ADMM). The cost is the penalty plus, unless weight is None
+    (equality mode), the data residual; the run stops once the relative step
+    drops below config.tol. phases names the timers of the two steps.
     """
-    _check_config(config, algorithm)
+    config.validate()
     box = spec.data_box
     diag = lift_normal_diagonal(spec)
     bvals = sampling.b.values
@@ -183,7 +207,7 @@ def _lifted_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfi
             D = D + T - X
         seconds[fit] += time.perf_counter() - tp
         cost = penalty
-        if not config.equality:
+        if weight is not None:
             cost = float(np.linalg.norm((x_new - bvals)[sampling.mask]) ** 2) + penalty
         err = None if ground_truth is None else nmse(ComplexGrid(box, x_new.copy()), ground_truth)
         records.append(IterationRecord(
@@ -198,7 +222,7 @@ def _lifted_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfi
                          algorithm=algorithm, phase_seconds=seconds)
 
 
-def ap_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
+def ap_solve(spec: LiftingSpec, sampling: SamplingOp, config: APConfig,
              ground_truth: ComplexGrid | None = None,
              x0: ComplexGrid | None = None) -> RecoveryTrace:
     """Alternating projections (Cadzow): rank-r truncation of the lifted
@@ -207,7 +231,7 @@ def ap_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
                          ("svd", "projection"), None, False, ground_truth, x0)
 
 
-def ap_prox_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
+def ap_prox_solve(spec: LiftingSpec, sampling: SamplingOp, config: APProxConfig,
                   ground_truth: ComplexGrid | None = None,
                   x0: ComplexGrid | None = None) -> RecoveryTrace:
     """Proximal relaxation of alternating projections: penalize the
@@ -224,7 +248,7 @@ def _soft_threshold_svd(Y: np.ndarray, tau: float):
     return (U * keep) @ Vh, s, keep
 
 
-def svt_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
+def svt_solve(spec: LiftingSpec, sampling: SamplingOp, config: SVTConfig,
               ground_truth: ComplexGrid | None = None,
               x0: ComplexGrid | None = None) -> RecoveryTrace:
     """Nuclear-norm recovery by ADMM with singular-value soft-thresholding
@@ -244,7 +268,7 @@ def _factor_sigmas(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.linalg.svd(ru @ rv.conj().T, compute_uv=False)
 
 
-def svt_uv_solve(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
+def svt_uv_solve(spec: LiftingSpec, sampling: SamplingOp, config: SVTUVConfig,
                  ground_truth: ComplexGrid | None = None,
                  x0: ComplexGrid | None = None) -> RecoveryTrace:
     """Nuclear-norm recovery through the factorization penalty
@@ -306,7 +330,7 @@ def _irls_penalty(spec: LiftingSpec, W: np.ndarray):
     return penalty
 
 
-def irls_direct(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
+def irls_direct(spec: LiftingSpec, sampling: SamplingOp, config: IRLSConfig,
                 ground_truth: ComplexGrid | None = None) -> RecoveryTrace:
     """Direct iteratively reweighted least squares on the exact lifting T.
 
@@ -318,7 +342,7 @@ def irls_direct(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
     form ||T(v) W^(1/2)||_F^2 applies every reweighting filter
     (sigma_i^2 + eps)^(p/4 - 1/2) v_i through the exact lifting at once.
     """
-    _check_config(config, "irls")
+    config.validate()
     lam = None if config.equality else config.lam
 
     def least_squares(W, x):
@@ -330,4 +354,4 @@ def irls_direct(spec: LiftingSpec, sampling: SamplingOp, config: BaselineConfig,
     return _reweighted_loop(config, config.max_iters, lam, sampling.b.copy(), sampling,
                             lambda x, values, weighted: _ExactPenalty(spec, x, config.p,
                                                                       weighted),
-                            least_squares, error, algorithm=f"irls{config.p:g}")
+                            least_squares, error, f"irls{config.p:g}", config.tol)

@@ -20,14 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import (
-    BaselineConfig,
-    ap_prox_solve,
-    ap_solve,
-    irls_direct,
-    svt_solve,
-    svt_uv_solve,
-)
+from . import baselines
 from .giraf import (
     ConfigError,
     SolverConfig,
@@ -112,12 +105,13 @@ _SIGNAL_SCHEMA = {
     "additionalProperties": False,
 }
 
-_BASELINE_SOLVERS = {
-    "irls": irls_direct,
-    "ap": ap_solve,
-    "ap_prox": ap_prox_solve,
-    "svt": svt_solve,
-    "svt_uv": svt_uv_solve,
+_SOLVERS = {
+    "giraf": (giraf_solve, SolverConfig),
+    "irls": (baselines.irls_direct, baselines.IRLSConfig),
+    "ap": (baselines.ap_solve, baselines.APConfig),
+    "ap_prox": (baselines.ap_prox_solve, baselines.APProxConfig),
+    "svt": (baselines.svt_solve, baselines.SVTConfig),
+    "svt_uv": (baselines.svt_uv_solve, baselines.SVTUVConfig),
 }
 
 _JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string",
@@ -129,12 +123,12 @@ def _solver_schema() -> dict:
     dataclasses. It checks JSON types only; every value rule lives in their
     validate()."""
     props = {}
-    for cls in (SolverConfig, BaselineConfig):
+    for _, cls in _SOLVERS.values():
         for name, types in _field_types(cls).items():
             prop = {"type": [_JSON_TYPES[t] for t in types]}
             if props.setdefault(name, prop) != prop:
                 raise TypeError(f"solver field {name!r} has two types")
-    props["algorithm"] = {"enum": ["giraf", *_BASELINE_SOLVERS]}
+    props["algorithm"] = {"enum": list(_SOLVERS)}
     props["label"] = {"type": "string"}
     return {"type": "object", "properties": props, "required": ["algorithm"],
             "additionalProperties": False}
@@ -364,24 +358,12 @@ def _write_manifest(out: Path, command: str, config: dict, shift: int,
         "seed_shift": shift, "outputs": outputs, **extra})
 
 
-def _entry_label(entry: dict, cfg) -> str:
-    if "label" in entry:
-        return entry["label"]
-    alg = entry["algorithm"]
-    if alg in ("giraf", "irls"):
-        return f"{alg}{cfg.p:g}"
-    return alg
-
-
 def _resolve_solver(entry: dict):
-    """Solver entry -> (callable, validated config dataclass)."""
+    """Solver entry -> (callable, validated config dataclass of the fields
+    the callable reads); any other field is a ConfigError."""
     alg = entry["algorithm"]
-    given = {k: v for k, v in entry.items() if k != "label"}
-    if alg == "giraf":
-        solve, cls = giraf_solve, SolverConfig
-        del given["algorithm"]
-    else:
-        solve, cls = _BASELINE_SOLVERS[alg], BaselineConfig
+    given = {k: v for k, v in entry.items() if k not in ("algorithm", "label")}
+    solve, cls = _SOLVERS[alg]
     unknown = sorted(set(given) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"fields {unknown} not valid for {alg}")
@@ -457,10 +439,27 @@ def cmd_recover(config: dict, out: Path, shift: int) -> int:
     return EXIT_OK
 
 
+def _cell_key(config: dict, entry: dict, solver_cfg, usf, seed) -> tuple:
+    """Sort key of a tol sweep cell, its row's first five bench.csv columns:
+    p, in the default label too, for giraf and irls, and p = 0 for the rest."""
+    p = getattr(solver_cfg, "p", None)
+    label = entry["algorithm"] + ("" if p is None else f"{p:g}")
+    return config["name"], entry.get("label", label), float(p or 0), usf, seed
+
+
+def _refuse_shared_keys(keys) -> None:
+    """Sweep cells whose rows would share a key are a ConfigError: no reader
+    of the CSV could tell those rows apart."""
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise ConfigError(f"two sweep cells share the key {','.join(map(str, key))}")
+        seen.add(key)
+
+
 def _tol_row(config, entry, usf, seed, tol, timing):
     solve, solver_cfg = _resolve_solver(entry)
-    label = _entry_label(entry, solver_cfg)
-    key = (config["name"], label, float(solver_cfg.p), usf, seed)
+    key = _cell_key(config, entry, solver_cfg, usf, seed)
     run_cfg = copy.deepcopy(config)
     run_cfg["sampling"]["usf"] = usf
     try:
@@ -493,8 +492,9 @@ def _bench_tol(config: dict, out: Path, shift: int, threads: int) -> int:
     tol = sweep.get("tol", 1e-4)
     seeds = [s + shift for s in sweep.get("seeds", [0])]
     usfs = sweep.get("usf", [config["sampling"]["usf"]])
-    for entry in sweep["solvers"]:
-        _resolve_solver(entry)  # fail fast on any bad entry
+    resolved = [(entry, _resolve_solver(entry)[1]) for entry in sweep["solvers"]]  # fail fast
+    _refuse_shared_keys(_cell_key(config, entry, solver_cfg, usf, seed)
+                        for entry, solver_cfg in resolved for usf in usfs for seed in seeds)
     tasks = [(entry, usf, seed)
              for entry in sweep["solvers"] for usf in usfs for seed in seeds]
 
@@ -544,8 +544,9 @@ _SUBPROBLEM_LEG = {"ls_solver": "admm", "inner_iters": 200, "delta": 10.0,
                    "cg_tol": 0.0}
 
 
-def _subproblem_leg(entry: dict) -> SolverConfig:
-    """One inner-solver leg of the subproblem bench, validated like a solve."""
+def _subproblem_leg(entry: dict) -> tuple[str, SolverConfig]:
+    """Label and config of one inner-solver leg of the subproblem bench,
+    validated like a solve."""
     if entry["algorithm"] != "giraf":
         raise ConfigError("subproblem entries must be giraf solvers")
     given = {k: v for k, v in entry.items() if k not in ("algorithm", "label")}
@@ -554,7 +555,8 @@ def _subproblem_leg(entry: dict) -> SolverConfig:
         raise ConfigError(f"fields {extra} not valid for a subproblem entry")
     leg = SolverConfig(**{**_SUBPROBLEM_LEG, **given})
     leg.validate()
-    return leg
+    return entry.get("label") or (
+        f"admm-delta{leg.delta:g}" if leg.ls_solver == "admm" else "cg"), leg
 
 
 def _bench_subproblem(config: dict, out: Path, shift: int) -> int:
@@ -573,7 +575,8 @@ def _bench_subproblem(config: dict, out: Path, shift: int) -> int:
     timing = config.get("timing", "wall")
     lam = float(solver_cfg.lam)
     p = float(solver_cfg.p)
-    legs = [(entry, _subproblem_leg(entry)) for entry in sweep["solvers"]]
+    legs = [_subproblem_leg(entry) for entry in sweep["solvers"]]
+    _refuse_shared_keys((config["name"], label) for label, _ in legs)
 
     _, sampling = _build_instance(config, shift)
     spec, sampling, d, eps0 = first_step(_build_spec(config), sampling, solver_cfg)
@@ -585,9 +588,7 @@ def _bench_subproblem(config: dict, out: Path, shift: int) -> int:
         raise SolverError("subproblem reference solution is zero")
 
     rows = []
-    for entry, leg in legs:
-        label = entry.get("label") or (
-            f"admm-delta{leg.delta:g}" if leg.ls_solver == "admm" else "cg")
+    for label, leg in legs:
         samples = []
         start = time.perf_counter()
 

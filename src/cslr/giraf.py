@@ -354,8 +354,8 @@ def filter_update(spec: LiftingSpec, x: ComplexGrid, eps: float, p: float) -> np
 
 def _check_coverage(spec: LiftingSpec, sampling: SamplingOp) -> np.ndarray:
     """Summed squared block weights sum_j |M_j|^2 of the lifting on its data
-    box, once checked to cover every unmeasured entry."""
-    wsq = sum(np.abs(w) ** 2 for w in spec.block_weights)
+    box (spec.weight_energy), once checked to cover every unmeasured entry."""
+    wsq = spec.weight_energy
     dead = (wsq == 0) & ~sampling.mask
     if np.any(dead):
         raise ConfigError(
@@ -389,7 +389,7 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
     differences run on float64 views and the real factors scale both parts
     of a float64 view, which gives the bits of the complex operations they
     replace (numpy divides a complex by a real as a product with its
-    reciprocal).
+    reciprocal). A final iterate that is not finite is a SolverError.
     """
     _check_weights(spec, d)
     wsq = _check_coverage(spec, sampling)
@@ -411,7 +411,6 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
 
     W = spec.block_weights
     Wc = np.conj(W)
-    del wsq  # not held through the iterations
     x = (x0.values if x0 is not None else bvals).copy()
     WX = np.empty_like(W)
     U = np.zeros_like(W)
@@ -439,6 +438,8 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
             np.multiply(xf, rden, out=xf)
         if callback is not None:
             callback(it + 1, x)
+    if not np.all(np.isfinite(x.view(np.float64))):
+        raise SolverError("ADMM iterate is not finite")
     return ComplexGrid(spec.data_box, x)
 
 
@@ -582,9 +583,15 @@ def eps_schedule(lam_max: float, n_outer: int, eps0: float | str = "auto",
     return eps0, [max(eps0 * eta ** (-(n - 1)), eps_min) for n in range(1, n_outer + 1)]
 
 
+def _relative_step(new: np.ndarray, old: np.ndarray) -> float:
+    """||new - old||^2 / ||old||^2, infinite when old is zero."""
+    denom = float(np.linalg.norm(old) ** 2)
+    return float(np.linalg.norm(new - old) ** 2) / denom if denom else math.inf
+
+
 def _reweighted_loop(config, n_outer: int, lam: float | None, x: ComplexGrid,
                      sampling: SamplingOp, penalty_at, least_squares,
-                     error, algorithm: str) -> RecoveryTrace:
+                     error, algorithm: str, tol: float) -> RecoveryTrace:
     """Outer iteration shared by GIRAF and direct IRLS.
 
     penalty_at(x, values, weighted) gives the smoothed penalty of the lifting
@@ -601,7 +608,7 @@ def _reweighted_loop(config, n_outer: int, lam: float | None, x: ComplexGrid,
     range come from the penalty at the next iterate, or from the closing
     one; without eigenvalues the range stays None. config supplies p, eps0,
     eta and eps_min; lam=None is equality mode; error(x) gives the NMSE or
-    is None.
+    is None. A relative step (_relative_step) below tol stops the loop.
     """
     records: list[IterationRecord] = []
     phases = {"filter_update": 0.0, "least_squares": 0.0}
@@ -636,12 +643,14 @@ def _reweighted_loop(config, n_outer: int, lam: float | None, x: ComplexGrid,
         weights = penalty.weights(eps_n)
         tl = time.perf_counter()
         phases["filter_update"] += tl - tf
-        x = least_squares(weights, x)
+        x_prev, x = x, least_squares(weights, x)
         phases["least_squares"] += time.perf_counter() - tl
         data_term = float(np.linalg.norm((x.values - sampling.b.values)[sampling.mask]) ** 2)
         records.append(IterationRecord(
             iteration=n, eps=eps_n, nmse=None if error is None else error(x), cost=None,
             sigma_min=None, sigma_max=None, seconds=time.perf_counter() - t0))
+        if tol > 0 and _relative_step(x.values, x_prev.values) < tol:
+            break
 
     tf = time.perf_counter()
     penalty = penalty_at(x, True, False)
@@ -688,6 +697,6 @@ def giraf_solve(spec: LiftingSpec, sampling: SamplingOp, config: SolverConfig,
                                                             values, weighted),
         least_squares=lambda d, x: _inner_solve(work_spec, samp, d, config.lam, config.p,
                                                 config, x0=x),
-        error=error, algorithm=f"giraf{config.p:g}")
+        error=error, algorithm=f"giraf{config.p:g}", tol=0.0)
     trace.x = restrict(trace.x, spec.data_box)
     return trace

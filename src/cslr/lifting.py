@@ -132,6 +132,13 @@ class LiftingSpec:
         ws.flags.writeable = False
         return ws
 
+    @cached_property
+    def weight_energy(self) -> np.ndarray:
+        """sum_j |M_j|^2 of block_weights: built on first use, read-only."""
+        wsq = sum(np.abs(w) ** 2 for w in self.block_weights)
+        wsq.flags.writeable = False
+        return wsq
+
     @property
     def valid_box(self) -> IndexBox:
         return valid_set(self.data_box, self.filter_box)
@@ -399,5 +406,4 @@ def lift_normal_diagonal(spec: LiftingSpec) -> np.ndarray:
     flat = _valid_gather(spec.data_box, spec.filter_box)
     count = np.zeros(spec.data_box.size)
     np.add.at(count, flat.ravel(), 1.0)
-    wsq = sum(np.abs(w) ** 2 for w in spec.block_weights)
-    return count.reshape(spec.data_box.extent) * wsq
+    return count.reshape(spec.data_box.extent) * spec.weight_energy

@@ -12,7 +12,10 @@ import time
 import numpy as np
 
 from cslr.baselines import (
-    BaselineConfig,
+    APConfig,
+    IRLSConfig,
+    SVTConfig,
+    SVTUVConfig,
     ap_solve,
     irls_direct,
     svt_solve,
@@ -245,13 +248,14 @@ def test_criterion_09_frozen_eps_cost_descends():
         rel = max((b - a) / abs(a) for a, b in zip(costs, costs[1:]))
         worst = max(worst, rel)
         legs.append(f"giraf{p:g} {rel:.1e}")
-    iprobe = irls_direct(spec, samp, BaselineConfig(
-        algorithm="irls", p=1.0, lam=50.0, equality=False, max_iters=1,
-        inner_iters=400, cg_tol=1e-14))
+    iprobe = irls_direct(spec, samp, IRLSConfig(
+        p=1.0, lam=50.0, equality=False, max_iters=1, inner_iters=400, cg_tol=1e-14))
     ieps = iprobe.records[0].eps
-    itr = irls_direct(spec, samp, BaselineConfig(
-        algorithm="irls", p=1.0, lam=50.0, equality=False, eps0=ieps,
-        eps_min=ieps, max_iters=4, inner_iters=400, cg_tol=1e-14))
+    # tol=0: every iterate is compared, the second's relative step (~6e-9)
+    # being below the default tol
+    itr = irls_direct(spec, samp, IRLSConfig(
+        p=1.0, lam=50.0, equality=False, eps0=ieps, eps_min=ieps, max_iters=4,
+        inner_iters=400, cg_tol=1e-14, tol=0))
     icosts = [r.cost for r in itr.records]
     irel = max((b - a) / abs(a) for a, b in zip(icosts, icosts[1:]))
     worst = max(worst, irel)
@@ -292,17 +296,16 @@ def test_criterion_11_cross_algorithm_pwc():
                  if r.nmse is not None and r.nmse <= 1e-4), None)
 
     results = {"giraf0": gtr.final_nmse}
-    results["ap"] = ap_solve(spec, samp, BaselineConfig(
-        algorithm="ap", rank_r=24, max_iters=40), ground_truth=truth).final_nmse
-    results["svt"] = svt_solve(spec, samp, BaselineConfig(
-        algorithm="svt", lam=6.5, beta=1.0, equality=True, max_iters=40),
+    results["ap"] = ap_solve(spec, samp, APConfig(rank_r=24, max_iters=40),
+                             ground_truth=truth).final_nmse
+    results["svt"] = svt_solve(spec, samp, SVTConfig(
+        lam=6.5, beta=1.0, equality=True, max_iters=40), ground_truth=truth).final_nmse
+    results["svt_uv"] = svt_uv_solve(spec, samp, SVTUVConfig(
+        rank_r=40, lam=0.026, beta=1.0, equality=True, max_iters=40, seed=0),
         ground_truth=truth).final_nmse
-    results["svt_uv"] = svt_uv_solve(spec, samp, BaselineConfig(
-        algorithm="svt_uv", rank_r=40, lam=0.026, beta=1.0, equality=True,
-        max_iters=40, seed=0), ground_truth=truth).final_nmse
-    results["irls0"] = irls_direct(spec, samp, BaselineConfig(
-        algorithm="irls", p=0.0, equality=True, max_iters=5, inner_iters=60,
-        cg_tol=1e-10), ground_truth=truth).final_nmse
+    results["irls0"] = irls_direct(spec, samp, IRLSConfig(
+        p=0.0, equality=True, max_iters=5, inner_iters=60, cg_tol=1e-10),
+        ground_truth=truth).final_nmse
 
     all_hit = all(v <= 1e-4 for v in results.values())
     ok = all_hit and ghit is not None and ghit <= 6 and gsecs < 5.0

@@ -2,13 +2,18 @@
 oracles, the majorizer inequality, prox and averaging building blocks, and
 end-to-end recovery for each solver on a small Dirac instance."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from cslr.baselines import (
-    BaselineConfig,
+    APConfig,
+    APProxConfig,
+    IRLSConfig,
+    SVTConfig,
+    SVTUVConfig,
     _ExactPenalty,
     _irls_penalty,
     _soft_threshold_svd,
@@ -19,7 +24,13 @@ from cslr.baselines import (
     svt_solve,
     svt_uv_solve,
 )
-from cslr.giraf import ConfigError, SolverConfig, giraf_solve, schatten_weight
+from cslr.giraf import (
+    ConfigError,
+    SolverConfig,
+    _relative_step,
+    giraf_solve,
+    schatten_weight,
+)
 from cslr.grids import ComplexGrid, IndexBox
 from cslr.lifting import BudgetError, LiftingSpec, lift_normal_diagonal, materialize_exact
 from cslr.models import (
@@ -187,19 +198,17 @@ def test_truth_is_fixed_point():
     truncation solver and of its proximal relaxation at any weight."""
     spec, sampling, truth = _dirac_instance()
     scale = np.linalg.norm(truth.values)
-    tr = ap_solve(spec, sampling, BaselineConfig(algorithm="ap", rank_r=4, max_iters=5),
-                  x0=truth)
+    tr = ap_solve(spec, sampling, APConfig(rank_r=4, max_iters=5), x0=truth)
     assert np.linalg.norm(tr.x.values - truth.values) / scale < 1e-12
     for lam in (1.0, 1e8):
-        cfg = BaselineConfig(algorithm="ap_prox", rank_r=4, lam=lam,
-                             equality=False, max_iters=5)
+        cfg = APProxConfig(rank_r=4, lam=lam, max_iters=5)
         tr = ap_prox_solve(spec, sampling, cfg, x0=truth)
         assert np.linalg.norm(tr.x.values - truth.values) / scale < 1e-12
 
 
 def test_ap_recovers_diracs_and_stops():
     spec, sampling, truth = _dirac_instance()
-    cfg = BaselineConfig(algorithm="ap", rank_r=4, max_iters=100)
+    cfg = APConfig(rank_r=4, max_iters=100)
     tr = ap_solve(spec, sampling, cfg, ground_truth=truth)
     assert tr.final_nmse < 1e-6
     # relative-step rule fires well before the iteration cap
@@ -211,8 +220,7 @@ def test_ap_recovers_diracs_and_stops():
 
 def test_ap_prox_recovers_with_moderate_weight():
     spec, sampling, truth = _dirac_instance()
-    cfg = BaselineConfig(algorithm="ap_prox", rank_r=4, lam=0.05,
-                         equality=False, max_iters=200)
+    cfg = APProxConfig(rank_r=4, lam=0.05, max_iters=200)
     tr = ap_prox_solve(spec, sampling, cfg, ground_truth=truth)
     assert tr.final_nmse < 1e-6
     assert tr.algorithm == "ap_prox"
@@ -220,8 +228,7 @@ def test_ap_prox_recovers_with_moderate_weight():
 
 def test_svt_recovers_diracs():
     spec, sampling, truth = _dirac_instance()
-    cfg = BaselineConfig(algorithm="svt", lam=6.74, beta=1.0, equality=True,
-                         max_iters=60)
+    cfg = SVTConfig(lam=6.74, beta=1.0, equality=True, max_iters=60)
     tr = svt_solve(spec, sampling, cfg, ground_truth=truth)
     assert tr.final_nmse < 1e-6
     assert len(tr.records) < 40
@@ -230,8 +237,8 @@ def test_svt_recovers_diracs():
 
 def test_svt_uv_recovers_diracs():
     spec, sampling, truth = _dirac_instance()
-    cfg = BaselineConfig(algorithm="svt_uv", rank_r=8, lam=0.027, beta=1.0,
-                         equality=True, max_iters=60, seed=0)
+    cfg = SVTUVConfig(rank_r=8, lam=0.027, beta=1.0, equality=True, max_iters=60,
+                      seed=0)
     tr = svt_uv_solve(spec, sampling, cfg, ground_truth=truth)
     assert tr.final_nmse < 1e-6
     assert len(tr.records) < 40
@@ -242,8 +249,7 @@ def test_irls_matches_reweighted_solver():
     """Both solvers drive the same objective; final errors agree to the
     scale set by the half-circulant approximation."""
     spec, sampling, truth = _dirac_instance()
-    icfg = BaselineConfig(algorithm="irls", p=0.0, equality=True, max_iters=10,
-                          inner_iters=80, cg_tol=1e-12)
+    icfg = IRLSConfig(p=0.0, equality=True, max_iters=10, inner_iters=80, cg_tol=1e-12)
     itr = irls_direct(spec, sampling, icfg, ground_truth=truth)
     gcfg = SolverConfig(p=0.0, outer_iters=10, ls_solver="cg", inner_iters=80,
                         cg_tol=1e-12, oversample=True)
@@ -285,7 +291,7 @@ def test_irls_takes_one_full_svd_per_iteration_and_a_values_only_close(monkeypat
     monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(
         kw.get("compute_uv", True)) or svd(a, **kw))
     spec, sampling, truth = _dirac_instance()
-    cfg = BaselineConfig(algorithm="irls", p=0.0, max_iters=max_iters, inner_iters=5)
+    cfg = IRLSConfig(p=0.0, max_iters=max_iters, inner_iters=5)
     trace = irls_direct(spec, sampling, cfg, ground_truth=truth)
     assert calls == [True] * max_iters + [False]
     assert len(trace.records) == max_iters
@@ -293,56 +299,127 @@ def test_irls_takes_one_full_svd_per_iteration_and_a_values_only_close(monkeypat
         assert 0.0 <= rec.sigma_min <= rec.sigma_max and np.isfinite(rec.cost)
 
 
-def test_irls_descends_with_frozen_eps():
+def _frozen_eps_irls(**fields):
+    """Direct IRLS (p = 1, eps frozen at 1e-2, by default 8 iterations) on
+    a 17x17 piecewise-constant instance, fields overriding the config."""
     box = IndexBox((-8, -8), (17, 17))
     spec = LiftingSpec(data_box=box, filter_box=IndexBox((-2, -2), (5, 5)),
                        weightings=gradient_weighting(2))
     truth = rect_fourier(pwc_phantom(), box)
     sampling = SamplingOp.measure(truth, random_mask(box, 0.5, seed=4, force_dc=True))
-    cfg = BaselineConfig(algorithm="irls", p=1.0, lam=50.0, equality=False,
-                         eps0=1e-2, eps_min=1e-2, max_iters=8,
-                         inner_iters=4000, cg_tol=1e-14)
-    tr = irls_direct(spec, sampling, cfg)
+    cfg = IRLSConfig(**{"p": 1.0, "lam": 50.0, "equality": False, "eps0": 1e-2,
+                        "eps_min": 1e-2, "max_iters": 8, "inner_iters": 4000,
+                        "cg_tol": 1e-14, **fields})
+    return irls_direct(spec, sampling, cfg)
+
+
+def test_irls_descends_with_frozen_eps():
+    # tol=0 runs all 8 iterations: at the default tol the run stops at the
+    # second, whose relative step is about 2e-9
+    tr = _frozen_eps_irls(tol=0)
     costs = [r.cost for r in tr.records]
+    assert len(costs) == 8
     for prev, cur in zip(costs, costs[1:]):
         assert cur <= prev + 1e-9 * abs(prev)
 
 
+def test_irls_stops_once_the_relative_step_drops_below_tol():
+    # at the default tol the frozen-eps run stops after its second iterate,
+    # the first whose relative step falls below tol, and returns what a
+    # two-iteration run returns; test_irls_descends_with_frozen_eps runs
+    # the same instance to the end with tol=0
+    stopped = _frozen_eps_irls()
+    assert [r.iteration for r in stopped.records] == [1, 2]
+    assert stopped.x.values.tobytes() == _frozen_eps_irls(max_iters=2, tol=0).x.values.tobytes()
+    first = _frozen_eps_irls(max_iters=1).x.values
+    assert _relative_step(stopped.x.values, first) < IRLSConfig().tol
+
+
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        BaselineConfig(algorithm="nope").validate()
-    with pytest.raises(ConfigError):
-        BaselineConfig(algorithm="ap").validate()  # missing rank
-    with pytest.raises(ConfigError):
-        BaselineConfig(algorithm="svt").validate()  # missing lam
-    with pytest.raises(ConfigError):
-        BaselineConfig(algorithm="ap", rank_r=4, equality=False).validate()
-    with pytest.raises(ConfigError):
-        BaselineConfig(algorithm="ap_prox", rank_r=4, lam=1.0, equality=True).validate()
-    with pytest.raises(ConfigError):
-        BaselineConfig(algorithm="svt", lam=1.0, beta=0.0).validate()
-    with pytest.raises(ConfigError):
-        BaselineConfig(algorithm="irls", equality=True, p=1.5).validate()
-    with pytest.raises(ConfigError):
-        BaselineConfig(algorithm="irls", equality=True, max_iters=0).validate()
-    # solvers refuse configs built for a different algorithm
-    spec, sampling, _ = _dirac_instance()
-    with pytest.raises(ConfigError):
-        ap_solve(spec, sampling, BaselineConfig(algorithm="svt", lam=1.0))
+    for cfg in (APConfig(), APConfig(rank_r=0), SVTUVConfig(lam=1.0)):
+        with pytest.raises(ConfigError, match="rank_r"):
+            cfg.validate()
+    for cfg in (APProxConfig(rank_r=4), SVTConfig(), SVTConfig(lam=0.0),
+                SVTUVConfig(rank_r=4), IRLSConfig(equality=False)):
+        with pytest.raises(ConfigError, match="lam"):
+            cfg.validate()
+    # irls does not read lam under equality, so it refuses one there
+    with pytest.raises(ConfigError, match="lam"):
+        IRLSConfig(lam=1.0).validate()
+    IRLSConfig(lam=1.0, equality=False).validate()
+    with pytest.raises(ConfigError, match="beta"):
+        SVTConfig(lam=1.0, beta=0.0).validate()
+    with pytest.raises(ConfigError, match="p must"):
+        IRLSConfig(p=1.5).validate()
+    for cfg in (IRLSConfig(max_iters=0), APConfig(rank_r=4, max_iters=0)):
+        with pytest.raises(ConfigError, match="max_iters"):
+            cfg.validate()
+
+
+# the solver of each baseline config, and the values of one or more short
+# runs that between them reach every field
+_READS = [
+    pytest.param(APConfig, ap_solve, [{"rank_r": 4}], id="ap"),
+    pytest.param(APProxConfig, ap_prox_solve, [{"rank_r": 4, "lam": 0.05}], id="ap_prox"),
+    pytest.param(SVTConfig, svt_solve, [{"lam": 6.74}], id="svt"),
+    pytest.param(SVTUVConfig, svt_uv_solve, [{"rank_r": 8, "lam": 0.027}], id="svt_uv"),
+    pytest.param(IRLSConfig, irls_direct, [{"inner_iters": 5},
+                                           {"lam": 50.0, "equality": False, "inner_iters": 5}],
+                 id="irls"),
+]
+
+
+@pytest.mark.parametrize("cls, solve, runs", _READS)
+def test_every_config_field_is_read_by_its_solver(cls, solve, runs):
+    # attribute reads of the config during the solve, validate() left out
+    read, checking = set(), []
+
+    class Recording(cls):
+        def __getattribute__(self, name):
+            if not checking:
+                read.add(name)
+            return object.__getattribute__(self, name)
+
+        def validate(self):
+            checking.append(True)
+            try:
+                cls.validate(self)
+            finally:
+                checking.pop()
+
+    spec, sampling, truth = _dirac_instance()
+    for values in runs:
+        solve(spec, sampling, Recording(max_iters=2, **values), ground_truth=truth)
+    names = {f.name for f in dataclasses.fields(cls)}
+    assert names - read == set()
+
+
+# the config classes an id's family names: giraf's SolverConfig, or the
+# baseline configs, each with values its validate() accepts
+_FAMILIES = {
+    "SolverConfig": [(SolverConfig, {})],
+    "BaselineConfig": [(APConfig, {"rank_r": 4}), (APProxConfig, {"rank_r": 4, "lam": 1.0}),
+                       (SVTConfig, {"lam": 1.0}), (SVTUVConfig, {"rank_r": 4, "lam": 1.0}),
+                       (IRLSConfig, {})],
+}
 
 
 @pytest.mark.parametrize("value", [2.0, 2.5, True, "2"])
-@pytest.mark.parametrize("cls, name", [
-    (SolverConfig, "outer_iters"), (SolverConfig, "inner_iters"),
-    (BaselineConfig, "rank_r"), (BaselineConfig, "max_iters"),
-    (BaselineConfig, "inner_iters"), (BaselineConfig, "seed")])
-def test_integer_fields_refuse_non_integers(cls, name, value):
-    base = {"algorithm": "irls"} if cls is BaselineConfig else {}
-    cls(**base).validate()  # rank_r=None passes for irls
-    cls(**{**base, name: 2}).validate()
-    cls(**{**base, name: np.int64(2)}).validate()
-    with pytest.raises(ConfigError, match=name):
-        cls(**{**base, name: value}).validate()
+@pytest.mark.parametrize("family, name", [
+    ("SolverConfig", "outer_iters"), ("SolverConfig", "inner_iters"),
+    ("BaselineConfig", "rank_r"), ("BaselineConfig", "max_iters"),
+    ("BaselineConfig", "inner_iters"), ("BaselineConfig", "seed")])
+def test_integer_fields_refuse_non_integers(family, name, value):
+    # every class of the family that declares the field
+    classes = [(cls, base) for cls, base in _FAMILIES[family]
+               if name in {f.name for f in dataclasses.fields(cls)}]
+    assert classes
+    for cls, base in classes:
+        cls(**base).validate()
+        cls(**{**base, name: 2}).validate()
+        cls(**{**base, name: np.int64(2)}).validate()
+        with pytest.raises(ConfigError, match=name):
+            cls(**{**base, name: value}).validate()
 
 
 def test_integral_float_count_is_a_config_error_not_a_crash():
@@ -350,7 +427,7 @@ def test_integral_float_count_is_a_config_error_not_a_crash():
     with pytest.raises(ConfigError, match="outer_iters"):
         giraf_solve(spec, sampling, SolverConfig(outer_iters=2.0), truth)
     with pytest.raises(ConfigError, match="max_iters"):
-        irls_direct(spec, sampling, BaselineConfig(algorithm="irls", max_iters=2.0), truth)
+        irls_direct(spec, sampling, IRLSConfig(max_iters=2.0), truth)
 
 
 def test_dense_lifting_budget_guard():
@@ -359,4 +436,4 @@ def test_dense_lifting_budget_guard():
     truth = ComplexGrid(box, np.zeros(box.extent, dtype=complex))
     sampling = SamplingOp.measure(truth, random_mask(box, 0.5, seed=0))
     with pytest.raises(BudgetError):
-        ap_solve(spec, sampling, BaselineConfig(algorithm="ap", rank_r=4, max_iters=1))
+        ap_solve(spec, sampling, APConfig(rank_r=4, max_iters=1))

@@ -3,6 +3,7 @@ CSV/JSON output contracts, and rerun determinism."""
 
 import csv
 import dataclasses
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -20,7 +21,7 @@ from jsonschema.validators import validator_for
 
 import cslr
 from cslr import cli, giraf
-from cslr.baselines import BaselineConfig
+from cslr.baselines import IRLSConfig
 from cslr.cli import main
 from cslr.giraf import SolverConfig
 from cslr.grids import ComplexGrid, IndexBox, load_grid, save_grid
@@ -207,7 +208,7 @@ def test_reweighting_fields_rejected_for_both_reweighted_solvers(tmp_path, capsy
 def test_zero_cg_tol_stays_valid():
     # the subproblem bench runs its CG legs with cg_tol 0 by default
     SolverConfig(cg_tol=0.0).validate()
-    BaselineConfig(algorithm="irls", cg_tol=0.0).validate()
+    IRLSConfig(cg_tol=0.0).validate()
 
 
 def test_data_errors_exit_3(tmp_path, capsys):
@@ -517,6 +518,16 @@ _CG_BLOW_UP = pytest.mark.parametrize("solver, scale", [
     pytest.param(_IRLS_SHORT, scale, id=f"irls-{scale:g}") for scale in (1e150, 1e-150)])
 
 
+def test_admm_blow_up_exits_4(tmp_path, capsys):
+    # measurements times 1e152 leave the spectrum and the weights finite,
+    # but the ADMM iterate leaves the float range: a solver failure, not
+    # the ValueError of a non-finite grid
+    solver = {"algorithm": "giraf", "p": 0, "lam": 0.05, "outer_iters": 5, "oversample": True}
+    err = _recover_scaled_measurements(tmp_path, capsys, solver, 1e152)
+    assert err["error"]["type"] == "SolverError"
+    assert err["error"]["message"] == "ADMM iterate is not finite"
+
+
 @_CG_BLOW_UP
 def test_cg_blow_up_exits_4(tmp_path, capsys, solver, scale):
     # at these scales the spectrum and the weights stay finite (ADMM
@@ -566,6 +577,45 @@ def _sweep_config(tmp_path, seeds, solvers):
 def _bench(cfg, out, threads):
     return main(["bench", "--config", str(cfg), "--threads", str(threads),
                  "--out", str(out)])
+
+
+@pytest.mark.parametrize("sweep, key", [
+    pytest.param({"solvers": [{**_GIRAF_SHORT, "ls_solver": "admm"},
+                              {**_GIRAF_SHORT, "ls_solver": "cg"}]},
+                 "dirac63,giraf0,0.0,0.6,0", id="labels"),
+    pytest.param({"usf": [0.5, 0.5], "solvers": [_IRLS_SHORT]},
+                 "dirac63,irls0,0.0,0.5,0", id="usf"),
+    pytest.param({"seeds": [2, 1, 2], "solvers": [{"algorithm": "ap", "rank_r": 4}]},
+                 "dirac63,ap,0.0,0.6,2", id="seeds"),
+    pytest.param({"protocol": "subproblem", "reference_iters": 10,
+                  "solvers": [{"algorithm": "giraf", "inner_iters": 5},
+                              {"algorithm": "giraf", "delta": 10}]},
+                 "dirac63,admm-delta10", id="subproblem"),
+])
+def test_sweep_cells_sharing_a_key_exit_2(tmp_path, capsys, sweep, key):
+    # rows under one key could not be told apart in the CSV
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg, solver={"algorithm": "giraf", "p": 0, "lam": 0.1}, sweep=sweep)
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError"
+    assert err["message"] == f"two sweep cells share the key {key}"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("smoke", [False, True])
+def test_benchmark_sweep_entries_resolve(tmp_path, monkeypatch, smoke):
+    # perfbench's sweep workload runs cslr bench on a config of its own,
+    # which this suite does not otherwise read
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # the module's dataclasses look it up in sys.modules as they are built
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    config = cli.load_config(module.SweepWorkload(tmp_path, smoke).config_path)
+    for entry in config["sweep"]["solvers"]:
+        cli._resolve_solver(entry)
 
 
 @pytest.mark.parametrize("threads", [0, -1])
@@ -680,11 +730,72 @@ def test_dead_worker_exits_4(tmp_path, monkeypatch, capsys):
     assert err["exit_code"] == 4 and err["type"] == "BrokenProcessPool"
 
 
+def _declared(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+# the fields each baseline solver reads, and so accepts
+_BASELINE_FIELDS = {
+    "ap": {"rank_r", "max_iters", "tol"},
+    "ap_prox": {"rank_r", "lam", "max_iters", "tol"},
+    "svt": {"lam", "beta", "equality", "max_iters", "tol"},
+    "svt_uv": {"rank_r", "lam", "beta", "equality", "max_iters", "tol", "seed"},
+    "irls": {"p", "lam", "equality", "eps0", "eta", "eps_min", "max_iters",
+             "inner_iters", "cg_tol", "tol"},
+}
+
+# a value of every solver field that its solvers accept
+_FIELD_VALUES = {
+    "p": 0.5, "lam": 0.5, "eps0": 1.0, "eta": 1.5, "eps_min": 1e-3, "outer_iters": 2,
+    "ls_solver": "cg", "inner_iters": 5, "delta": 5.0, "cg_tol": 1e-9, "oversample": True,
+    "oversample_factor": 1.5, "rank_r": 4, "beta": 2.0, "equality": False, "max_iters": 3,
+    "tol": 1e-3, "seed": 1,
+}
+
+
 def test_solver_schema_matches_config_fields():
-    giraf_fields = {f.name for f in dataclasses.fields(SolverConfig)}
-    baseline_fields = {f.name for f in dataclasses.fields(BaselineConfig)}
-    assert set(cli._SOLVER_SCHEMA["properties"]) == (
-        giraf_fields | baseline_fields | {"algorithm", "label"})
+    declared = set().union(*(_declared(cls) for _, cls in cli._SOLVERS.values()))
+    props = cli._SOLVER_SCHEMA["properties"]
+    assert set(props) == declared | {"algorithm", "label"}
+    assert props["algorithm"] == {"enum": ["giraf", "irls", "ap", "ap_prox", "svt", "svt_uv"]}
+    assert declared == set(_FIELD_VALUES)
+
+
+@pytest.mark.parametrize("algorithm", sorted(_BASELINE_FIELDS))
+def test_baseline_entry_accepts_only_the_fields_its_solver_reads(tmp_path, capsys,
+                                                                  algorithm):
+    fields = _BASELINE_FIELDS[algorithm]
+    assert _declared(cli._SOLVERS[algorithm][1]) == fields
+    entry = {"algorithm": algorithm, **{k: _FIELD_VALUES[k] for k in fields}}
+    cli._resolve_solver(entry)
+    others = sorted(set(_FIELD_VALUES) - fields)
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg, solver={**entry, **{k: _FIELD_VALUES[k] for k in others}})
+    assert main(["recover", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError"
+    assert err["message"] == f"fields {others} not valid for {algorithm}"
+    assert not (tmp_path / "o").exists()
+
+
+def test_ap_entry_with_fields_it_does_not_read_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg, solver={"algorithm": "ap", "rank_r": 4, "lam": 3, "beta": 2,
+                               "p": 0.5, "eps0": 1, "inner_iters": 5, "seed": 3})
+    assert main(["recover", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["exit_code"] == 2 and err["type"] == "ConfigError"
+    assert "['beta', 'eps0', 'inner_iters', 'lam', 'p', 'seed']" in err["message"]
+
+
+def test_baseline_manifest_lists_only_its_solver_fields(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg, solver={"algorithm": "ap", "rank_r": 4, "max_iters": 5})
+    out = tmp_path / "rec"
+    assert main(["recover", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["resolved_solver"] == {"algorithm": "ap", "rank_r": 4, "max_iters": 5,
+                                           "tol": 1e-8}
 
 
 def _wrong_type(types):
@@ -696,17 +807,21 @@ def _wrong_type(types):
 
 
 def _field_verdict_cases():
-    """One wrongly typed value per solver field, and 0 for each integer
-    field that must be at least 1, read off the config dataclasses."""
-    for cls, alg in ((SolverConfig, "giraf"), (BaselineConfig, "irls")):
-        hints = typing.get_type_hints(cls)
-        for f in dataclasses.fields(cls):
-            types = typing.get_args(hints[f.name]) or (hints[f.name],)
-            yield pytest.param("solver", {"algorithm": alg, f.name: _wrong_type(types)},
-                               id=f"{alg}-{f.name}-wrong-type")
-            if int in types and f.name != "seed":
-                yield pytest.param("solver", {"algorithm": alg, f.name: 0},
-                                   id=f"{alg}-{f.name}-0")
+    """For every algorithm, one wrongly typed value per solver field of any
+    config dataclass, and of algorithm, and 0 for each integer field that
+    must be at least 1, read off the config dataclasses. Each is refused,
+    whether or not the algorithm declares the field."""
+    hints = {"algorithm": str}
+    for _, cls in cli._SOLVERS.values():
+        hints.update(typing.get_type_hints(cls))
+    for alg in cli._SOLVERS:
+        for name, hint in sorted(hints.items()):
+            types = typing.get_args(hint) or (hint,)
+            yield pytest.param("solver", {"algorithm": alg, name: _wrong_type(types)},
+                               id=f"{alg}-{name}-wrong-type")
+            if int in types and name != "seed":
+                yield pytest.param("solver", {"algorithm": alg, name: 0},
+                                   id=f"{alg}-{name}-0")
     yield pytest.param("subproblem", {"algorithm": "giraf", "inner_iters": 0},
                        id="subproblem-inner_iters-0")
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume
 
 from cslr import giraf, grids, lifting
-from cslr.baselines import BaselineConfig, irls_direct
+from cslr.baselines import IRLSConfig, irls_direct
 from cslr.giraf import (
     ConfigError,
     SolverConfig,
@@ -471,6 +471,21 @@ def test_failed_cholesky_and_nonpositive_eps_are_solver_errors():
             penalty.weights(eps)
 
 
+def test_non_finite_admm_iterate_is_a_solver_error():
+    # data near 1e150 and weights near 1e300 make rho x overflow in the x
+    # update; the same data in equality mode, which skips that product,
+    # stays finite
+    spec = LiftingSpec(IndexBox((-6,), (13,)), IndexBox((-2,), (5,)))
+    truth = _random_grid(spec.data_box, np.random.default_rng(51))
+    samp = SamplingOp.measure(truth, random_mask(spec.data_box, 0.5, seed=7))
+    d = 1e300 * filter_update(spec, samp.zero_filled(), 0.1, 0.0)
+    big = SamplingOp(samp.mask, ComplexGrid(spec.data_box, 1e150 * samp.b.values))
+    with np.errstate(all="ignore"):
+        assert np.all(np.isfinite(admm_ls(spec, big, d, None, 0.0, iters=5).values))
+        with pytest.raises(SolverError, match="ADMM iterate is not finite"):
+            admm_ls(spec, big, d, 0.5, 0.0, iters=5)
+
+
 @pytest.mark.parametrize("p, ls_solver", [(0.0, "admm"), (0.5, "cg")])
 def test_solver_never_forms_the_complex_gram(monkeypatch, p, ls_solver):
     # the filter update gathers the real form straight from the
@@ -512,7 +527,7 @@ def test_solvers_read_the_spec_block_weights(monkeypatch):
     for ls_solver in ("admm", "cg"):
         cfg = SolverConfig(p=0.0, lam=5.0, outer_iters=2, ls_solver=ls_solver, inner_iters=5)
         assert np.isfinite(giraf_solve(spec, samp, cfg, ground_truth=truth).final_nmse)
-    irls = BaselineConfig(algorithm="irls", p=0.0, max_iters=2, inner_iters=5)
+    irls = IRLSConfig(p=0.0, max_iters=2, inner_iters=5)
     assert np.isfinite(irls_direct(spec, samp, irls, ground_truth=truth).final_nmse)
     X = np.ones(spec.shape_exact, dtype=np.complex128)
     assert np.all(np.isfinite(lift_adjoint(spec, X).values))

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cslr import lifting
+from cslr.giraf import _check_coverage
 from cslr.grids import ComplexGrid, IndexBox, circ_conv, zero_pad
 from cslr.lifting import (
     BudgetError,
@@ -25,7 +26,7 @@ from cslr.lifting import (
     real_gram,
     real_gram_adjoint,
 )
-from cslr.models import gradient_weighting
+from cslr.models import SamplingOp, gradient_weighting
 from oracles import grid_dict, loop_autocorrelation, random_grid
 
 
@@ -238,6 +239,21 @@ def test_block_weights_are_one_read_only_stack():
         assert np.array_equal(w, op.weights_on(spec.data_box))
         assert not w.flags.writeable
     assert spec.block_weights is ws
+
+
+def test_weight_energy_is_one_read_only_sum():
+    # sum_j |M_j|^2, summed in block order, built once and shared by the
+    # exact lifting's normal diagonal and the inner solvers' coverage check
+    spec = LiftingSpec(IndexBox((-4, -4), (9, 9)), IndexBox((-1, -1), (3, 3)), GRAD2D)
+    wsq = spec.weight_energy
+    assert wsq.tobytes() == sum(np.abs(w) ** 2 for w in spec.block_weights).tobytes()
+    assert not wsq.flags.writeable and spec.weight_energy is wsq
+    flat = _valid_gather(spec.data_box, spec.filter_box).ravel()
+    count = np.bincount(flat, minlength=spec.data_box.size).reshape(spec.data_box.extent)
+    assert lift_normal_diagonal(spec).tobytes() == (count * wsq).tobytes()
+    sampling = SamplingOp(np.ones(spec.data_box.extent, dtype=bool),
+                          ComplexGrid(spec.data_box, np.zeros(spec.data_box.extent)))
+    assert _check_coverage(spec, sampling) is wsq
 
 
 def test_gram_1d_generator_example():
