@@ -202,14 +202,14 @@ def _lifted_solve(spec: LiftingSpec, sampling: SamplingOp, config,
         tp = time.perf_counter()
         seconds[low_rank] += tp - ts
         x_new = _fit_lifted(spec, sampling, X if D is None else X - D, diag, x, weight)
-        T = materialize_exact(spec, ComplexGrid(box, x_new.copy()))
+        T = _gather_blocks(spec, spec.block_weights * x_new)
         if D is not None:
             D = D + T - X
         seconds[fit] += time.perf_counter() - tp
         cost = penalty
         if weight is not None:
             cost = float(np.linalg.norm((x_new - bvals)[sampling.mask]) ** 2) + penalty
-        err = None if ground_truth is None else nmse(ComplexGrid(box, x_new.copy()), ground_truth)
+        err = None if ground_truth is None else nmse(x_new, ground_truth)
         records.append(IterationRecord(
             iteration=i, eps=0.0, nmse=err, cost=cost,
             sigma_min=float(s[-1]), sigma_max=float(s[0]),

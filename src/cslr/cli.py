@@ -15,7 +15,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -129,7 +129,7 @@ def _solver_schema() -> dict:
             if props.setdefault(name, prop) != prop:
                 raise TypeError(f"solver field {name!r} has two types")
     props["algorithm"] = {"enum": list(_SOLVERS)}
-    props["label"] = {"type": "string"}
+    props["label"] = {"type": "string", "minLength": 1}
     return {"type": "object", "properties": props, "required": ["algorithm"],
             "additionalProperties": False}
 
@@ -375,8 +375,7 @@ def _resolve_solver(entry: dict):
 def _zero_time(trace, timing: str):
     if timing != "none":
         return trace
-    for rec in trace.records:
-        rec.seconds = 0.0
+    trace.records = [replace(rec, seconds=0.0) for rec in trace.records]
     trace.phase_seconds = {k: 0.0 for k in trace.phase_seconds}
     return trace
 
@@ -555,8 +554,8 @@ def _subproblem_leg(entry: dict) -> tuple[str, SolverConfig]:
         raise ConfigError(f"fields {extra} not valid for a subproblem entry")
     leg = SolverConfig(**{**_SUBPROBLEM_LEG, **given})
     leg.validate()
-    return entry.get("label") or (
-        f"admm-delta{leg.delta:g}" if leg.ls_solver == "admm" else "cg"), leg
+    default = f"admm-delta{leg.delta:g}" if leg.ls_solver == "admm" else "cg"
+    return entry.get("label", default), leg
 
 
 def _bench_subproblem(config: dict, out: Path, shift: int) -> int:
@@ -624,6 +623,9 @@ def cmd_bench(config: dict, out: Path, shift: int, threads: int) -> int:
 def cmd_compare(paths, truth_path, tol, max_diff, nmse_diff) -> int:
     if len(paths) < 2:
         raise ConfigError("compare needs at least two grid files")
+    for option, value in (("--tol", tol), ("--nmse-diff", nmse_diff)):
+        if value is not None and truth_path is None:
+            raise ConfigError(f"{option} needs --truth")
     grids = [(p, load_grid(p)) for p in paths]
     box = grids[0][1].box
     for p, g in grids[1:]:

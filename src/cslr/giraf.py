@@ -10,7 +10,7 @@ The solver alternates two matrix-free steps on gridded Fourier data:
    and G is never formed. One _GramPenalty per outer iterate gives the loop
    three things from R, in real arithmetic: eigenvalues (the smoothing
    schedule and the singular-value range; for p = 0 only at the first and
-   the closing iterate, and at the first only the largest, by Lanczos, on
+   the last iterate, and at the first only the largest, by Lanczos, on
    large Grams), the smoothed penalty at eps, and the weights from
    (R + eps I)^(p/2 - 1), by an eigendecomposition for p > 0 and for p = 0
    by the inverse of a Cholesky factor L, formed blockwise on matrix
@@ -163,7 +163,7 @@ def schatten_weight(p: float) -> float:
     return p / 2 if p > 0 else 0.5
 
 
-@dataclass
+@dataclass(frozen=True)
 class IterationRecord:
     iteration: int
     eps: float
@@ -598,39 +598,26 @@ def _reweighted_loop(config, n_outer: int, lam: float | None, x: ComplexGrid,
     at x as an object with four members: eigvals, its squared singular
     values (None where they were not taken), lam_max, the largest of them
     (None where not taken), cost(eps), the penalty at eps, and weights(eps),
-    the reweighting least_squares(weights, x) -> x solves with. Each
-    iteration asks for a weighted penalty at the current iterate, sets the
-    smoothing schedule from the first one's lam_max and solves at
-    weights(eps_n). Eigenvalues are asked for (values=True) only at the
+    the reweighting least_squares(weights, x) -> x solves with. The penalty
+    at the first iterate sets the smoothing schedule from its lam_max. Each
+    iteration n solves at weights(eps_n) of the penalty in hand, then takes
+    the penalty at its new iterate: that one gives row n its cost at eps_n
+    and its singular-value range (None without eigenvalues), and the next
+    iteration its weights. Eigenvalues are asked for (values=True) at the
     first iterate, where a weighted penalty may give lam_max alone, and at
-    the closing, unweighted penalty after the last one, which gives them
-    all; a penalty may have them anyway. An iterate's cost and singular-value
-    range come from the penalty at the next iterate, or from the closing
-    one; without eigenvalues the range stays None. config supplies p, eps0,
-    eta and eps_min; lam=None is equality mode; error(x) gives the NMSE or
-    is None. A relative step (_relative_step) below tol stops the loop.
+    the last, whose penalty is unweighted; a penalty may have them anyway.
+    config supplies p, eps0, eta and eps_min; lam=None is equality mode;
+    error(x) gives the NMSE or is None. A relative step (_relative_step)
+    below tol makes an iterate the last.
     """
     records: list[IterationRecord] = []
-    phases = {"filter_update": 0.0, "least_squares": 0.0}
     t0 = time.perf_counter()
-    data_term = 0.0
-
-    def finish_record(rec, penalty):
-        if penalty.eigvals is not None:
-            rec.sigma_min = math.sqrt(max(float(np.min(penalty.eigvals)), 0.0))
-            rec.sigma_max = math.sqrt(max(float(np.max(penalty.eigvals)), 0.0))
-        sch = penalty.cost(rec.eps)
-        rec.cost = sch if lam is None else data_term + lam * sch
-
-    for n in range(1, n_outer + 1):
+    penalty = penalty_at(x, True, True)
+    eps0, schedule = eps_schedule(penalty.lam_max, n_outer, config.eps0, config.eta,
+                                  config.eps_min)
+    phases = {"filter_update": time.perf_counter() - t0, "least_squares": 0.0}
+    for n, eps_n in enumerate(schedule, 1):
         tf = time.perf_counter()
-        penalty = penalty_at(x, n == 1, True)
-        if records:
-            finish_record(records[-1], penalty)
-        if n == 1:
-            eps0, schedule = eps_schedule(penalty.lam_max, n_outer, config.eps0, config.eta,
-                                          config.eps_min)
-        eps_n = schedule[n - 1]
         # without eigenvalues (p = 0, and its first iterate above
         # _LANCZOS_ORDER) a failed Cholesky factorization and the
         # finiteness scan of the weights stand in for this check
@@ -642,20 +629,26 @@ def _reweighted_loop(config, n_outer: int, lam: float | None, x: ComplexGrid,
                                       f"eigenvalue plus eps is {smallest:g}")
         weights = penalty.weights(eps_n)
         tl = time.perf_counter()
-        phases["filter_update"] += tl - tf
         x_prev, x = x, least_squares(weights, x)
         phases["least_squares"] += time.perf_counter() - tl
         data_term = float(np.linalg.norm((x.values - sampling.b.values)[sampling.mask]) ** 2)
+        err = None if error is None else error(x)
+        seconds = time.perf_counter() - t0
+        last = n == n_outer or (tol > 0 and _relative_step(x.values, x_prev.values) < tol)
+        tp = time.perf_counter()
+        penalty = penalty_at(x, last, not last)
+        sigma_min = sigma_max = None
+        if penalty.eigvals is not None:
+            sigma_min = math.sqrt(max(float(np.min(penalty.eigvals)), 0.0))
+            sigma_max = math.sqrt(max(float(np.max(penalty.eigvals)), 0.0))
+        sch = penalty.cost(eps_n)
         records.append(IterationRecord(
-            iteration=n, eps=eps_n, nmse=None if error is None else error(x), cost=None,
-            sigma_min=None, sigma_max=None, seconds=time.perf_counter() - t0))
-        if tol > 0 and _relative_step(x.values, x_prev.values) < tol:
+            iteration=n, eps=eps_n, nmse=err,
+            cost=sch if lam is None else data_term + lam * sch,
+            sigma_min=sigma_min, sigma_max=sigma_max, seconds=seconds))
+        phases["filter_update"] += tl - tf + time.perf_counter() - tp
+        if last:
             break
-
-    tf = time.perf_counter()
-    penalty = penalty_at(x, True, False)
-    phases["filter_update"] += time.perf_counter() - tf
-    finish_record(records[-1], penalty)
     return RecoveryTrace(x=x, records=records, algorithm=algorithm, eps0=eps0,
                          phase_seconds=phases)
 

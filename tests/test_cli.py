@@ -436,6 +436,16 @@ def test_compare_exit_codes(tmp_path, capsys):
     assert main(["compare", recovered]) == 2
     capsys.readouterr()
 
+    # the NMSE bounds need a truth to measure against
+    assert main(["compare", recovered, truth, "--truth", truth, "--tol", "1e-30"]) == 1
+    capsys.readouterr()
+    for option in ("--tol", "--nmse-diff"):
+        assert main(["compare", recovered, truth, option, "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "ConfigError" and option in err["message"]
+
 
 def test_manifests_have_no_timestamps(tmp_path):
     cfg = tmp_path / "cfg.json"
@@ -600,6 +610,25 @@ def test_sweep_cells_sharing_a_key_exit_2(tmp_path, capsys, sweep, key):
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "ConfigError"
     assert err["message"] == f"two sweep cells share the key {key}"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("sweep", [
+    pytest.param({"solvers": [{"algorithm": "ap", "rank_r": 4, "max_iters": 5,
+                               "label": ""}]}, id="tol"),
+    pytest.param({"protocol": "subproblem", "reference_iters": 10,
+                  "solvers": [{"algorithm": "giraf", "inner_iters": 5, "label": ""}]},
+                 id="subproblem"),
+])
+def test_empty_label_exit_2(tmp_path, capsys, sweep):
+    # an empty label names no cell: the tol protocol would write an empty
+    # algorithm cell and the subproblem protocol its default label, so
+    # both refuse it
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg, solver={"algorithm": "giraf", "p": 0, "lam": 0.1}, sweep=sweep)
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError" and ".label" in err["message"]
     assert not (tmp_path / "o").exists()
 
 

@@ -1,13 +1,15 @@
 """Solver-level tests: annihilation weights, inner least-squares solvers
 against dense oracles, the outer reweighted iteration, and config guards."""
 
+import dataclasses
+import inspect
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume
 
-from cslr import giraf, grids, lifting
+from cslr import baselines, giraf, grids, lifting
 from cslr.baselines import IRLSConfig, irls_direct
 from cslr.giraf import (
     ConfigError,
@@ -760,10 +762,10 @@ def test_trace_contract():
 
 
 def test_p0_trace_contract():
-    # p = 0 takes no spectrum between the first and the closing iterate:
+    # p = 0 takes no spectrum between the first and the last iterate:
     # rows before the last carry their cost from a Cholesky factor and no
     # singular-value range (None); the last row's range and cost come from
-    # the closing eigenvalues
+    # the eigenvalues at the last iterate
     box = IndexBox((-10,), (21,))
     spec = LiftingSpec(box, IndexBox((-2,), (5,)))
     truth = _random_grid(box, np.random.default_rng(9))
@@ -781,6 +783,62 @@ def test_p0_trace_contract():
     assert last.sigma_min == np.sqrt(w[0]) and last.sigma_max == np.sqrt(w[-1])
     data_term = np.linalg.norm((trace.x.values - samp.b.values)[samp.mask]) ** 2
     assert last.cost == data_term + cfg.lam * _smoothed_schatten_eigs(w, 0.0, last.eps)
+
+
+def _spy_penalty_at(monkeypatch, module):
+    """(values, weighted, eigvals) of every penalty the reweighted loop takes
+    through the module's solver, in order."""
+    calls = []
+    loop = module._reweighted_loop
+
+    def spying(*args, **kwargs):
+        bound = inspect.signature(loop).bind(*args, **kwargs)
+        penalty_at = bound.arguments["penalty_at"]
+
+        def spy(x, values, weighted):
+            penalty = penalty_at(x, values, weighted)
+            calls.append((values, weighted, penalty.eigvals))
+            return penalty
+
+        bound.arguments["penalty_at"] = spy
+        return loop(*bound.args, **bound.kwargs)
+
+    monkeypatch.setattr(module, "_reweighted_loop", spying)
+    return calls
+
+
+@pytest.mark.parametrize("solver", ["giraf0", "giraf0.5", "irls0.5-tol"])
+def test_each_row_is_complete_when_appended(monkeypatch, solver):
+    # one penalty per iterate: the first, weighted and with values, sets the
+    # schedule; each later one gives its row the cost and sigma range and
+    # the next step its weights; the last is unweighted and takes values
+    box = IndexBox((-31,), (63,))
+    spec = LiftingSpec(box, IndexBox((-7,), (15,)))
+    truth = dirac_fourier(random_diracs(4, seed=4, min_separation=2.0 / 15), box)
+    samp = SamplingOp.measure(truth, random_mask(box, 0.6, seed=5))
+    if solver == "irls0.5-tol":
+        calls = _spy_penalty_at(monkeypatch, baselines)
+        cfg = IRLSConfig(p=0.5, max_iters=20, inner_iters=40, tol=1e-3)
+        trace = irls_direct(spec, samp, cfg, ground_truth=truth)
+        assert len(trace.records) < cfg.max_iters
+    else:
+        calls = _spy_penalty_at(monkeypatch, giraf)
+        cfg = SolverConfig(p=float(solver[5:]), outer_iters=5, inner_iters=10)
+        trace = giraf_solve(spec, samp, cfg, ground_truth=truth)
+    records = trace.records
+    assert [c[:2] for c in calls] == (
+        [(True, True)] + [(False, True)] * (len(records) - 1) + [(True, False)])
+    for rec, (_, _, eigvals) in zip(records, calls[1:]):
+        assert rec.cost is not None and np.isfinite(rec.cost)
+        if eigvals is None:
+            assert rec.sigma_min is None and rec.sigma_max is None
+        else:
+            assert rec.sigma_min == np.sqrt(max(np.min(eigvals), 0.0))
+            assert rec.sigma_max == np.sqrt(max(np.max(eigvals), 0.0))
+            assert rec.cost == _smoothed_schatten_eigs(eigvals, cfg.p, rec.eps)
+    assert (calls[-2][2] is None) == (cfg.p == 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        records[0].cost = 0.0
 
 
 def test_monotone_cost_with_frozen_eps():
