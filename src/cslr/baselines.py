@@ -22,6 +22,7 @@ from .giraf import (
     ConfigError,
     IterationRecord,
     RecoveryTrace,
+    SolverError,
     _cg_normal,
     _check_integers,
     _check_reweighting,
@@ -182,8 +183,10 @@ def _lifted_solve(spec: LiftingSpec, sampling: SamplingOp, config,
     the grid to X with _fit_lifted's weight and re-lifts it. With dual set,
     W and the fit target carry a scaled dual, which then moves by the lifting
     residual (ADMM). The cost is the penalty plus, unless weight is None
-    (equality mode), the data residual; the run stops once the relative step
-    drops below config.tol. phases names the timers of the two steps.
+    (equality mode), the data residual; a cost that is not finite (data
+    near the float range's ends) is a SolverError. The run stops once the
+    relative step drops below config.tol. phases names the timers of the
+    two steps.
     """
     config.validate()
     box = spec.data_box
@@ -209,6 +212,8 @@ def _lifted_solve(spec: LiftingSpec, sampling: SamplingOp, config,
         cost = penalty
         if weight is not None:
             cost = float(np.linalg.norm((x_new - bvals)[sampling.mask]) ** 2) + penalty
+        if not math.isfinite(cost):
+            raise SolverError(f"{algorithm} cost is {cost} at iteration {i}")
         err = None if ground_truth is None else nmse(x_new, ground_truth)
         records.append(IterationRecord(
             iteration=i, eps=0.0, nmse=err, cost=cost,

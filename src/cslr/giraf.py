@@ -10,11 +10,11 @@ The solver alternates two matrix-free steps on gridded Fourier data:
    and G is never formed. One _GramPenalty per outer iterate gives the loop
    three things from R, in real arithmetic: eigenvalues (the smoothing
    schedule and the singular-value range; for p = 0 only at the first and
-   the last iterate, and at the first only the largest, by Lanczos, on
-   large Grams), the smoothed penalty at eps, and the weights from
-   (R + eps I)^(p/2 - 1), by an eigendecomposition for p > 0 and for p = 0
-   by the inverse of a Cholesky factor L, formed blockwise on matrix
-   products (L^-T L^-1, cost sum log diag L). The adjoint
+   the last iterate, and on large Grams only the largest, by Lanczos), the
+   smoothed penalty at eps, and the weights from (R + eps I)^(p/2 - 1), by
+   an eigendecomposition for p > 0 and for p = 0 by the inverse of a
+   Cholesky factor L, formed blockwise on matrix products (L^-T L^-1, cost
+   sum log diag L). The adjoint
    of the gather scatters the weight matrix back to lags, and one inverse
    FFT gives the nonnegative spatial weights d. Direct IRLS supplies the
    same three from an SVD of the exact lifting, through the same loop.
@@ -190,11 +190,15 @@ class RecoveryTrace:
 
 
 _TRIL_BLOCK = 64  # rows up to which np.linalg.cholesky and inv factor a block
-# Gram orders above which Lanczos, not eigvalsh, gives the first lambda_max:
-# on 2-D Grams at one BLAS thread eigvalsh took 6.8 ms at order 324 against
-# 7.5 ms, Lanczos 7.9 ms at 361 against 8.9 ms, and 13 against 28 ms at 625
+# Gram orders above which p = 0 takes no full spectrum: Lanczos, not
+# eigvalsh, gives lambda_max at the first and the last iterate, and
+# _tril_gram forms L^-T L^-1. Set with a Ritz check on every Lanczos step
+# (2-D Grams, one BLAS thread: eigvalsh 6.8 ms at order 324 against 7.5 ms
+# for Lanczos, 8.9 against 7.9 ms at 361); with a check on every fourth
+# step Lanczos took 0.7 against 1.3 ms already at order 169 on random data
 _LANCZOS_ORDER = 350
 _LANCZOS_STEPS = 128  # Lanczos steps before eigvalsh takes over
+_LANCZOS_CHECK = 4  # Lanczos steps per Ritz check
 _LANCZOS_TOL = 1e-12  # Ritz residual, relative to the Ritz value, that stops Lanczos
 
 
@@ -237,7 +241,9 @@ def _lanczos_lam_max(R: np.ndarray) -> float:
     It stops once the Ritz residual beta_k |s_k| of the largest Ritz value
     (s the Ritz vector in the Krylov basis) is at most _LANCZOS_TOL of the
     value, which is then within that residual of an eigenvalue; an
-    invariant subspace (beta_k = 0) stops it too. Without a stop within
+    invariant subspace (beta_k = 0) stops it too. The Ritz check, an eigh
+    of the tridiagonal, runs on every _LANCZOS_CHECK-th step, on the last
+    allowed one and where beta_k is 0 or not finite. Without a stop within
     _LANCZOS_STEPS steps, eigvalsh gives the value."""
     n = R.shape[0]
     steps = min(n, _LANCZOS_STEPS)
@@ -252,14 +258,35 @@ def _lanczos_lam_max(R: np.ndarray) -> float:
         for _ in range(2):  # classical Gram-Schmidt, twice is enough
             w -= (Q @ w) @ Q
         beta = np.linalg.norm(w)
-        ritz, S = np.linalg.eigh(T[:k + 1, :k + 1])
-        top = ritz[-1]
-        if not math.isfinite(top) or beta * abs(S[-1, -1]) <= _LANCZOS_TOL * abs(top):
-            return float(top)
+        if (k + 1) % _LANCZOS_CHECK == 0 or k + 1 == steps or not 0 < beta < math.inf:
+            ritz, S = np.linalg.eigh(T[:k + 1, :k + 1])
+            top = ritz[-1]
+            if not math.isfinite(top) or beta * abs(S[-1, -1]) <= _LANCZOS_TOL * abs(top):
+                return float(top)
         if k + 1 < steps:
             basis[k + 1] = w / beta
             T[k, k + 1] = T[k + 1, k] = beta
     return float(np.linalg.eigvalsh(R)[-1])
+
+
+def _tril_gram(L: np.ndarray, out: np.ndarray) -> None:
+    """Write L^T L into out for the lower triangular L, by halving: with L =
+    [[A, 0], [B, C]], L^T L = [[A^T A + B^T B, B^T C], [C^T B, C^T C]], so the
+    zero block costs no products, about half the flops of L.T @ L. Blocks of
+    at most _TRIL_BLOCK rows run L.T @ L; each diagonal block is a sum of
+    symmetric products and the lower block a copy of the upper one's
+    transpose, so out is exactly symmetric."""
+    n = L.shape[0]
+    if n <= _TRIL_BLOCK:
+        np.matmul(L.T, L, out=out)
+        return
+    h = n // 2
+    A, B, C = L[:h, :h], L[h:, :h], L[h:, h:]
+    _tril_gram(C, out[h:, h:])
+    np.matmul(B.T, C, out=out[:h, h:])
+    out[h:, :h] = out[:h, h:].T
+    _tril_gram(A, out[:h, :h])
+    out[:h, :h] += B.T @ B
 
 
 def _weights_from(spec: LiftingSpec, M: np.ndarray) -> np.ndarray:
@@ -286,10 +313,12 @@ class _GramPenalty:
     asked for. With weighted, p > 0 takes eigh, whose vectors give the
     weight matrix V diag((eigvals + eps)^(p/2 - 1)) V^T, and p = 0 keeps R
     for the inverse L^-1 of a Cholesky factor L of R + eps I, whose L^-T
-    L^-1 is (R + eps I)^-1; there values asks for lam_max only, which
-    Lanczos gives above _LANCZOS_ORDER. Otherwise eigvalsh runs when values
-    is set. R + eps I is positive definite, so a failed factorization means
-    the data overflowed or eps fell below R's rounding: a SolverError."""
+    L^-1 is (R + eps I)^-1 (above _LANCZOS_ORDER formed by _tril_gram).
+    Otherwise eigvalsh runs when values is set, except for p = 0 above
+    _LANCZOS_ORDER: there values gives lam_max only, by Lanczos, weighted or
+    not, and the kept R gives the cost by a log-det pass. R + eps I is
+    positive definite, so a failed factorization means the data overflowed
+    or eps fell below R's rounding: a SolverError."""
 
     def __init__(self, spec: LiftingSpec, x: ComplexGrid, p: float, values: bool = True,
                  weighted: bool = True):
@@ -300,13 +329,13 @@ class _GramPenalty:
         try:
             if weighted and p > 0:
                 w, self._V = np.linalg.eigh(R)
-            elif values and weighted and R.shape[0] > _LANCZOS_ORDER:
+            elif values and p == 0 and R.shape[0] > _LANCZOS_ORDER:
                 self.lam_max = max(_lanczos_lam_max(R), 0.0)
             elif values:
                 w = np.linalg.eigvalsh(R)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"Gram eigendecomposition failed: {exc}") from exc
-        if weighted and p == 0:
+        if p == 0 and (weighted or w is None):
             self._R = R
         self.eigvals = None if w is None else np.maximum(w, 0.0)
         if self.eigvals is not None:
@@ -341,7 +370,11 @@ class _GramPenalty:
         else:
             Linv, self._R = self._R, None
             self._factor(Linv, eps, inverse=True)
-            M = Linv.T @ Linv
+            if Linv.shape[0] > _LANCZOS_ORDER:
+                M = np.empty_like(Linv)
+                _tril_gram(Linv, M)
+            else:
+                M = Linv.T @ Linv
             del Linv
         return _weights_from(self.spec, M)
 
@@ -380,16 +413,18 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
     diagonal solve in Fourier indices, with penalty gamma = max(d)/delta.
     lam=None holds the measured samples fixed (equality mode).
 
-    The K blocks are stacked in (K, *extent) buffers allocated once, so an
-    iteration allocates only its new iterate x, and the shrinkage F
-    diag(gamma/(d + gamma)) F^* is one lifting.fourier_diagonal, built once
-    per call: an FFT per direction over the stack, or on small grids one
-    dense matrix product per block. The dual update of an iteration runs at
-    the top of the next one, so that the last iteration skips it. Sums and
-    differences run on float64 views and the real factors scale both parts
-    of a float64 view, which gives the bits of the complex operations they
-    replace (numpy divides a complex by a real as a product with its
-    reciprocal). A final iterate that is not finite is a SolverError.
+    The K blocks are stacked in (K, *extent) buffers allocated once, and
+    every iterate is written into one buffer x, also allocated once;
+    callback(it, x) gets that buffer, valid only during the call. The
+    shrinkage F diag(gamma/(d + gamma)) F^* is one
+    lifting.fourier_diagonal, built once per call: an FFT per direction
+    over the stack, or on small grids one dense matrix product per block.
+    The dual update of an iteration runs at the top of the next one, so
+    that the last iteration skips it. Sums and differences run on float64
+    views and the real factors scale both parts of a float64 view, which
+    gives the bits of the complex operations they replace (numpy divides a
+    complex by a real as a product with its reciprocal). A final iterate
+    that is not finite is a SolverError.
     """
     _check_weights(spec, d)
     wsq = _check_coverage(spec, sampling)
@@ -412,6 +447,7 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
     W = spec.block_weights
     Wc = np.conj(W)
     x = (x0.values if x0 is not None else bvals).copy()
+    xf = x.view(np.float64)
     WX = np.empty_like(W)
     U = np.zeros_like(W)
     Z = np.empty_like(W)
@@ -427,8 +463,7 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
         shrink(S, out=Z)
         np.add(Zf, Uf, out=Sf)
         np.multiply(Wc, S, out=S)
-        x = block_sum(S)
-        xf = x.view(np.float64)
+        block_sum(S, out=x)
         if lam is None:
             np.multiply(xf, rden, out=xf)
             x.ravel()[measured] = bmeasured
@@ -601,11 +636,12 @@ def _reweighted_loop(config, n_outer: int, lam: float | None, x: ComplexGrid,
     the reweighting least_squares(weights, x) -> x solves with. The penalty
     at the first iterate sets the smoothing schedule from its lam_max. Each
     iteration n solves at weights(eps_n) of the penalty in hand, then takes
-    the penalty at its new iterate: that one gives row n its cost at eps_n
-    and its singular-value range (None without eigenvalues), and the next
-    iteration its weights. Eigenvalues are asked for (values=True) at the
-    first iterate, where a weighted penalty may give lam_max alone, and at
-    the last, whose penalty is unweighted; a penalty may have them anyway.
+    the penalty at its new iterate: that one gives row n its cost at eps_n,
+    its largest singular value sqrt(lam_max) (None without lam_max) and its
+    smallest (None without eigenvalues), and the next iteration its weights.
+    Eigenvalues are asked for (values=True) at the first iterate and at the
+    last, whose penalty is unweighted; either may give lam_max alone. A
+    penalty may have eigenvalues anyway.
     config supplies p, eps0, eta and eps_min; lam=None is equality mode;
     error(x) gives the NMSE or is None. A relative step (_relative_step)
     below tol makes an iterate the last.
@@ -638,9 +674,10 @@ def _reweighted_loop(config, n_outer: int, lam: float | None, x: ComplexGrid,
         tp = time.perf_counter()
         penalty = penalty_at(x, last, not last)
         sigma_min = sigma_max = None
+        if penalty.lam_max is not None:
+            sigma_max = math.sqrt(max(penalty.lam_max, 0.0))
         if penalty.eigvals is not None:
             sigma_min = math.sqrt(max(float(np.min(penalty.eigvals)), 0.0))
-            sigma_max = math.sqrt(max(float(np.max(penalty.eigvals)), 0.0))
         sch = penalty.cost(eps_n)
         records.append(IterationRecord(
             iteration=n, eps=eps_n, nmse=err,

@@ -285,10 +285,10 @@ def fourier_diagonal(s: np.ndarray):
     return apply
 
 
-def block_sum(a: np.ndarray) -> np.ndarray:
+def block_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sum over the blocks of a (K, *extent) stack, added block by block in
-    order onto zeros, as a loop of += would."""
-    return np.add.reduce(a, axis=0, initial=0.0)
+    order onto zeros, as a loop of += would; written into out if given."""
+    return np.add.reduce(a, axis=0, initial=0.0, out=out)
 
 
 def autocorrelation(spec: LiftingSpec, x: ComplexGrid) -> np.ndarray:

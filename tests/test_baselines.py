@@ -27,6 +27,7 @@ from cslr.baselines import (
 from cslr.giraf import (
     ConfigError,
     SolverConfig,
+    SolverError,
     _relative_step,
     giraf_solve,
     schatten_weight,
@@ -428,6 +429,16 @@ def test_integral_float_count_is_a_config_error_not_a_crash():
         giraf_solve(spec, sampling, SolverConfig(outer_iters=2.0), truth)
     with pytest.raises(ConfigError, match="max_iters"):
         irls_direct(spec, sampling, IRLSConfig(max_iters=2.0), truth)
+
+
+def test_non_finite_cost_is_a_solver_error():
+    # the Dirac data times 1e300: the energy alternating projections
+    # discard, sum s^2, overflows, which must not pass as a normal result
+    spec, sampling, _ = _dirac_instance()
+    big = SamplingOp(sampling.mask, ComplexGrid(spec.data_box, 1e300 * sampling.b.values))
+    with np.errstate(all="ignore"), pytest.raises(SolverError,
+                                                  match="ap cost is inf at iteration 1"):
+        ap_solve(spec, big, APConfig(rank_r=4, max_iters=10))
 
 
 def test_dense_lifting_budget_guard():

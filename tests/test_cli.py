@@ -350,9 +350,9 @@ def test_subproblem_oversampled_eps0_matches_recover(tmp_path):
 
 def test_subproblem_eps0_matches_recover_above_the_lanczos_order(tmp_path, monkeypatch):
     # with a Gram of order 361, above giraf._LANCZOS_ORDER, both take the
-    # first lambda_max from the same Lanczos routine and no spectrum: the
-    # same eps0 to the last bit, and a rerun of the solve writes the same
-    # bytes (criterion 13)
+    # first lambda_max from the same Lanczos routine and no spectrum (nor
+    # does the solve's closing row): the same eps0 to the last bit, and a
+    # rerun of the solve writes the same bytes (criterion 13)
     spectra = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh",
@@ -362,7 +362,7 @@ def test_subproblem_eps0_matches_recover_above_the_lanczos_order(tmp_path, monke
     assert 361 > giraf._LANCZOS_ORDER
     bench, recover = _subproblem_and_recover_eps0(tmp_path, boxes, outer_iters=2)
     assert bench == recover
-    assert spectra == [361]  # the closing row of the solve only
+    assert spectra == []
     files = ("recovered.cslr", "trace.csv", "summary.json")
     first = {f: (tmp_path / "r" / f).read_bytes() for f in files}
     assert main(["recover", "--config", str(tmp_path / "cfg.json"),
@@ -520,6 +520,15 @@ def test_zero_measurements_exit_4(tmp_path, capsys, solver, scale):
         assert err["error"]["message"] in (
             "Gram eigendecomposition failed: Eigenvalues did not converge",
             "largest eigenvalue of the first iterate's lifting is inf")
+
+
+def test_infinite_baseline_cost_exits_4(tmp_path, capsys):
+    # measurements times 1e300 make the energy alternating projections
+    # discard overflow: a solver failure, as for GIRAF and irls
+    solver = {"algorithm": "ap", "rank_r": 4, "max_iters": 10}
+    err = _recover_scaled_measurements(tmp_path, capsys, solver, 1e300)
+    assert err["error"]["type"] == "SolverError"
+    assert err["error"]["message"].startswith("ap cost is inf at iteration")
 
 
 _CG_BLOW_UP = pytest.mark.parametrize("solver, scale", [

@@ -3,6 +3,7 @@ against dense oracles, the outer reweighted iteration, and config guards."""
 
 import dataclasses
 import inspect
+import math
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,7 @@ from cslr.giraf import (
     _inner_solve,
     _lanczos_lam_max,
     _smoothed_schatten_eigs,
+    _tril_gram,
     _weights_from,
     admm_ls,
     cg_ls,
@@ -335,8 +337,26 @@ def _near_degenerate_top_pair(R):
     return 0.5 * (S + S.T)
 
 
+def _ritz_checks(monkeypatch):
+    # the orders of the tridiagonal eigh calls a Lanczos run makes
+    orders = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, **kw: orders.append(len(a)) or eigh(a, **kw))
+    return orders
+
+
+def _check_ritz_cadence(orders):
+    # the Ritz check runs on every _LANCZOS_CHECK-th step, on the last
+    # allowed one and at an invariant subspace: for a stop after k steps
+    # (the order of the last eigh) at most ceil(k / 4) + 1 of them
+    steps = orders[-1]
+    assert len(orders) <= math.ceil(steps / 4) + 1
+    assert all(k % giraf._LANCZOS_CHECK == 0 for k in orders[:-1])
+    assert orders == sorted(set(orders))
+
+
 @pytest.mark.parametrize("which", ["1d-401", "2d-19x19", "near-degenerate"])
-def test_lanczos_lam_max_matches_eigvalsh(which):
+def test_lanczos_lam_max_matches_eigvalsh(monkeypatch, which):
     # real Grams above the order where Lanczos takes over: a 1-D filter of
     # 401 taps, a 2-D 19 x 19 filter with gradient weighting, and one matrix
     # whose top two eigenvalues lie 1e-9 apart; equal bytes on a rerun
@@ -350,7 +370,9 @@ def test_lanczos_lam_max_matches_eigvalsh(which):
         if which == "near-degenerate":
             R = _near_degenerate_top_pair(R)
     want = np.linalg.eigvalsh(R)[-1]
+    orders = _ritz_checks(monkeypatch)
     got = _lanczos_lam_max(R)
+    _check_ritz_cadence(orders)
     assert abs(got - want) <= 1e-12 * want
     assert np.float64(_lanczos_lam_max(R)).tobytes() == np.float64(got).tobytes()
 
@@ -363,15 +385,64 @@ def test_lanczos_without_a_stop_within_its_steps_falls_back_to_eigvalsh():
         assert _lanczos_lam_max(R) == np.linalg.eigvalsh(R)[-1]
 
 
-def test_lanczos_lam_max_of_a_zero_matrix_is_zero():
-    # the zero-data case: the first step spans an invariant subspace
+def test_lanczos_lam_max_of_a_zero_matrix_is_zero(monkeypatch):
+    # the zero-data case: the first step spans an invariant subspace, which
+    # the Ritz check sees at once
+    orders = _ritz_checks(monkeypatch)
     assert _lanczos_lam_max(np.zeros((400, 400))) == 0.0
+    assert orders == [1]
 
 
-def test_p0_solve_above_the_lanczos_order_takes_one_spectrum(monkeypatch):
-    # above _LANCZOS_ORDER the first iterate's lambda_max comes from Lanczos:
-    # the closing row's eigvalsh is the one order-n spectrum of the solve,
-    # and every eigh is of a Lanczos tridiagonal, far below order n
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 349, 350, 351, 352, 401])
+def test_tril_gram_matches_the_full_product(n):
+    # the halving L^T L of a lower triangular L (here an L^-1 from
+    # _cholesky_inverse) against numpy's symmetric product, around _TRIL_BLOCK
+    # and _LANCZOS_ORDER: exactly symmetric, within 1e-14 relative
+    rng = np.random.default_rng(n)
+    B = rng.standard_normal((n, n))
+    L = B @ B.T + n * np.eye(n)
+    _cholesky_inverse(L)
+    want = L.T @ L
+    got = np.full((n, n), np.nan)
+    _tril_gram(L, got)
+    assert np.array_equal(got, got.T)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_p0_last_row_above_the_lanczos_order_takes_lanczos_and_a_log_det(monkeypatch):
+    # above _LANCZOS_ORDER the closing row's sigma_max is sqrt(lambda_max)
+    # by Lanczos, sigma_min stays empty, and every row's cost comes from a
+    # log-det pass: each within 1e-12 of its eigenvalue counterpart
+    box = IndexBox((-250,), (501,))
+    spec = LiftingSpec(box, IndexBox((-180,), (361,)))
+    truth = _random_grid(box, np.random.default_rng(55))
+    samp = SamplingOp.measure(truth, random_mask(box, 0.6, seed=24))
+    costs = []
+    cost = _GramPenalty.cost
+
+    def checked_cost(self, eps):
+        assert self.eigvals is None
+        w = np.maximum(np.linalg.eigvalsh(self._R), 0.0)
+        costs.append((cost(self, eps), _smoothed_schatten_eigs(w, 0.0, eps),
+                      0.5 * np.sum(np.abs(np.log(w + eps)))))
+        return costs[-1][0]
+
+    monkeypatch.setattr(_GramPenalty, "cost", checked_cost)
+    trace = giraf_solve(spec, samp, SolverConfig(p=0.0, lam=5.0, outer_iters=3, inner_iters=5))
+    assert len(costs) == len(trace.records) == 3
+    for got, want, scale in costs:
+        assert abs(got - want) <= 1e-12 * scale
+    last = trace.records[-1]
+    assert last.sigma_min is None
+    R = real_gram(spec, autocorrelation(spec, trace.x))
+    want = math.sqrt(np.linalg.eigvalsh(R)[-1])
+    assert abs(last.sigma_max - want) <= 1e-12 * want
+
+
+def test_p0_solve_above_the_lanczos_order_takes_no_spectrum(monkeypatch):
+    # above _LANCZOS_ORDER the first iterate's and the closing row's
+    # lambda_max come from Lanczos: the solve takes no order-n spectrum, and
+    # every eigh is of a Lanczos tridiagonal, far below order n
     spectra, eighs = [], []
     eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigvalsh",
@@ -384,7 +455,7 @@ def test_p0_solve_above_the_lanczos_order_takes_one_spectrum(monkeypatch):
     samp = SamplingOp.measure(truth, random_mask(box, 0.6, seed=24))
     trace = giraf_solve(spec, samp, SolverConfig(p=0.0, lam=5.0, outer_iters=3,
                                                  inner_iters=5))
-    assert spectra == [(361, 361)]
+    assert spectra == []
     assert eighs and max(eighs) <= giraf._LANCZOS_STEPS
     assert [r.sigma_max is None for r in trace.records] == [True, True, False]
     assert all(np.isfinite(r.cost) for r in trace.records)
