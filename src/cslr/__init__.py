@@ -2,7 +2,7 @@
 
 Subpackages:
 
-* ``grids``     index boxes, complex grids, DFT and convolution primitives
+* ``grids``     index boxes, complex grids, circular convolution, grid files
 * ``lifting``   multi-level Toeplitz liftings and their circulant surrogates
 * ``giraf``     iteratively reweighted annihilating-filter solver (GIRAF)
 * ``baselines`` dense-lifting reference algorithms (IRLS, AP, SVT, SVT+UV)

@@ -305,13 +305,23 @@ def _mask_from_grid(grid: ComplexGrid) -> np.ndarray:
     return vals.real > 0.5
 
 
+def _load_truth(path) -> ComplexGrid:
+    """The truth grid at path; a zero one is a DataError (no NMSE against it)."""
+    truth = load_grid(path)
+    if np.linalg.norm(truth.values) ** 2 == 0:
+        raise DataError(f"truth grid {path} is zero")
+    return truth
+
+
 def _build_instance(config: dict, shift: int):
     """Resolve the config to (ground truth or None, sampling operator)."""
     sig = config["signal"]
     box = _box(config["data_box"])
     if sig["kind"] == "file":
+        if config.get("noise") is not None:
+            raise ConfigError("noise needs a generative signal, not 'file'")
         _require(sig, ("mask", "measured"), "file signal")
-        truth = load_grid(sig["truth"]) if "truth" in sig else None
+        truth = _load_truth(sig["truth"]) if "truth" in sig else None
         mask_grid = load_grid(sig["mask"])
         measured = load_grid(sig["measured"])
         for g, name in ((truth, "truth"), (mask_grid, "mask"), (measured, "measured")):
@@ -633,7 +643,7 @@ def cmd_compare(paths, truth_path, tol, max_diff, nmse_diff) -> int:
             raise DataError(f"grid box of {p} does not match {paths[0]}")
     truth = None
     if truth_path is not None:
-        truth = load_grid(truth_path)
+        truth = _load_truth(truth_path)
         if truth.box != box:
             raise DataError("truth grid box does not match the inputs")
 

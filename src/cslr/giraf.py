@@ -13,11 +13,11 @@ The solver alternates two matrix-free steps on gridded Fourier data:
    the last iterate, and on large Grams only the largest, by Lanczos), the
    smoothed penalty at eps, and the weights from (R + eps I)^(p/2 - 1), by
    an eigendecomposition for p > 0 and for p = 0 by the inverse of a
-   Cholesky factor L, formed blockwise on matrix products (L^-T L^-1, cost
-   sum log diag L). The adjoint
-   of the gather scatters the weight matrix back to lags, and one inverse
-   FFT gives the nonnegative spatial weights d. Direct IRLS supplies the
-   same three from an SVD of the exact lifting, through the same loop.
+   Cholesky factor L, formed blockwise on matrix products (L^-T L^-1 in R's
+   storage, cost sum log diag L). The adjoint of the gather scatters the
+   weight matrix back to lags, and one inverse FFT gives the nonnegative
+   spatial weights d. Direct IRLS supplies the same three from an SVD of
+   the exact lifting, through the same loop.
 
 2. Least squares. Minimize ||A x - b||^2 + lam * C_p * sum_j ||D^{1/2} F^*
    M_j x||^2 with D = diag(d), solved either by ADMM with a splitting
@@ -191,8 +191,8 @@ class RecoveryTrace:
 
 _TRIL_BLOCK = 64  # rows up to which np.linalg.cholesky and inv factor a block
 # Gram orders above which p = 0 takes no full spectrum: Lanczos, not
-# eigvalsh, gives lambda_max at the first and the last iterate, and
-# _tril_gram forms L^-T L^-1. Set with a Ritz check on every Lanczos step
+# eigvalsh, gives lambda_max at the first and the last iterate. Set with a
+# Ritz check on every Lanczos step
 # (2-D Grams, one BLAS thread: eigvalsh 6.8 ms at order 324 against 7.5 ms
 # for Lanczos, 8.9 against 7.9 ms at 361); with a check on every fourth
 # step Lanczos took 0.7 against 1.3 ms already at order 169 on random data
@@ -269,24 +269,26 @@ def _lanczos_lam_max(R: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(R)[-1])
 
 
-def _tril_gram(L: np.ndarray, out: np.ndarray) -> None:
-    """Write L^T L into out for the lower triangular L, by halving: with L =
+def _tril_gram(L: np.ndarray) -> None:
+    """Overwrite the lower triangular L with L^T L, by halving: with L =
     [[A, 0], [B, C]], L^T L = [[A^T A + B^T B, B^T C], [C^T B, C^T C]], so the
-    zero block costs no products, about half the flops of L.T @ L. Blocks of
-    at most _TRIL_BLOCK rows run L.T @ L; each diagonal block is a sum of
-    symmetric products and the lower block a copy of the upper one's
-    transpose, so out is exactly symmetric."""
+    zero block costs no products, about half the flops of L.T @ L. B^T C and
+    B^T B are formed before the recursion overwrites C and A. Blocks of at
+    most _TRIL_BLOCK rows run L.T @ L; each diagonal block is a sum of
+    symmetric products and the lower block the upper one's transpose, so
+    the result is exactly symmetric."""
     n = L.shape[0]
     if n <= _TRIL_BLOCK:
-        np.matmul(L.T, L, out=out)
+        L[...] = L.T @ L
         return
     h = n // 2
     A, B, C = L[:h, :h], L[h:, :h], L[h:, h:]
-    _tril_gram(C, out[h:, h:])
-    np.matmul(B.T, C, out=out[:h, h:])
-    out[h:, :h] = out[:h, h:].T
-    _tril_gram(A, out[:h, :h])
-    out[:h, :h] += B.T @ B
+    BtC, BtB = B.T @ C, B.T @ B
+    _tril_gram(C)
+    _tril_gram(A)
+    A += BtB
+    L[:h, h:] = BtC
+    B[...] = BtC.T
 
 
 def _weights_from(spec: LiftingSpec, M: np.ndarray) -> np.ndarray:
@@ -311,20 +313,18 @@ class _GramPenalty:
     cost(eps) and weights(eps). The linear algebra runs on the real form R
     (real_gram), which has the Gram's eigenvalues, and computes only what is
     asked for. With weighted, p > 0 takes eigh, whose vectors give the
-    weight matrix V diag((eigvals + eps)^(p/2 - 1)) V^T, and p = 0 keeps R
-    for the inverse L^-1 of a Cholesky factor L of R + eps I, whose L^-T
-    L^-1 is (R + eps I)^-1 (above _LANCZOS_ORDER formed by _tril_gram).
-    Otherwise eigvalsh runs when values is set, except for p = 0 above
-    _LANCZOS_ORDER: there values gives lam_max only, by Lanczos, weighted or
-    not, and the kept R gives the cost by a log-det pass. R + eps I is
-    positive definite, so a failed factorization means the data overflowed
-    or eps fell below R's rounding: a SolverError."""
+    weight matrix V diag((eigvals + eps)^(p/2 - 1)) V^T. p = 0 keeps R, for
+    the inverse L^-1 of a Cholesky factor L of R + eps I, whose L^-T L^-1
+    (_tril_gram) is (R + eps I)^-1. Otherwise eigvalsh runs when values is
+    set, except for p = 0 above _LANCZOS_ORDER: there values gives lam_max
+    only, by Lanczos, and the kept R gives the cost by a log-det pass.
+    R + eps I is positive definite, so a failed factorization means the data
+    overflowed or eps fell below R's rounding: a SolverError."""
 
     def __init__(self, spec: LiftingSpec, x: ComplexGrid, p: float, values: bool = True,
                  weighted: bool = True):
         self.spec, self.p = spec, p
-        self._R = self._V = w = None
-        self.lam_max = None
+        self._V = w = self.lam_max = None
         R = real_gram(spec, autocorrelation(spec, x))
         try:
             if weighted and p > 0:
@@ -335,8 +335,7 @@ class _GramPenalty:
                 w = np.linalg.eigvalsh(R)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"Gram eigendecomposition failed: {exc}") from exc
-        if p == 0 and (weighted or w is None):
-            self._R = R
+        self._R = R if p == 0 else None
         self.eigvals = None if w is None else np.maximum(w, 0.0)
         if self.eigvals is not None:
             self.lam_max = float(np.max(self.eigvals))
@@ -360,22 +359,16 @@ class _GramPenalty:
 
     def weights(self, eps: float) -> np.ndarray:
         """Spatial weights d of the weight matrix (R + eps I)^(p/2 - 1), the
-        last use of this object: for p = 0, L^-1 is formed in R's storage and
-        let go once L^-T L^-1 is, so that neither R nor L^-1 is held while
-        the weights are assembled."""
+        last use of this object: for p = 0, L^-1 and then L^-T L^-1 are
+        formed in R's storage, which this object lets go."""
         if eps <= 0:
             raise SolverError("filter update needs a positive epsilon")
         if self.p > 0:
             M = (self._V * (self.eigvals + eps) ** (self.p / 2.0 - 1.0)) @ self._V.T
         else:
-            Linv, self._R = self._R, None
-            self._factor(Linv, eps, inverse=True)
-            if Linv.shape[0] > _LANCZOS_ORDER:
-                M = np.empty_like(Linv)
-                _tril_gram(Linv, M)
-            else:
-                M = Linv.T @ Linv
-            del Linv
+            M, self._R = self._R, None
+            self._factor(M, eps, inverse=True)
+            _tril_gram(M)
         return _weights_from(self.spec, M)
 
 
@@ -420,11 +413,10 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
     lifting.fourier_diagonal, built once per call: an FFT per direction
     over the stack, or on small grids one dense matrix product per block.
     The dual update of an iteration runs at the top of the next one, so
-    that the last iteration skips it. Sums and differences run on float64
-    views and the real factors scale both parts of a float64 view, which
-    gives the bits of the complex operations they replace (numpy divides a
-    complex by a real as a product with its reciprocal). A final iterate
-    that is not finite is a SolverError.
+    that the last iteration skips it. The real factors scale both parts of
+    x's float64 view, which gives the bits of the complex operations they
+    replace (numpy divides a complex by a real as a product with its
+    reciprocal). A final iterate that is not finite is a SolverError.
     """
     _check_weights(spec, d)
     wsq = _check_coverage(spec, sampling)
@@ -452,16 +444,15 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
     U = np.zeros_like(W)
     Z = np.empty_like(W)
     S = np.empty_like(W)
-    WXf, Uf, Zf, Sf = (a.view(np.float64) for a in (WX, U, Z, S))
 
     for it in range(iters):
         np.multiply(W, x, out=WX)
         if it:  # the previous iteration's dual update
-            np.subtract(Zf, WXf, out=Sf)
-            np.add(Uf, Sf, out=Uf)
-        np.subtract(WXf, Uf, out=Sf)
+            np.subtract(Z, WX, out=S)
+            np.add(U, S, out=U)
+        np.subtract(WX, U, out=S)
         shrink(S, out=Z)
-        np.add(Zf, Uf, out=Sf)
+        np.add(Z, U, out=S)
         np.multiply(Wc, S, out=S)
         block_sum(S, out=x)
         if lam is None:

@@ -14,7 +14,8 @@ The surrogate's Gram matrix never needs the lifted matrix: it is a windowed
 circular autocorrelation, computed with two FFTs per block and indexed by
 filter-index differences (lags). Its real form Q^* G Q is one gather from
 the autocorrelation through a cached lag index (real_gram), and the adjoint
-of that gather (real_gram_adjoint) takes a real weight matrix back to lags.
+of that gather (real_gram_adjoint) scatter-adds a real weight matrix's
+blocks back to lags through the same index.
 
 Every layer reads the per-block weight arrays M_j from the spec that
 defines them: LiftingSpec.block_weights builds them once, on first use, as
@@ -345,35 +346,31 @@ def real_gram(spec: LiftingSpec, g: np.ndarray) -> np.ndarray:
 
 def real_gram_adjoint(spec: LiftingSpec, M: np.ndarray) -> np.ndarray:
     """Adjoint of real_gram: the lag vector a with <real_gram(g), M> = Re <g,
-    a> for every Hermitian g and real M. With S = M + M^T, each top-half lag
-    index entry gets the weight real_gram read it with: (S11 + S33) / 2 and
-    (S11 - S33) / 2 at Toeplitz and Hankel positions in the real part, S31
-    at both in the imaginary part, sqrt(2) S[:m, m] and sqrt(2) S[lo:, m] in
-    the middle column, and lag 0 gets S[m, m] / 2. The Hermitian part of a, whose inverse FFT is
-    ifftn(a).real, is the filter-difference sum of Q S Q^* / 2. S is never
-    formed: S11 and S31 are summed straight into the weight arrays and S33
-    is the one temporary block, each from the same elementwise sums as the
-    full M + M^T, so the bits are the same."""
+    a> for every Hermitian g and every real M. Each top-half lag index entry
+    gets the weight real_gram read it with, straight from M's blocks: M11 +
+    M33 and M11 - M33 at Toeplitz and Hankel positions in the real part,
+    M31 + M13^T at both in the imaginary part, sqrt(2) (M[:m, m] + M[m, :m])
+    and sqrt(2) (M[lo:, m] + M[m, lo:]) in the middle column, and lag 0 gets
+    M[m, m]. The Hermitian part of a, whose inverse FFT is ifftn(a).real, is
+    the filter-difference sum of Q (M + M^T) Q^* / 2. np.add.at scatters
+    through the cached, read-only lag index in place; np.bincount copies it."""
     n = spec.n_filter
     m, lo = n // 2, n - n // 2
     wr, wi = np.zeros((m, n)), np.zeros((m, n))
-    toeplitz, hankel = wr[:, :m], wr[:, ::-1][:, :m]
-    np.add(M[:m, :m], M[:m, :m].T, out=toeplitz)  # S11
-    S33 = M[lo:, lo:] + M[lo:, lo:].T
-    np.subtract(toeplitz, S33, out=hankel)
-    np.add(toeplitz, S33, out=toeplitz)
-    del S33
-    wr *= 0.5
-    np.add(M[lo:, :m], M[:m, lo:].T, out=wi[:, :m])  # S31
+    np.add(M[:m, :m], M[lo:, lo:], out=wr[:, :m])  # Toeplitz
+    np.subtract(M[:m, :m], M[lo:, lo:], out=wr[:, ::-1][:, :m])  # Hankel
+    np.add(M[lo:, :m], M[:m, lo:].T, out=wi[:, :m])
     wi[:, ::-1][:, :m] = wi[:, :m]
     if n % 2:
         np.multiply(M[:m, m] + M[m, :m], math.sqrt(2.0), out=wr[:, m])
         np.multiply(M[lo:, m] + M[m, lo:], math.sqrt(2.0), out=wi[:, m])
     top = _lag_index(spec, m).ravel()
-    size = spec.data_box.size
-    a = np.bincount(top, wr.ravel(), size) + 1j * np.bincount(top, wi.ravel(), size)
+    ar, ai = np.zeros(spec.data_box.size), np.zeros(spec.data_box.size)
+    np.add.at(ar, top, wr.ravel())
+    np.add.at(ai, top, wi.ravel())
+    a = ar + 1j * ai
     if n % 2:
-        a[0] += 0.5 * (M[m, m] + M[m, m])
+        a[0] += M[m, m]
     return a.reshape(spec.data_box.extent)
 
 

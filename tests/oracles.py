@@ -9,6 +9,7 @@ import numpy as np
 from cslr import lifting
 from cslr.giraf import (
     _cg_normal,
+    _cholesky_inverse,
     _check_coverage,
     _check_weights,
     _smoothed_schatten_eigs,
@@ -334,6 +335,62 @@ def halving_tril_inverse(L: np.ndarray, block: int = 64) -> np.ndarray:
     out[h:, h:] = halving_tril_inverse(L[h:, h:], block)
     out[h:, :h] = -(out[h:, h:] @ L[h:, :h]) @ out[:h, :h]
     return out
+
+
+def out_of_place_tril_gram(L: np.ndarray, out: np.ndarray, block: int = 64) -> None:
+    """L^T L of the lower triangular L written into out, by the halving of
+    giraf._tril_gram but out of place: the route it replaced above Gram
+    order 350, kept as its bit-for-bit reference."""
+    n = L.shape[0]
+    if n <= block:
+        np.matmul(L.T, L, out=out)
+        return
+    h = n // 2
+    A, B, C = L[:h, :h], L[h:, :h], L[h:, h:]
+    out_of_place_tril_gram(C, out[h:, h:], block)
+    np.matmul(B.T, C, out=out[:h, h:])
+    out[h:, :h] = out[:h, h:].T
+    out_of_place_tril_gram(A, out[:h, :h], block)
+    out[:h, :h] += B.T @ B
+
+
+def symmetrized_real_gram_adjoint(spec: LiftingSpec, M: np.ndarray) -> np.ndarray:
+    """The adjoint of lifting.real_gram in its symmetrized form: with S = M +
+    M^T, (S11 + S33) / 2 and (S11 - S33) / 2 at the Toeplitz and Hankel
+    positions of the real part, S31 in the imaginary part, sqrt(2) S's middle
+    column and S[m, m] / 2 at lag 0, scattered by np.bincount. For an exactly
+    symmetric M it gives lifting.real_gram_adjoint's bits."""
+    n = spec.n_filter
+    m, lo = n // 2, n - n // 2
+    S = M + M.T
+    wr, wi = np.zeros((m, n)), np.zeros((m, n))
+    wr[:, :m] = (S[:m, :m] + S[lo:, lo:]) / 2
+    wr[:, ::-1][:, :m] = (S[:m, :m] - S[lo:, lo:]) / 2
+    wi[:, :m] = wi[:, ::-1][:, :m] = S[lo:, :m]
+    if n % 2:
+        wr[:, m] = S[:m, m] * np.sqrt(2.0)
+        wi[:, m] = S[lo:, m] * np.sqrt(2.0)
+    top = lifting._lag_index(spec, m).ravel()
+    size = spec.data_box.size
+    a = np.bincount(top, wr.ravel(), size) + 1j * np.bincount(top, wi.ravel(), size)
+    if n % 2:
+        a[0] += S[m, m] / 2
+    return a.reshape(spec.data_box.extent)
+
+
+def reference_p0_weights(spec: LiftingSpec, x: ComplexGrid, eps: float) -> np.ndarray:
+    """Spatial p = 0 weights by the route giraf replaced: L^-1 of R + eps I
+    from giraf._cholesky_inverse, L^-T L^-1 by one product up to Gram order
+    350 and out_of_place_tril_gram above, and the symmetrized adjoint."""
+    R = lifting.real_gram(spec, lifting.autocorrelation(spec, x))
+    R.flat[::R.shape[0] + 1] += eps
+    _cholesky_inverse(R)
+    if R.shape[0] > 350:
+        M = np.empty_like(R)
+        out_of_place_tril_gram(R, M)
+    else:
+        M = R.T @ R
+    return np.maximum(np.fft.ifftn(symmetrized_real_gram_adjoint(spec, M)).real, 0.0)
 
 
 def schatten_p(m: np.ndarray, p: float) -> float:

@@ -13,6 +13,7 @@ import sys
 import time
 import typing
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -189,6 +190,19 @@ def test_config_errors_exit_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "ConfigError" and "oversample_factor" in err["message"]
 
+    # a noise section a file signal would not read
+    gen = tmp_path / "gen"
+    _write_config(cfg)
+    assert main(["gen", "--config", str(cfg), "--out", str(gen)]) == 0
+    _write_config(cfg, noise={"snr_db": 5, "seed": 1}, signal={
+        "kind": "file",
+        "mask": str(gen / "mask.cslr"),
+        "measured": str(gen / "measured.cslr"),
+    })
+    assert main(["recover", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError" and "noise" in err["message"]
+
 
 @pytest.mark.parametrize("algorithm", ["giraf", "irls"])
 @pytest.mark.parametrize("field, value", [("eps0", -1), ("eps0", 0), ("eps_min", -1),
@@ -233,6 +247,21 @@ def test_data_errors_exit_3(tmp_path, capsys):
         "measured": str(gen / "measured.cslr"),
     })
     assert main(["recover", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
+    capsys.readouterr()
+    # an all-zero truth is refused where it is read, before any solve
+    zero = tmp_path / "zero.cslr"
+    truth = load_grid(gen / "truth.cslr")
+    save_grid(ComplexGrid(truth.box, np.zeros_like(truth.values)), zero)
+    _write_config(bad, signal={
+        "kind": "file",
+        "truth": str(zero),
+        "mask": str(gen / "mask.cslr"),
+        "measured": str(gen / "measured.cslr"),
+    })
+    with mock.patch.object(cli, "_resolve_solver", side_effect=AssertionError("solved")):
+        assert main(["recover", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "DataError" and "zero" in err["message"]
 
 
 def test_bench_tol_protocol(tmp_path):
@@ -431,6 +460,14 @@ def test_compare_exit_codes(tmp_path, capsys):
     assert main(["compare", recovered, str(gen2 / "truth.cslr")]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["exit_code"] == 3
+
+    # an all-zero truth is a data error
+    zero = tmp_path / "zero.cslr"
+    box = load_grid(truth).box
+    save_grid(ComplexGrid(box, np.zeros(box.extent, dtype=complex)), zero)
+    assert main(["compare", recovered, truth, "--truth", str(zero)]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "DataError" and "zero" in err["message"]
 
     # fewer than two inputs is a usage error
     assert main(["compare", recovered]) == 2
@@ -926,17 +963,26 @@ def _python(*args, cwd=None):
 def test_import_cslr_leaves_cli_dependencies_unloaded(tmp_path):
     # jsonschema is loaded by the first config read, argparse by main and
     # concurrent.futures by a pooled sweep, not by importing the package or
-    # its CLI
+    # its CLI; scipy, which cslr does not depend on, is loaded by none of
+    # them, nor by a p = 0 solve (importing scipy.linalg alone about doubles
+    # a bare process's peak RSS)
     cfg = tmp_path / "cfg.json"
     _write_config(cfg)
     lazy = "('jsonschema', 'argparse', 'concurrent.futures')"
+    solve = ("from cslr import giraf, grids, lifting, models; "
+             "box = grids.IndexBox((-15,), (31,)); "
+             "spec = lifting.LiftingSpec(box, grids.IndexBox((-3,), (7,))); "
+             "truth = models.dirac_fourier(models.random_diracs(2, 0, 0.2), box); "
+             "samp = models.SamplingOp.measure(truth, models.random_mask(box, 0.6, seed=0)); "
+             "giraf.giraf_solve(spec, samp, giraf.SolverConfig(p=0.0, outer_iters=2)); ")
     run = _python("-c", "import sys, cslr; "
                         f"print(*[m in sys.modules for m in {lazy}], "
                         "'cslr.cli' in sys.modules); "
                         f"import cslr.cli; print(*[m in sys.modules for m in {lazy}]); "
-                        f"cslr.cli.load_config({str(cfg)!r}); print('jsonschema' in sys.modules)")
+                        f"cslr.cli.load_config({str(cfg)!r}); print('jsonschema' in sys.modules); "
+                        f"{solve}print('scipy' in sys.modules)")
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["False"] * 7 + ["True"]
+    assert run.stdout.split() == ["False"] * 7 + ["True", "False"]
 
 
 def test_config_schema_is_valid_against_its_metaschema():

@@ -58,6 +58,7 @@ from oracles import (
     loop_autocorrelation,
     loop_cg_ls,
     random_grid,
+    reference_p0_weights,
     reverse_conjugate,
 )
 from test_lifting import given_specs
@@ -403,10 +404,34 @@ def test_tril_gram_matches_the_full_product(n):
     L = B @ B.T + n * np.eye(n)
     _cholesky_inverse(L)
     want = L.T @ L
-    got = np.full((n, n), np.nan)
-    _tril_gram(L, got)
+    got = L.copy()
+    _tril_gram(got)
     assert np.array_equal(got, got.T)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("extent, exact", [((15,), True), ((8, 8), True), ((9, 9), False),
+                                           ((13, 13), False), ((19, 19), True),
+                                           ((25, 25), True)])
+def test_p0_weights_match_the_out_of_place_route(extent, exact):
+    # L^-T L^-1 formed in R's storage by _tril_gram and scattered from M's
+    # blocks against the route it replaced (tests/oracles.py): one L.T @ L
+    # up to Gram order 350, the out-of-place halving above, the symmetrized
+    # bincount adjoint. Up to _TRIL_BLOCK and above 350 the products are the
+    # same, so are the bits; between, the halving reorders sums
+    ndim, f = len(extent), extent[0]
+    data = IndexBox((-2 * f,) * ndim, (4 * f + 1,) * ndim)
+    filt = IndexBox((-(f // 2),) * ndim, extent)
+    spec = LiftingSpec(data, filt, gradient_weighting(2)) if ndim == 2 else LiftingSpec(data, filt)
+    x = _random_grid(data, np.random.default_rng(spec.n_filter))
+    lam_max = np.linalg.eigvalsh(real_gram(spec, autocorrelation(spec, x)))[-1]
+    for rel in (1e-2, 1e-5):
+        got = _GramPenalty(spec, x, 0.0, values=False).weights(rel * lam_max)
+        want = reference_p0_weights(spec, x, rel * lam_max)
+        if exact:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_p0_last_row_above_the_lanczos_order_takes_lanczos_and_a_log_det(monkeypatch):

@@ -1,5 +1,6 @@
 """Lifted matrices, surrogates and Gram identities against dense oracles."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -27,7 +28,12 @@ from cslr.lifting import (
     real_gram_adjoint,
 )
 from cslr.models import SamplingOp, gradient_weighting
-from oracles import grid_dict, loop_autocorrelation, random_grid
+from oracles import (
+    grid_dict,
+    loop_autocorrelation,
+    random_grid,
+    symmetrized_real_gram_adjoint,
+)
 
 
 def brute_exact_lift(spec, x):
@@ -190,6 +196,37 @@ def test_real_gram_adjoint_inner_product(spec, seed):
     lhs = np.sum(R * M)
     rhs = np.vdot(g, real_gram_adjoint(spec, M)).real
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(R) * np.linalg.norm(M)
+
+
+@given_specs
+def test_real_gram_adjoint_of_a_symmetric_matrix_keeps_the_symmetrized_bits(spec, seed):
+    # reading M's blocks directly gives, for an exactly symmetric M, the bits
+    # of the S = M + M^T form it replaced: (2a +- 2b) / 2 = a +- b exactly
+    B = np.random.default_rng(seed).standard_normal((spec.n_filter, spec.n_filter))
+    M = B @ B.T
+    assert np.array_equal(M, M.T)
+    want = symmetrized_real_gram_adjoint(spec, M)
+    assert real_gram_adjoint(spec, M).tobytes() == want.tobytes()
+
+
+def test_real_gram_adjoint_does_not_copy_the_lag_index():
+    # at Gram order 1089 the adjoint's peak above its input is its two
+    # (m, n) weight arrays, numpy's (m, m) copy for the overlapping mirror
+    # assignment and small lag-grid arrays; a copy of the cached lag index
+    # (as np.bincount makes of a read-only index) would add its bytes.
+    # Bound: the weight arrays plus 3/4 of the index
+    spec = LiftingSpec(IndexBox((0, 0), (67, 67)), IndexBox((0, 0), (33, 33)))
+    n = spec.n_filter
+    M = np.random.default_rng(0).standard_normal((n, n))
+    real_gram_adjoint(spec, M)  # builds the cached lag index
+    index_bytes = lifting._lag_index(spec, n // 2).nbytes
+    tracemalloc.start()
+    try:
+        real_gram_adjoint(spec, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (n // 2) * n * 8 + 0.75 * index_bytes
 
 
 @given_specs
