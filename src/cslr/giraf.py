@@ -22,11 +22,15 @@ The solver alternates two matrix-free steps on gridded Fourier data:
 2. Least squares. Minimize ||A x - b||^2 + lam * C_p * sum_j ||D^{1/2} F^*
    M_j x||^2 with D = diag(d), solved either by ADMM with a splitting
    y_j = F^* M_j x (every subproblem is diagonal) or by conjugate gradients
-   on the normal equations. Each pass of either applies F D' F^* for a real
-   diagonal D' (lifting.fourier_diagonal): an FFT pair over the stacked
-   blocks on large grids, and on grids of at most lifting._DENSE_GRID points
-   one dense circulant matrix per block, built once per solve from one
-   inverse FFT.
+   on the normal equations. ADMM carries, beside the scaled dual u_j, v_j =
+   z_j + u_j (the x update's input) in place of z_j, and folds the x
+   update's real diagonal scale r into conj(M_j) once per call: an
+   iteration is s_j = M_j x, u_j = v_j - s_j, v_j = shrink(s_j - u_j) +
+   u_j, x = sum_j conj(M_j) r v_j + c. Each pass of either applies F D' F^*
+   for a real diagonal D' (lifting.fourier_diagonal): an FFT pair over the
+   stacked blocks on large grids, and on grids of at most
+   lifting._DENSE_GRID points one dense circulant matrix per block, built
+   once per solve from one inverse FFT.
 
 An epsilon smoothing schedule eps_n = max(eps0 * eta^-n, eps_min) steers the
 reweighting from convex-like to sharply rank-seeking; with eps frozen the
@@ -50,7 +54,6 @@ from .lifting import (
     autocorrelation,
     block_sum,
     fourier_diagonal,
-    interleaved,
     real_gram,
     real_gram_adjoint,
 )
@@ -234,6 +237,34 @@ def _cholesky_inverse(A: np.ndarray, inverse: bool = True) -> float:
     return logdet
 
 
+def _cholesky_logdet(R: np.ndarray, eps: float) -> float:
+    """sum log diag L for L the lower Cholesky factor of R + eps I, R left
+    intact: the log-det-only pass of _cholesky_inverse on a copy of R + eps
+    I, to the last bit, without that copy. Above _TRIL_BLOCK rows only the
+    leading half block is copied and inverted; L21 = R21 L11^-T, and the
+    Schur complement (R22 + eps I) - L21 L21^T, eps added before the
+    subtraction as in the copy, is written into the product's storage and
+    factored there. That holds about n^2/2 floats at a time, against the
+    copy's n^2. Raises np.linalg.LinAlgError as _cholesky_inverse does."""
+    n = R.shape[0]
+    if n <= _TRIL_BLOCK:
+        A = R.copy()
+        A.flat[::n + 1] += eps
+        return _cholesky_inverse(A, inverse=False)
+    h = n // 2
+    A11 = R[:h, :h].copy()
+    A11.flat[::h + 1] += eps
+    logdet = _cholesky_inverse(A11)
+    L21 = R[h:, :h] @ A11.T
+    del A11
+    S = L21 @ L21.T
+    del L21
+    diagonal = R.diagonal()[h:] + eps - S.diagonal()
+    np.subtract(R[h:, h:], S, out=S)
+    S.flat[::n - h + 1] = diagonal
+    return logdet + _cholesky_inverse(S, inverse=False)
+
+
 def _lanczos_lam_max(R: np.ndarray) -> float:
     """Largest eigenvalue of the symmetric R by a Lanczos iteration with full
     reorthogonalization (Lanczos 1950; Parlett, The Symmetric Eigenvalue
@@ -340,22 +371,16 @@ class _GramPenalty:
         if self.eigvals is not None:
             self.lam_max = float(np.max(self.eigvals))
 
-    @staticmethod
-    def _factor(A: np.ndarray, eps: float, inverse: bool) -> float:
-        """_cholesky_inverse of A + eps I, formed in A."""
-        A.flat[::A.shape[0] + 1] += eps
-        try:
-            return _cholesky_inverse(A, inverse)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"Gram Cholesky factorization failed: {exc}") from exc
-
     def cost(self, eps: float) -> float:
         """Smoothed Schatten penalty at eps: from the eigenvalues where they
-        were taken, else (p = 0) sum log diag L, by a log-det-only pass on
-        a copy of R."""
+        were taken, else (p = 0) sum log diag L, by _cholesky_logdet, which
+        leaves R intact for the weights."""
         if self.eigvals is not None:
             return _smoothed_schatten_eigs(self.eigvals, self.p, eps)
-        return self._factor(self._R.copy(), eps, inverse=False)
+        try:
+            return _cholesky_logdet(self._R, eps)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"Gram Cholesky factorization failed: {exc}") from exc
 
     def weights(self, eps: float) -> np.ndarray:
         """Spatial weights d of the weight matrix (R + eps I)^(p/2 - 1), the
@@ -367,7 +392,11 @@ class _GramPenalty:
             M = (self._V * (self.eigvals + eps) ** (self.p / 2.0 - 1.0)) @ self._V.T
         else:
             M, self._R = self._R, None
-            self._factor(M, eps, inverse=True)
+            M.flat[::M.shape[0] + 1] += eps
+            try:
+                _cholesky_inverse(M)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"Gram Cholesky factorization failed: {exc}") from exc
             _tril_gram(M)
         return _weights_from(self.spec, M)
 
@@ -406,17 +435,23 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
     diagonal solve in Fourier indices, with penalty gamma = max(d)/delta.
     lam=None holds the measured samples fixed (equality mode).
 
+    The iteration carries v_j = z_j + u_j, the x update's input, in place of
+    z_j. With s_j = M_j x, one iteration is u_j = v_j - s_j (the dual
+    update), z_j = shrink(s_j - u_j), v_j = z_j + u_j and x = sum_j
+    conj(M_j) r v_j + c; the first iteration, where u = 0, skips the dual
+    update and the sum z + u. The x update's scale is folded into the
+    real r and the grid c once per call: equality mode has r = 1/sum_j
+    |M_j|^2 (1 where that sum is 0), c = 0, and reinserts the measured
+    samples; with lam, r = rho/(mask + rho sum_j |M_j|^2) and c = b/(mask +
+    rho sum_j |M_j|^2), rho = gamma lam C_p.
+
     The K blocks are stacked in (K, *extent) buffers allocated once, and
     every iterate is written into one buffer x, also allocated once;
     callback(it, x) gets that buffer, valid only during the call. The
     shrinkage F diag(gamma/(d + gamma)) F^* is one
     lifting.fourier_diagonal, built once per call: an FFT per direction
     over the stack, or on small grids one dense matrix product per block.
-    The dual update of an iteration runs at the top of the next one, so
-    that the last iteration skips it. The real factors scale both parts of
-    x's float64 view, which gives the bits of the complex operations they
-    replace (numpy divides a complex by a real as a product with its
-    reciprocal). A final iterate that is not finite is a SolverError.
+    A final iterate that is not finite is a SolverError.
     """
     _check_weights(spec, d)
     wsq = _check_coverage(spec, sampling)
@@ -427,41 +462,35 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
         return ComplexGrid(spec.data_box, bvals.copy())
 
     shrink = fourier_diagonal(gam / (d + gam))
+    W = spec.block_weights
     if lam is None:
-        rden = interleaved(1.0 / np.where(wsq > 0, wsq, 1.0))
+        Wr = np.conj(W) * (1.0 / np.where(wsq > 0, wsq, 1.0))
         measured = np.flatnonzero(sampling.mask)
         bmeasured = bvals.ravel()[measured]
     else:
         rho = gam * lam * schatten_weight(p)
-        rden = interleaved(1.0 / (sampling.mask.astype(float) + rho * wsq))
-        bflat = bvals.view(np.float64)
-
-    W = spec.block_weights
-    Wc = np.conj(W)
+        denom = sampling.mask + rho * wsq
+        Wr, c = np.conj(W) * (rho / denom), bvals / denom
+        del denom  # the loop holds four stacks and a few grids, no more
     x = (x0.values if x0 is not None else bvals).copy()
-    xf = x.view(np.float64)
-    WX = np.empty_like(W)
-    U = np.zeros_like(W)
-    Z = np.empty_like(W)
     S = np.empty_like(W)
+    U = np.empty_like(W)
+    V = np.empty_like(W)
 
     for it in range(iters):
-        np.multiply(W, x, out=WX)
-        if it:  # the previous iteration's dual update
-            np.subtract(Z, WX, out=S)
-            np.add(U, S, out=U)
-        np.subtract(WX, U, out=S)
-        shrink(S, out=Z)
-        np.add(Z, U, out=S)
-        np.multiply(Wc, S, out=S)
+        np.multiply(W, x, out=S)
+        if it:
+            np.subtract(V, S, out=U)
+            np.subtract(S, U, out=S)
+        shrink(S, out=V)
+        if it:
+            np.add(V, U, out=V)
+        np.multiply(Wr, V, out=S)
         block_sum(S, out=x)
         if lam is None:
-            np.multiply(xf, rden, out=xf)
             x.ravel()[measured] = bmeasured
         else:
-            np.multiply(xf, rho, out=xf)
-            np.add(xf, bflat, out=xf)
-            np.multiply(xf, rden, out=xf)
+            np.add(x, c, out=x)
         if callback is not None:
             callback(it + 1, x)
     if not np.all(np.isfinite(x.view(np.float64))):

@@ -11,11 +11,12 @@ rows are a superset of the exact rows, so the surrogate dominates the exact
 lifting singular value by singular value.
 
 The surrogate's Gram matrix never needs the lifted matrix: it is a windowed
-circular autocorrelation, computed with two FFTs per block and indexed by
-filter-index differences (lags). Its real form Q^* G Q is one gather from
-the autocorrelation through a cached lag index (real_gram), and the adjoint
-of that gather (real_gram_adjoint) scatter-adds a real weight matrix's
-blocks back to lags through the same index.
+circular autocorrelation, computed with one FFT per block and one inverse
+FFT of the summed power spectra, and indexed by filter-index differences
+(lags). Its real form Q^* G Q is one gather from the autocorrelation through
+a cached lag index (real_gram), and the adjoint of that gather
+(real_gram_adjoint) scatter-adds a real weight matrix's blocks back to lags
+through the same index.
 
 Every layer reads the per-block weight arrays M_j from the spec that
 defines them: LiftingSpec.block_weights builds them once, on first use, as
@@ -293,12 +294,19 @@ def block_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def autocorrelation(spec: LiftingSpec, x: ComplexGrid) -> np.ndarray:
-    """Circular autocorrelation g = sum_j ifft(|fft(M_j x)|^2) of the
+    """Circular autocorrelation g = ifft(sum_j |fft(M_j x)|^2) of the
     weighted data on the lag grid (data extent, lag 0 first), the generator
-    of the surrogate's circulant normal matrix: one FFT per direction over
-    the stacked blocks. Returned as its Hermitian part, so g[-d] ==
-    conj(g[d]) to the last bit."""
-    g = block_sum(block_ifftn(np.abs(block_fftn(spec.weighted_data(x))) ** 2))
+    of the surrogate's circulant normal matrix: one FFT over the stacked
+    blocks, squared in place as re^2 + im^2 on its float view (the sum
+    written over the real parts), the K power spectra added block by block
+    onto zeros into one real grid, and one inverse FFT of that sum.
+    Returned as its Hermitian part, so g[-d] == conj(g[d]) to the last
+    bit."""
+    f = block_fftn(spec.weighted_data(x)).view(np.float64)
+    np.multiply(f, f, out=f)
+    power = f[..., ::2]
+    np.add(power, f[..., 1::2], out=power)
+    g = np.fft.ifftn(block_sum(power))
     negated = np.roll(np.flip(g), 1, axis=tuple(range(g.ndim)))  # g[-d mod extent]
     return 0.5 * (g + negated.conj())
 

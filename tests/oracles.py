@@ -235,40 +235,83 @@ def loop_fourier_diagonal(s: np.ndarray):
     return lambda v: (v.ravel() @ CT).reshape(s.shape)
 
 
+def _admm_setup(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
+                lam: float | None, p: float, delta: float):
+    """What both ADMM references build before iterating: the per-block
+    weights, sum_j |M_j|^2, the mask as floats, rho (None in equality mode)
+    and the shrinkage; None where no effective regularizer leaves the
+    least-squares solution at A* b."""
+    _check_coverage(spec, sampling)
+    gam = float(np.max(d)) / delta
+    if gam <= 0 or (lam is not None and lam * schatten_weight(p) == 0):
+        return None
+    ws = [w.weights_on(spec.data_box) for w in spec.weightings]
+    wsq = sum(np.abs(w) ** 2 for w in ws)
+    rho = None if lam is None else gam * lam * schatten_weight(p)
+    return ws, wsq, sampling.mask.astype(float), rho, loop_fourier_diagonal(gam / (d + gam))
+
+
 def loop_admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
                  lam: float | None, p: float, iters: int = 200, delta: float = 10.0,
                  x0: ComplexGrid | None = None, callback=None) -> ComplexGrid:
-    """ADMM for the weighted least-squares step.
-
-    Splitting z_j = F y_j = M_j x with scaled duals u_j in the Fourier index
-    domain; the y update is a diagonal shrinkage in space, the x update a
-    diagonal solve in Fourier indices, with penalty gamma = max(d)/delta.
-    lam=None holds the measured samples fixed (equality mode).
+    """ADMM for the weighted least-squares step, carrying v_j = z_j + u_j.
 
     The reference for giraf.admm_ls: one block at a time, a fresh array per
-    operation, with the arithmetic in the order the fast path keeps.
+    operation, with the arithmetic in the order the fast path keeps: s_j =
+    M_j x; u_j = v_j - s_j and z_j = shrink(s_j - u_j) after the first
+    iteration (z_j = shrink(s_j) on it); v_j = z_j + u_j; x = sum_j
+    conj(M_j) r v_j + c, with the scale r and the offset c formed once.
     """
-    _check_coverage(spec, sampling)
-    gam = float(np.max(d)) / delta
     bvals = sampling.b.values
-    if gam <= 0 or (lam is not None and lam * schatten_weight(p) == 0):
-        # no effective regularizer: the least-squares solution is A* b
+    setup = _admm_setup(spec, sampling, d, lam, p, delta)
+    if setup is None:
         return ComplexGrid(spec.data_box, bvals.copy())
-
-    ws = [w.weights_on(spec.data_box) for w in spec.weightings]
-    wsq = sum(np.abs(w) ** 2 for w in ws)
-    maskf = sampling.mask.astype(float)
-    rho = None if lam is None else gam * lam * schatten_weight(p)
-    shrink = loop_fourier_diagonal(gam / (d + gam))
+    ws, wsq, maskf, rho, shrink = setup
     if lam is None:
-        denom = np.where(wsq > 0, wsq, 1.0)
+        r, c = 1.0 / np.where(wsq > 0, wsq, 1.0), None
     else:
         denom = maskf + rho * wsq
+        r, c = rho / denom, bvals / denom
+    wr = [np.conj(w) * r for w in ws]
+
+    x = (x0.values if x0 is not None else bvals).copy()
+    u = [None for _ in ws]
+    v = [None for _ in ws]
+    for it in range(iters):
+        for j, w in enumerate(ws):
+            s = w * x
+            if it:
+                u[j] = v[j] - s
+                v[j] = shrink(s - u[j]) + u[j]
+            else:
+                v[j] = shrink(s)
+        acc = np.zeros(spec.data_box.extent, dtype=np.complex128)
+        for j in range(len(ws)):
+            acc += wr[j] * v[j]
+        x = sampling.insert_data(acc) if lam is None else acc + c
+        if callback is not None:
+            callback(it + 1, x)
+    return ComplexGrid(spec.data_box, x)
+
+
+def z_carrying_admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
+                       lam: float | None, p: float, iters: int = 200, delta: float = 10.0,
+                       x0: ComplexGrid | None = None, callback=None) -> ComplexGrid:
+    """The same ADMM in its textbook scaled form (Boyd et al. 2011),
+    carrying z_j and u_j: z_j = shrink(M_j x - u_j), x from sum_j conj(M_j)
+    (z_j + u_j) divided by the x update's denominator, u_j += z_j - M_j x.
+    giraf.admm_ls ran this order before it carried z + u; it agrees with
+    that to rounding."""
+    bvals = sampling.b.values
+    setup = _admm_setup(spec, sampling, d, lam, p, delta)
+    if setup is None:
+        return ComplexGrid(spec.data_box, bvals.copy())
+    ws, wsq, maskf, rho, shrink = setup
+    denom = np.where(wsq > 0, wsq, 1.0) if lam is None else maskf + rho * wsq
 
     x = (x0.values if x0 is not None else bvals).copy()
     z = [np.zeros(spec.data_box.extent, dtype=np.complex128) for _ in ws]
     u = [np.zeros(spec.data_box.extent, dtype=np.complex128) for _ in ws]
-
     for it in range(iters):
         for j, w in enumerate(ws):
             z[j] = shrink(w * x - u[j])
@@ -311,14 +354,30 @@ def loop_cg_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
     return ComplexGrid(spec.data_box, x)
 
 
+def _hermitian_part(g: np.ndarray) -> np.ndarray:
+    negated = np.roll(np.flip(g), 1, axis=tuple(range(g.ndim)))
+    return 0.5 * (g + negated.conj())
+
+
 def loop_autocorrelation(spec: LiftingSpec, x: ComplexGrid) -> np.ndarray:
-    """The reference for lifting.autocorrelation: sum_j ifft(|fft(M_j x)|^2)
-    one block at a time onto zeros, then its Hermitian part."""
+    """The reference for lifting.autocorrelation: the power spectra
+    re^2 + im^2 of fft(M_j x), one block at a time onto zeros, one inverse
+    FFT of their sum, then its Hermitian part."""
+    power = np.zeros(spec.data_box.extent)
+    for op in spec.weightings:
+        f = np.fft.fftn(op.weights_on(spec.data_box) * x.values)
+        power += f.real * f.real + f.imag * f.imag
+    return _hermitian_part(np.fft.ifftn(power))
+
+
+def per_block_autocorrelation(spec: LiftingSpec, x: ComplexGrid) -> np.ndarray:
+    """sum_j ifft(|fft(M_j x)|^2), one inverse FFT per block onto zeros, then
+    its Hermitian part: the order lifting.autocorrelation ran before it took
+    one inverse FFT of the summed power spectra."""
     g = np.zeros(spec.data_box.extent, dtype=np.complex128)
     for op in spec.weightings:
         g += np.fft.ifftn(np.abs(np.fft.fftn(op.weights_on(spec.data_box) * x.values)) ** 2)
-    negated = np.roll(np.flip(g), 1, axis=tuple(range(g.ndim)))
-    return 0.5 * (g + negated.conj())
+    return _hermitian_part(g)
 
 
 def halving_tril_inverse(L: np.ndarray, block: int = 64) -> np.ndarray:
@@ -335,6 +394,16 @@ def halving_tril_inverse(L: np.ndarray, block: int = 64) -> np.ndarray:
     out[h:, h:] = halving_tril_inverse(L[h:, h:], block)
     out[h:, :h] = -(out[h:, h:] @ L[h:, :h]) @ out[:h, :h]
     return out
+
+
+def copied_cholesky_logdet(R: np.ndarray, eps: float) -> float:
+    """sum log diag L for L the Cholesky factor of R + eps I, by the
+    log-det-only pass of giraf._cholesky_inverse on a full copy of R + eps
+    I: the route _GramPenalty.cost took before giraf._cholesky_logdet, kept
+    as its bit-for-bit reference."""
+    A = R.copy()
+    A.flat[::A.shape[0] + 1] += eps
+    return _cholesky_inverse(A, inverse=False)
 
 
 def out_of_place_tril_gram(L: np.ndarray, out: np.ndarray, block: int = 64) -> None:

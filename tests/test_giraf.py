@@ -4,6 +4,7 @@ against dense oracles, the outer reweighted iteration, and config guards."""
 import dataclasses
 import inspect
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from cslr.giraf import (
     SolverError,
     _GramPenalty,
     _cholesky_inverse,
+    _cholesky_logdet,
     _inner_solve,
     _lanczos_lam_max,
     _smoothed_schatten_eigs,
@@ -52,6 +54,7 @@ from cslr.models import (
 from oracles import (
     centro_unitary,
     complex_route_weights,
+    copied_cholesky_logdet,
     dense_dft_matrix,
     halving_tril_inverse,
     loop_admm_ls,
@@ -60,6 +63,7 @@ from oracles import (
     random_grid,
     reference_p0_weights,
     reverse_conjugate,
+    z_carrying_admm_ls,
 )
 from test_lifting import given_specs
 
@@ -250,6 +254,40 @@ def test_lagged_cost_and_weights_each_factor_once(monkeypatch):
         assert np.all(np.isfinite(penalty.weights(eps_weights)))
         assert calls == [(False, False), (True, True)]
         assert penalty._R is None
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 130, 257, 625])
+def test_cholesky_logdet_matches_the_copy_route(n):
+    # copying only the leading half block gives the sum of the log-det pass
+    # on a full copy of R + eps I (tests/oracles.py) to the last bit, on both
+    # sides of _TRIL_BLOCK, and leaves R as it was
+    rng = np.random.default_rng(n)
+    B = rng.standard_normal((n, n)) @ np.diag(np.logspace(0, -4, n))
+    R = B @ B.T
+    kept = R.copy()
+    for rel in (1e-2, 1e-6):
+        eps = rel * np.linalg.norm(R, 2)
+        assert _cholesky_logdet(R, eps) == copied_cholesky_logdet(R, eps)
+        assert R.tobytes() == kept.tobytes()
+
+
+def test_p0_cost_does_not_copy_the_gram():
+    # at Gram order 625 the log-det pass holds L21 and the Schur complement,
+    # about n^2/4 floats each, and the recursion's smaller blocks; a copy
+    # of R (n^2 floats) breaks the bound of 3/4 n^2 floats
+    spec = LiftingSpec(IndexBox((0, 0), (40, 40)), IndexBox((0, 0), (25, 25)))
+    x = _random_grid(spec.data_box, np.random.default_rng(57))
+    penalty = _GramPenalty(spec, x, 0.0, values=False)
+    n = penalty._R.shape[0]
+    eps = 1e-3 * np.linalg.norm(penalty._R, 2)
+    want = penalty.cost(eps)
+    tracemalloc.start()
+    try:
+        assert penalty.cost(eps) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * n * n * 8
 
 
 def _assert_tril_inverse(A):
@@ -570,18 +608,28 @@ def test_failed_cholesky_and_nonpositive_eps_are_solver_errors():
 
 
 def test_non_finite_admm_iterate_is_a_solver_error():
-    # data near 1e150 and weights near 1e300 make rho x overflow in the x
-    # update; the same data in equality mode, which skips that product,
-    # stays finite
+    # data near 1e150 and weights near 1e300 give rho near 1e299, which the
+    # x update meets only inside its scale rho/(mask + rho sum_j |M_j|^2),
+    # so both modes stay finite; with a 1-D gradient weighting (|M_j| up to
+    # 12 pi) data of largest modulus 1e307 make M_j x itself overflow, in
+    # both modes
     spec = LiftingSpec(IndexBox((-6,), (13,)), IndexBox((-2,), (5,)))
     truth = _random_grid(spec.data_box, np.random.default_rng(51))
     samp = SamplingOp.measure(truth, random_mask(spec.data_box, 0.5, seed=7))
     d = 1e300 * filter_update(spec, samp.zero_filled(), 0.1, 0.0)
     big = SamplingOp(samp.mask, ComplexGrid(spec.data_box, 1e150 * samp.b.values))
+    for lam in (None, 0.5):
+        assert np.all(np.isfinite(admm_ls(spec, big, d, lam, 0.0, iters=5).values))
+
+    spec = LiftingSpec(spec.data_box, spec.filter_box, gradient_weighting(1))
+    samp = SamplingOp.measure(truth, random_mask(spec.data_box, 0.5, seed=7, force_dc=True))
+    d = filter_update(spec, samp.zero_filled(), 0.1, 0.0)
+    b = samp.b.values
+    big = SamplingOp(samp.mask, ComplexGrid(spec.data_box, 1e307 / np.max(np.abs(b)) * b))
     with np.errstate(all="ignore"):
-        assert np.all(np.isfinite(admm_ls(spec, big, d, None, 0.0, iters=5).values))
-        with pytest.raises(SolverError, match="ADMM iterate is not finite"):
-            admm_ls(spec, big, d, 0.5, 0.0, iters=5)
+        for lam in (None, 0.5):
+            with pytest.raises(SolverError, match="ADMM iterate is not finite"):
+                admm_ls(spec, big, d, lam, 0.0, iters=5)
 
 
 @pytest.mark.parametrize("p, ls_solver", [(0.0, "admm"), (0.5, "cg")])
@@ -700,6 +748,60 @@ def _admm_against_loop(spec, seed, lam, p, with_x0):
     assert results["fast"].values.tobytes() == results["loop"].values.tobytes()
     assert seen["fast"] == seen["loop"]
     assert [it for it, _ in seen["fast"]] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("with_x0", [False, True])
+@pytest.mark.parametrize("p", [0.0, 0.5])
+@pytest.mark.parametrize("lam", [None, 0.5, 3e-4])
+@given_specs
+def test_admm_matches_the_z_carrying_recurrence(spec, seed, lam, p, with_x0):
+    """Carrying z + u in place of z is the same ADMM as the textbook scaled
+    form in tests/oracles.py up to rounding: every iterate within 1e-13
+    relative, on both sides of lifting._DENSE_GRID."""
+    for dense_grid in BOTH_SIDES:
+        with mock.patch.object(lifting, "_DENSE_GRID", dense_grid):
+            _admm_against_z_carrying(spec, seed, lam, p, with_x0)
+
+
+def _admm_against_z_carrying(spec, seed, lam, p, with_x0):
+    rng = np.random.default_rng(seed)
+    truth = random_grid(rng, spec.data_box)
+    wsq = sum(np.abs(w) ** 2 for w in spec.block_weights)
+    mask = (rng.random(spec.data_box.extent) < 0.5) | (wsq == 0)
+    samp = SamplingOp.measure(truth, mask)
+    d = filter_update(spec, samp.zero_filled(), 0.1, p)
+    x0 = random_grid(rng, spec.data_box) if with_x0 else None
+    seen = {"fast": [], "z": []}
+    for name, solve in (("fast", admm_ls), ("z", z_carrying_admm_ls)):
+        solve(spec, samp, d, lam, p, iters=4, delta=10.0, x0=x0,
+              callback=lambda it, x, name=name: seen[name].append(x.copy()))
+    assert len(seen["fast"]) == len(seen["z"]) == 4
+    for got, want in zip(seen["fast"], seen["z"]):
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("lam", [None, 0.5])
+def test_admm_allocates_four_block_stacks(lam):
+    # K = 2 on a 65^2 grid, on the FFT side of lifting._DENSE_GRID: one call
+    # holds the stacks conj(M) r, S, U and V and grid arrays (the iterate x,
+    # the shrinkage's interleaved factor, c or the measured samples). A
+    # fifth stack, as when the loop carried z and conj(M) apart, breaks the
+    # bound of 4.5 stacks and three complex grids
+    box = IndexBox((-32, -32), (65, 65))
+    spec = LiftingSpec(box, IndexBox((-2, -2), (5, 5)), gradient_weighting(2))
+    truth = _random_grid(box, np.random.default_rng(56))
+    samp = SamplingOp.measure(truth, random_mask(box, 0.5, seed=8, force_dc=True))
+    d = filter_update(spec, samp.zero_filled(), 0.1, 0.0)
+    assert box.size > lifting._DENSE_GRID and spec.n_blocks == 2
+    admm_ls(spec, samp, d, lam, 0.0, iters=3)  # builds the cached weights
+    tracemalloc.start()
+    try:
+        admm_ls(spec, samp, d, lam, 0.0, iters=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid = truth.values.nbytes
+    assert peak < 4.5 * spec.n_blocks * grid + 3 * grid
 
 
 @pytest.mark.parametrize("lam", [None, 0.5])

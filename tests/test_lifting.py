@@ -31,6 +31,7 @@ from cslr.models import SamplingOp, gradient_weighting
 from oracles import (
     grid_dict,
     loop_autocorrelation,
+    per_block_autocorrelation,
     random_grid,
     symmetrized_real_gram_adjoint,
 )
@@ -247,6 +248,15 @@ def test_autocorrelation_is_byte_identical_to_the_loop_reference(spec, seed):
     # give the bits of the block-by-block loop in tests/oracles.py
     x = random_grid(np.random.default_rng(seed), spec.data_box)
     assert autocorrelation(spec, x).tobytes() == loop_autocorrelation(spec, x).tobytes()
+
+
+@given_specs
+def test_autocorrelation_matches_one_inverse_fft_per_block(spec, seed):
+    # one inverse FFT of the summed power spectra is sum_j ifft(|fft(M_j
+    # x)|^2) up to rounding
+    x = random_grid(np.random.default_rng(seed), spec.data_box)
+    want = per_block_autocorrelation(spec, x)
+    assert np.max(np.abs(autocorrelation(spec, x) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @given_specs
