@@ -302,7 +302,7 @@ def svt_uv_solve(spec: LiftingSpec, sampling: SamplingOp, config: SVTUVConfig,
 
 class _ExactPenalty:
     """The smoothed penalty of the exact lifting T(x) in the protocol of the
-    reweighted loop (see giraf._GramPenalty), from its dense SVD T(x) = U
+    reweighted loop (see giraf._gram_penalty), from its dense SVD T(x) = U
     diag(sigma) V^*: eigvals are the squared singular values sigma^2, lam_max
     the largest of them, cost(eps) their smoothed Schatten sum, and
     weights(eps) the Hermitian IRLS weight matrix V diag((sigma^2 +

@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -382,6 +383,21 @@ def _resolve_solver(entry: dict):
     return solve, cfg
 
 
+@contextmanager
+def _solver_running():
+    """Scope of a running solver. A ValueError raised in it, such as a
+    non-finite grid from a blown-up iterate, is a solver failure (exit 4),
+    not an invalid config: the config was built into boxes, instances and
+    solver configs before. numpy's LinAlgError, a ValueError too, keeps
+    its type."""
+    try:
+        yield
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        raise SolverError(f"{type(exc).__name__}: {exc}") from exc
+
+
 def _zero_time(trace, timing: str):
     if timing != "none":
         return trace
@@ -431,7 +447,8 @@ def cmd_recover(config: dict, out: Path, shift: int) -> int:
     truth, sampling = _build_instance(config, shift)
     solve, solver_cfg = _resolve_solver(config["solver"])
     timing = config.get("timing", "wall")
-    trace = solve(spec, sampling, solver_cfg, ground_truth=truth)
+    with _solver_running():
+        trace = solve(spec, sampling, solver_cfg, ground_truth=truth)
     _zero_time(trace, timing)
 
     out.mkdir(parents=True, exist_ok=True)
@@ -474,7 +491,8 @@ def _tol_row(config, entry, usf, seed, tol, timing):
     try:
         spec = _build_spec(run_cfg)
         truth, sampling = _build_instance(run_cfg, seed)
-        trace = solve(spec, sampling, solver_cfg, ground_truth=truth)
+        with _solver_running():
+            trace = solve(spec, sampling, solver_cfg, ground_truth=truth)
     except (BudgetError, MemoryError):
         return key, key + ("Mem", "Mem", "Mem")
     _zero_time(trace, timing)
@@ -588,27 +606,29 @@ def _bench_subproblem(config: dict, out: Path, shift: int) -> int:
     _refuse_shared_keys((config["name"], label) for label, _ in legs)
 
     _, sampling = _build_instance(config, shift)
-    spec, sampling, d, eps0 = first_step(_build_spec(config), sampling, solver_cfg)
+    spec = _build_spec(config)
     ref_iters = sweep.get("reference_iters", 4000)
-    reference = cg_ls(spec, sampling, d, lam, p, iters=ref_iters, tol=1e-16)
-    ref_vals = reference.values
-    ref_norm = float(np.linalg.norm(ref_vals) ** 2)
-    if ref_norm == 0:
-        raise SolverError("subproblem reference solution is zero")
-
     rows = []
-    for label, leg in legs:
-        samples = []
-        start = time.perf_counter()
+    with _solver_running():
+        spec, sampling, d, eps0 = first_step(spec, sampling, solver_cfg)
+        reference = cg_ls(spec, sampling, d, lam, p, iters=ref_iters, tol=1e-16)
+        ref_vals = reference.values
+        ref_norm = float(np.linalg.norm(ref_vals) ** 2)
+        if ref_norm == 0:
+            raise SolverError("subproblem reference solution is zero")
 
-        def log(it, xvals):
-            sec = 0.0 if timing == "none" else time.perf_counter() - start
-            dist = float(np.linalg.norm(xvals - ref_vals) ** 2) / ref_norm
-            samples.append((it, sec, dist))
+        for label, leg in legs:
+            samples = []
+            start = time.perf_counter()
 
-        _inner_solve(spec, sampling, d, lam, p, leg, callback=log)
-        rows.extend((config["name"], label, it, sec, dist)
-                    for it, sec, dist in samples)
+            def log(it, xvals):
+                sec = 0.0 if timing == "none" else time.perf_counter() - start
+                dist = float(np.linalg.norm(xvals - ref_vals) ** 2) / ref_norm
+                samples.append((it, sec, dist))
+
+            _inner_solve(spec, sampling, d, lam, p, leg, callback=log)
+            rows.extend((config["name"], label, it, sec, dist)
+                        for it, sec, dist in samples)
 
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     out.mkdir(parents=True, exist_ok=True)

@@ -7,17 +7,17 @@ The solver alternates two matrix-free steps on gridded Fourier data:
    The surrogate Gram matrix G[a, b] = g[k_a - k_b] is centrohermitian, so
    a sparse unitary Q makes R = Q^* G Q real symmetric with the same
    eigenvalues; R is gathered straight from g through one cached lag index,
-   and G is never formed. One _GramPenalty per outer iterate gives the loop
+   and G is never formed. The penalty at each outer iterate gives the loop
    three things from R, in real arithmetic: eigenvalues (the smoothing
    schedule and the singular-value range; for p = 0 only at the first and
    the last iterate, and on large Grams only the largest, by Lanczos), the
-   smoothed penalty at eps, and the weights from (R + eps I)^(p/2 - 1), by
-   an eigendecomposition for p > 0 and for p = 0 by the inverse of a
-   Cholesky factor L, formed blockwise on matrix products (L^-T L^-1 in R's
-   storage, cost sum log diag L). The adjoint of the gather scatters the
-   weight matrix back to lags, and one inverse FFT gives the nonnegative
-   spatial weights d. Direct IRLS supplies the same three from an SVD of
-   the exact lifting, through the same loop.
+   smoothed penalty at eps, and the weights from (R + eps I)^(p/2 - 1). Its
+   class follows p: an eigendecomposition for p > 0 (_EigenPenalty), and
+   for p = 0 (_CholeskyPenalty) the inverse of a Cholesky factor L, formed
+   blockwise on matrix products (L^-T L^-1 in R's storage, cost sum log
+   diag L). The adjoint of the gather scatters the weight matrix back to
+   lags, and one inverse FFT gives the nonnegative spatial weights d.
+   Direct IRLS supplies the same three from an SVD of the exact lifting.
 
 2. Least squares. Minimize ||A x - b||^2 + lam * C_p * sum_j ||D^{1/2} F^*
    M_j x||^2 with D = diag(d), solved either by ADMM with a splitting
@@ -337,74 +337,84 @@ def _weights_from(spec: LiftingSpec, M: np.ndarray) -> np.ndarray:
     return np.maximum(draw, 0.0)
 
 
-class _GramPenalty:
-    """The smoothed penalty of the surrogate lifting at one iterate x, as the
-    four members _reweighted_loop reads: eigvals (the Gram eigenvalues
-    clipped at zero, or None), lam_max (the largest of them, or None),
-    cost(eps) and weights(eps). The linear algebra runs on the real form R
-    (real_gram), which has the Gram's eigenvalues, and computes only what is
-    asked for. With weighted, p > 0 takes eigh, whose vectors give the
-    weight matrix V diag((eigvals + eps)^(p/2 - 1)) V^T. p = 0 keeps R, for
-    the inverse L^-1 of a Cholesky factor L of R + eps I, whose L^-T L^-1
-    (_tril_gram) is (R + eps I)^-1. Otherwise eigvalsh runs when values is
-    set, except for p = 0 above _LANCZOS_ORDER: there values gives lam_max
-    only, by Lanczos, and the kept R gives the cost by a log-det pass.
-    R + eps I is positive definite, so a failed factorization means the data
-    overflowed or eps fell below R's rounding: a SolverError."""
+def _gram_penalty(spec: LiftingSpec, x: ComplexGrid, p: float, values: bool = True,
+                  weighted: bool = True):
+    """The smoothed penalty of the surrogate lifting at x, with the four
+    members _reweighted_loop reads: eigvals (the Gram eigenvalues clipped at
+    zero, or None), lam_max (their largest, or None), cost(eps) and
+    weights(eps), from the real form R (real_gram). Its class follows p here only."""
+    R = real_gram(spec, autocorrelation(spec, x))
+    return _EigenPenalty(spec, R, p, weighted) if p > 0 else _CholeskyPenalty(spec, R, values)
 
-    def __init__(self, spec: LiftingSpec, x: ComplexGrid, p: float, values: bool = True,
-                 weighted: bool = True):
+
+class _EigenPenalty:
+    """p > 0: with weighted, eigh, whose vectors give the weight matrix
+    V diag((eigvals + eps)^(p/2 - 1)) V^T; otherwise eigvalsh."""
+
+    def __init__(self, spec: LiftingSpec, R: np.ndarray, p: float, weighted: bool):
         self.spec, self.p = spec, p
-        self._V = w = self.lam_max = None
-        R = real_gram(spec, autocorrelation(spec, x))
         try:
-            if weighted and p > 0:
-                w, self._V = np.linalg.eigh(R)
-            elif values and p == 0 and R.shape[0] > _LANCZOS_ORDER:
-                self.lam_max = max(_lanczos_lam_max(R), 0.0)
-            elif values:
-                w = np.linalg.eigvalsh(R)
+            w, self._V = np.linalg.eigh(R) if weighted else (np.linalg.eigvalsh(R), None)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"Gram eigendecomposition failed: {exc}") from exc
-        self._R = R if p == 0 else None
-        self.eigvals = None if w is None else np.maximum(w, 0.0)
-        if self.eigvals is not None:
-            self.lam_max = float(np.max(self.eigvals))
+        self.eigvals = np.maximum(w, 0.0)
+        self.lam_max = float(np.max(self.eigvals))
 
     def cost(self, eps: float) -> float:
-        """Smoothed Schatten penalty at eps: from the eigenvalues where they
-        were taken, else (p = 0) sum log diag L, by _cholesky_logdet, which
-        leaves R intact for the weights."""
+        return _smoothed_schatten_eigs(self.eigvals, self.p, eps)
+
+    def weights(self, eps: float) -> np.ndarray:
+        """Spatial weights d of the weight matrix (R + eps I)^(p/2 - 1)."""
+        if eps <= 0:
+            raise SolverError("filter update needs a positive epsilon")
+        M = (self._V * (self.eigvals + eps) ** (self.p / 2.0 - 1.0)) @ self._V.T
+        return _weights_from(self.spec, M)
+
+
+class _CholeskyPenalty:
+    """p = 0 keeps R, for the inverse L^-1 of a Cholesky factor L of R + eps
+    I. values takes eigvalsh, or above _LANCZOS_ORDER only lam_max, by
+    Lanczos. R + eps I is positive definite, so a failed factorization
+    means the data overflowed or eps fell below R's rounding: a SolverError."""
+
+    def __init__(self, spec: LiftingSpec, R: np.ndarray, values: bool):
+        self.spec, self._R, self.eigvals, self.lam_max = spec, R, None, None
+        try:
+            if values and R.shape[0] > _LANCZOS_ORDER:
+                self.lam_max = max(_lanczos_lam_max(R), 0.0)
+            elif values:
+                self.eigvals = np.maximum(np.linalg.eigvalsh(R), 0.0)
+                self.lam_max = float(np.max(self.eigvals))
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"Gram eigendecomposition failed: {exc}") from exc
+
+    def cost(self, eps: float) -> float:
+        """From the eigenvalues, else by _cholesky_logdet (R left intact)."""
         if self.eigvals is not None:
-            return _smoothed_schatten_eigs(self.eigvals, self.p, eps)
+            return _smoothed_schatten_eigs(self.eigvals, 0.0, eps)
         try:
             return _cholesky_logdet(self._R, eps)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"Gram Cholesky factorization failed: {exc}") from exc
 
     def weights(self, eps: float) -> np.ndarray:
-        """Spatial weights d of the weight matrix (R + eps I)^(p/2 - 1), the
-        last use of this object: for p = 0, L^-1 and then L^-T L^-1 are
-        formed in R's storage, which this object lets go."""
+        """Spatial weights d of (R + eps I)^-1 = L^-T L^-1, in R's storage: a last use."""
         if eps <= 0:
             raise SolverError("filter update needs a positive epsilon")
-        if self.p > 0:
-            M = (self._V * (self.eigvals + eps) ** (self.p / 2.0 - 1.0)) @ self._V.T
-        else:
-            M, self._R = self._R, None
-            M.flat[::M.shape[0] + 1] += eps
-            try:
-                _cholesky_inverse(M)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"Gram Cholesky factorization failed: {exc}") from exc
-            _tril_gram(M)
+        M, self._R = self._R, None
+        M.flat[::M.shape[0] + 1] += eps
+        try:
+            _cholesky_inverse(M)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"Gram Cholesky factorization failed: {exc}") from exc
+        _tril_gram(M)
         return _weights_from(self.spec, M)
 
 
 def filter_update(spec: LiftingSpec, x: ComplexGrid, eps: float, p: float) -> np.ndarray:
     """Spatial weights d of the annihilating filter at the current iterate, the
     diagonal D of the least-squares step: a real array of the data box's extent."""
-    return _GramPenalty(spec, x, p, values=False).weights(eps)
+    return _gram_penalty(spec, x, p, values=False).weights(eps)
 
 
 def _check_coverage(spec: LiftingSpec, sampling: SamplingOp) -> np.ndarray:
@@ -728,7 +738,7 @@ def first_step(spec: LiftingSpec, sampling: SamplingOp, config: SolverConfig):
     the weights d of its first step (zero-filled iterate, eps = max(eps0,
     eps_min), the schedule's first) and the resolved eps0."""
     spec, sampling = _working_problem(spec, sampling, config)
-    penalty = _GramPenalty(spec, sampling.zero_filled(), config.p)
+    penalty = _gram_penalty(spec, sampling.zero_filled(), config.p)
     eps0, schedule = eps_schedule(penalty.lam_max, config.outer_iters, config.eps0,
                                   config.eta, config.eps_min)
     return spec, sampling, penalty.weights(schedule[0]), eps0
@@ -743,8 +753,8 @@ def giraf_solve(spec: LiftingSpec, sampling: SamplingOp, config: SolverConfig,
         lambda x: nmse(restrict(x, spec.data_box), ground_truth))
     trace = _reweighted_loop(
         config, config.outer_iters, config.lam, samp.zero_filled(), samp,
-        penalty_at=lambda x, values, weighted: _GramPenalty(work_spec, x, config.p,
-                                                            values, weighted),
+        penalty_at=lambda x, values, weighted: _gram_penalty(work_spec, x, config.p,
+                                                             values, weighted),
         least_squares=lambda d, x: _inner_solve(work_spec, samp, d, config.lam, config.p,
                                                 config, x0=x),
         error=error, algorithm=f"giraf{config.p:g}", tol=0.0)

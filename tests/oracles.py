@@ -8,15 +8,21 @@ import numpy as np
 
 from cslr import lifting
 from cslr.giraf import (
+    _LANCZOS_ORDER,
+    SolverError,
     _cg_normal,
-    _cholesky_inverse,
     _check_coverage,
     _check_weights,
+    _cholesky_inverse,
+    _cholesky_logdet,
+    _lanczos_lam_max,
     _smoothed_schatten_eigs,
+    _tril_gram,
+    _weights_from,
     schatten_weight,
 )
 from cslr.grids import ComplexGrid, IndexBox, minkowski_sum, reflect, valid_set, wrap_embed
-from cslr.lifting import LiftingSpec, diff_index
+from cslr.lifting import LiftingSpec, autocorrelation, diff_index, real_gram
 from cslr.models import DiracSignal, RectPhantom, SamplingOp
 
 
@@ -399,7 +405,7 @@ def halving_tril_inverse(L: np.ndarray, block: int = 64) -> np.ndarray:
 def copied_cholesky_logdet(R: np.ndarray, eps: float) -> float:
     """sum log diag L for L the Cholesky factor of R + eps I, by the
     log-det-only pass of giraf._cholesky_inverse on a full copy of R + eps
-    I: the route _GramPenalty.cost took before giraf._cholesky_logdet, kept
+    I: the route the p = 0 cost took before giraf._cholesky_logdet, kept
     as its bit-for-bit reference."""
     A = R.copy()
     A.flat[::A.shape[0] + 1] += eps
@@ -460,6 +466,75 @@ def reference_p0_weights(spec: LiftingSpec, x: ComplexGrid, eps: float) -> np.nd
     else:
         M = R.T @ R
     return np.maximum(np.fft.ifftn(symmetrized_real_gram_adjoint(spec, M)).real, 0.0)
+
+
+# giraf's one penalty class for every p, before it split into _EigenPenalty
+# (p > 0) and _CholeskyPenalty (p = 0), verbatim but for its name: the
+# bit-for-bit reference of giraf._gram_penalty. It reads _LANCZOS_ORDER
+# from this module, so a test patches both modules' copies.
+class BranchingGramPenalty:
+    """The smoothed penalty of the surrogate lifting at one iterate x, as the
+    four members _reweighted_loop reads: eigvals (the Gram eigenvalues
+    clipped at zero, or None), lam_max (the largest of them, or None),
+    cost(eps) and weights(eps). The linear algebra runs on the real form R
+    (real_gram), which has the Gram's eigenvalues, and computes only what is
+    asked for. With weighted, p > 0 takes eigh, whose vectors give the
+    weight matrix V diag((eigvals + eps)^(p/2 - 1)) V^T. p = 0 keeps R, for
+    the inverse L^-1 of a Cholesky factor L of R + eps I, whose L^-T L^-1
+    (_tril_gram) is (R + eps I)^-1. Otherwise eigvalsh runs when values is
+    set, except for p = 0 above _LANCZOS_ORDER: there values gives lam_max
+    only, by Lanczos, and the kept R gives the cost by a log-det pass.
+    R + eps I is positive definite, so a failed factorization means the data
+    overflowed or eps fell below R's rounding: a SolverError."""
+
+    def __init__(self, spec: LiftingSpec, x: ComplexGrid, p: float, values: bool = True,
+                 weighted: bool = True):
+        self.spec, self.p = spec, p
+        self._V = w = self.lam_max = None
+        R = real_gram(spec, autocorrelation(spec, x))
+        try:
+            if weighted and p > 0:
+                w, self._V = np.linalg.eigh(R)
+            elif values and p == 0 and R.shape[0] > _LANCZOS_ORDER:
+                self.lam_max = max(_lanczos_lam_max(R), 0.0)
+            elif values:
+                w = np.linalg.eigvalsh(R)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"Gram eigendecomposition failed: {exc}") from exc
+        self._R = R if p == 0 else None
+        self.eigvals = None if w is None else np.maximum(w, 0.0)
+        if self.eigvals is not None:
+            self.lam_max = float(np.max(self.eigvals))
+
+    def cost(self, eps: float) -> float:
+        """Smoothed Schatten penalty at eps: from the eigenvalues where they
+        were taken, else (p = 0) sum log diag L, by _cholesky_logdet, which
+        leaves R intact for the weights."""
+        if self.eigvals is not None:
+            return _smoothed_schatten_eigs(self.eigvals, self.p, eps)
+        try:
+            return _cholesky_logdet(self._R, eps)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"Gram Cholesky factorization failed: {exc}") from exc
+
+    def weights(self, eps: float) -> np.ndarray:
+        """Spatial weights d of the weight matrix (R + eps I)^(p/2 - 1), the
+        last use of this object: for p = 0, L^-1 and then L^-T L^-1 are
+        formed in R's storage, which this object lets go."""
+        if eps <= 0:
+            raise SolverError("filter update needs a positive epsilon")
+        if self.p > 0:
+            M = (self._V * (self.eigvals + eps) ** (self.p / 2.0 - 1.0)) @ self._V.T
+        else:
+            M, self._R = self._R, None
+            M.flat[::M.shape[0] + 1] += eps
+            try:
+                _cholesky_inverse(M)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"Gram Cholesky factorization failed: {exc}") from exc
+            _tril_gram(M)
+        return _weights_from(self.spec, M)
+
 
 
 def schatten_p(m: np.ndarray, p: float) -> float:

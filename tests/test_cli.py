@@ -584,6 +584,49 @@ def test_admm_blow_up_exits_4(tmp_path, capsys):
     assert err["error"]["message"] == "ADMM iterate is not finite"
 
 
+def _config_for(tmp_path, command, **overrides):
+    """The example config for recover, or for bench with its solver entry
+    as the one sweep entry."""
+    cfg = tmp_path / "cfg.json"
+    base = _write_config(cfg, **overrides)
+    if command == "bench":
+        base["sweep"] = {"solvers": [base.pop("solver")]}
+        cfg.write_text(json.dumps(base))
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["recover", "bench"])
+def test_value_error_from_a_running_solver_exits_4(tmp_path, monkeypatch, capsys, command):
+    # once a solver runs, a ValueError (a non-finite grid built from a
+    # blown-up iterate, a weights array of the wrong shape) is a solver
+    # failure, in recover and in a bench cell alike, not an invalid config
+    def failing(spec, sampling, config, ground_truth=None):
+        raise ValueError("grid values must be finite")
+
+    monkeypatch.setitem(cli._SOLVERS, "giraf", (failing, SolverConfig))
+    cfg = _config_for(tmp_path, command)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["exit_code"] == 4 and err["type"] == "SolverError"
+    assert err["message"] == "ValueError: grid values must be finite"
+
+
+@pytest.mark.parametrize("command", ["recover", "bench"])
+def test_value_error_building_the_config_exits_2(tmp_path, capsys, command):
+    # LiftingSpec refuses a filter box outside the data box with a
+    # ValueError while the config is built, before any solver runs (in a
+    # bench, inside the cell): an invalid config
+    cfg = _config_for(tmp_path, command, filter_box={"offset": [-40], "extent": [81]})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["exit_code"] == 2 and err["type"] == "ValueError"
+    assert "filter box" in err["message"]
+
+
 @_CG_BLOW_UP
 def test_cg_blow_up_exits_4(tmp_path, capsys, solver, scale):
     # at these scales the spectrum and the weights stay finite (ADMM

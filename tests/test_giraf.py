@@ -17,9 +17,10 @@ from cslr.giraf import (
     ConfigError,
     SolverConfig,
     SolverError,
-    _GramPenalty,
+    _CholeskyPenalty,
     _cholesky_inverse,
     _cholesky_logdet,
+    _gram_penalty,
     _inner_solve,
     _lanczos_lam_max,
     _smoothed_schatten_eigs,
@@ -51,7 +52,9 @@ from cslr.models import (
     pwc_phantom,
 )
 
+import oracles
 from oracles import (
+    BranchingGramPenalty,
     centro_unitary,
     complex_route_weights,
     copied_cholesky_logdet,
@@ -166,7 +169,7 @@ def test_p0_inverse_matches_eigenvector_weights(data, filt, weighted):
         eps = 10.0 ** rng.uniform(-6, -2) * np.max(w)  # the schedule's range
         w = np.maximum(w, 0.0)
         _, want = complex_route_weights(spec, (V / (w + eps)) @ V.conj().T)
-        got = _GramPenalty(spec, x, 0.0).weights(eps)
+        got = _gram_penalty(spec, x, 0.0).weights(eps)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -209,8 +212,41 @@ def test_real_form_matches_unitary_oracle(spec, seed):
     lam_g = np.maximum(lam_g, 0.0)
     for p in (0.0, 0.5, 1.0):
         _, want = complex_route_weights(spec, (V * (lam_g + eps) ** (p / 2 - 1)) @ V.conj().T)
-        got = _GramPenalty(spec, x, p).weights(eps)
+        got = _gram_penalty(spec, x, p).weights(eps)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+# values of giraf._LANCZOS_ORDER that put every drawn Gram on one side:
+# Lanczos for lambda_max (0) or eigvalsh (above the largest drawn order)
+LANCZOS_SIDES = (0, 10**6)
+
+
+@given_specs
+def test_penalty_per_p_keeps_the_branching_class_bits(spec, seed):
+    """_gram_penalty's class for p gives the single branching class of
+    tests/oracles.py bit for bit: eigvals, lam_max, the cost at two eps and
+    the weights, for every (values, weighted) pair the loop and
+    filter_update ask for, on both sides of giraf._LANCZOS_ORDER. Unweighted
+    p > 0 penalties have no eigenvectors, so no weights."""
+    rng = np.random.default_rng(seed)
+    x = random_grid(rng, spec.data_box)
+    top = max(np.linalg.eigvalsh(real_gram(spec, autocorrelation(spec, x)))[-1], 1.0)
+    eps_pair = 10.0 ** np.sort(rng.uniform(-3, 0, 2))[::-1] * top
+    for order in LANCZOS_SIDES:
+        with mock.patch.object(giraf, "_LANCZOS_ORDER", order), \
+                mock.patch.object(oracles, "_LANCZOS_ORDER", order):
+            for p in (0.0, 0.5, 1.0):
+                for values, weighted in ((True, True), (False, True), (True, False)):
+                    got = _gram_penalty(spec, x, p, values, weighted)
+                    want = BranchingGramPenalty(spec, x, p, values, weighted)
+                    assert (got.eigvals is None) == (want.eigvals is None)
+                    if want.eigvals is not None:
+                        assert got.eigvals.tobytes() == want.eigvals.tobytes()
+                    assert got.lam_max == want.lam_max
+                    assert [got.cost(e) for e in eps_pair] == [want.cost(e) for e in eps_pair]
+                    if p == 0 or weighted:
+                        assert got.weights(eps_pair[1]).tobytes() == \
+                            want.weights(eps_pair[1]).tobytes()
 
 
 @given_specs
@@ -221,9 +257,9 @@ def test_cholesky_cost_matches_eigenvalue_sum(spec, seed):
     # (as with eps frozen); the cost leaves R intact for the weights
     rng = np.random.default_rng(seed)
     x = random_grid(rng, spec.data_box)
-    w = _GramPenalty(spec, x, 0.0, weighted=False).eigvals
+    w = _gram_penalty(spec, x, 0.0, weighted=False).eigvals
     assume(w[-1] > 0)
-    penalty = _GramPenalty(spec, x, 0.0, values=False)
+    penalty = _gram_penalty(spec, x, 0.0, values=False)
     assert penalty.eigvals is None
     R = penalty._R.copy()
     for eps in 10.0 ** np.sort(rng.uniform(-3, 0, 2))[::-1] * w[-1]:
@@ -248,7 +284,7 @@ def test_lagged_cost_and_weights_each_factor_once(monkeypatch):
     x = _random_grid(spec.data_box, np.random.default_rng(52))
     for eps_weights in (1.0, 0.5):
         calls.clear()
-        penalty = _GramPenalty(spec, x, 0.0, values=False)
+        penalty = _gram_penalty(spec, x, 0.0, values=False)
         R = penalty._R
         assert np.isfinite(penalty.cost(1.0))
         assert np.all(np.isfinite(penalty.weights(eps_weights)))
@@ -277,7 +313,7 @@ def test_p0_cost_does_not_copy_the_gram():
     # of R (n^2 floats) breaks the bound of 3/4 n^2 floats
     spec = LiftingSpec(IndexBox((0, 0), (40, 40)), IndexBox((0, 0), (25, 25)))
     x = _random_grid(spec.data_box, np.random.default_rng(57))
-    penalty = _GramPenalty(spec, x, 0.0, values=False)
+    penalty = _gram_penalty(spec, x, 0.0, values=False)
     n = penalty._R.shape[0]
     eps = 1e-3 * np.linalg.norm(penalty._R, 2)
     want = penalty.cost(eps)
@@ -310,7 +346,7 @@ def test_tril_inverse_of_gram_factor_matches_inv(spec, seed):
     # the shifted real forms of drawn Gram matrices, with the base block
     # shrunk so that their small orders run through every level of halving
     rng = np.random.default_rng(seed)
-    penalty = _GramPenalty(spec, random_grid(rng, spec.data_box), 0.0)
+    penalty = _gram_penalty(spec, random_grid(rng, spec.data_box), 0.0)
     eps = 10.0 ** rng.uniform(-3, 0) * max(penalty.eigvals[-1], 1.0)
     A = penalty._R + eps * np.eye(len(penalty._R))
     for block in (1, 2, 3):
@@ -464,7 +500,7 @@ def test_p0_weights_match_the_out_of_place_route(extent, exact):
     x = _random_grid(data, np.random.default_rng(spec.n_filter))
     lam_max = np.linalg.eigvalsh(real_gram(spec, autocorrelation(spec, x)))[-1]
     for rel in (1e-2, 1e-5):
-        got = _GramPenalty(spec, x, 0.0, values=False).weights(rel * lam_max)
+        got = _gram_penalty(spec, x, 0.0, values=False).weights(rel * lam_max)
         want = reference_p0_weights(spec, x, rel * lam_max)
         if exact:
             assert got.tobytes() == want.tobytes()
@@ -481,7 +517,7 @@ def test_p0_last_row_above_the_lanczos_order_takes_lanczos_and_a_log_det(monkeyp
     truth = _random_grid(box, np.random.default_rng(55))
     samp = SamplingOp.measure(truth, random_mask(box, 0.6, seed=24))
     costs = []
-    cost = _GramPenalty.cost
+    cost = _CholeskyPenalty.cost
 
     def checked_cost(self, eps):
         assert self.eigvals is None
@@ -490,7 +526,7 @@ def test_p0_last_row_above_the_lanczos_order_takes_lanczos_and_a_log_det(monkeyp
                       0.5 * np.sum(np.abs(np.log(w + eps)))))
         return costs[-1][0]
 
-    monkeypatch.setattr(_GramPenalty, "cost", checked_cost)
+    monkeypatch.setattr(_CholeskyPenalty, "cost", checked_cost)
     trace = giraf_solve(spec, samp, SolverConfig(p=0.0, lam=5.0, outer_iters=3, inner_iters=5))
     assert len(costs) == len(trace.records) == 3
     for got, want, scale in costs:
@@ -598,7 +634,7 @@ def test_non_finite_weight_matrix_is_a_solver_error():
 def test_failed_cholesky_and_nonpositive_eps_are_solver_errors():
     spec = LiftingSpec(IndexBox((-6,), (13,)), IndexBox((-2,), (5,)))
     x = _random_grid(spec.data_box, np.random.default_rng(50))
-    penalty = _GramPenalty(spec, x, 0.0, values=False)
+    penalty = _gram_penalty(spec, x, 0.0, values=False)
     # R - eps I with eps beyond the largest eigenvalue is not positive definite
     with pytest.raises(SolverError, match="Cholesky"):
         penalty.cost(-2.0 * np.linalg.eigvalsh(penalty._R)[-1])
@@ -630,6 +666,31 @@ def test_non_finite_admm_iterate_is_a_solver_error():
         for lam in (None, 0.5):
             with pytest.raises(SolverError, match="ADMM iterate is not finite"):
                 admm_ls(spec, big, d, lam, 0.0, iters=5)
+
+
+@pytest.mark.parametrize("instance", ["dirac", "pwc"])
+def test_equality_admm_solve_is_scale_equivariant(instance):
+    # equality-mode GIRAF with ADMM on the measurements times s returns s
+    # times the unscaled grid, far from scale 1 too: eps0 (lambda_max / 100)
+    # follows s^2, the p = 0 weights s^-2 and ADMM's gamma = max(d) / delta
+    # with them. The README Dirac instance and a 33^2 gradient PWC one
+    if instance == "dirac":
+        box = IndexBox((-63,), (127,))
+        spec = LiftingSpec(box, IndexBox((-7,), (15,)))
+        truth = dirac_fourier(random_diracs(4, seed=0, min_separation=2 / 15), box)
+        mask = random_mask(box, 0.5, seed=1)
+    else:
+        box = IndexBox((-16, -16), (33, 33))
+        spec = LiftingSpec(box, IndexBox((-2, -2), (5, 5)), gradient_weighting(2))
+        truth = rect_fourier(pwc_phantom(), box)
+        mask = random_mask(box, 0.5, seed=1, force_dc=True)
+    samp = SamplingOp.measure(truth, mask)
+    cfg = SolverConfig(p=0.0, outer_iters=10, ls_solver="admm", oversample=True)
+    want = giraf_solve(spec, samp, cfg).x.values
+    for s in (2.0 ** 300, 2.0 ** -300, 1e100, 1e-100):
+        scaled = SamplingOp(mask, ComplexGrid(box, s * samp.b.values))
+        got = giraf_solve(spec, scaled, cfg).x.values / s
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("p, ls_solver", [(0.0, "admm"), (0.5, "cg")])
@@ -977,7 +1038,7 @@ def test_p0_trace_contract():
         assert np.isfinite(rec.cost)
 
     last = trace.records[-1]
-    w = _GramPenalty(spec, trace.x, 0.0, weighted=False).eigvals
+    w = _gram_penalty(spec, trace.x, 0.0, weighted=False).eigvals
     assert last.sigma_min == np.sqrt(w[0]) and last.sigma_max == np.sqrt(w[-1])
     data_term = np.linalg.norm((trace.x.values - samp.b.values)[samp.mask]) ** 2
     assert last.cost == data_term + cfg.lam * _smoothed_schatten_eigs(w, 0.0, last.eps)
