@@ -30,11 +30,13 @@ from .giraf import (
     _reweighted_loop,
     _smoothed_schatten_eigs,
 )
+from . import lifting
 from .grids import ComplexGrid
 from .lifting import (
     LiftingSpec,
     _gather_blocks,
     _scatter_blocks,
+    _valid_gather,
     lift_adjoint,
     lift_normal_diagonal,
     materialize_exact,
@@ -326,11 +328,36 @@ class _ExactPenalty:
 
 
 def _irls_penalty(spec: LiftingSpec, W: np.ndarray):
-    """IRLS penalty v -> T^*(T(v) W) on grid arrays, T the exact lifting:
-    one gather, one (rows x n_filter)(n_filter x n_filter) matmul and one
-    scatter per call."""
+    """IRLS penalty v -> T^*(T(v) W) on grid arrays, T the exact lifting.
+
+    Above lifting._DENSE_GRID points each call is one gather, one (rows x
+    n_filter)(n_filter x n_filter) matmul and one scatter. Up to it the
+    penalty is built once, for the W of one outer iteration, as the
+    Hermitian N x N matrix P[a, b] = sum_j conj(M_j[a]) M_j[b] sum_{r, l,
+    l'} [g(r, l) = a] [g(r, l') = b] W[l', l], g the valid gather: one
+    np.add.at of W^T, repeated per row, over the pair index g(r, l) N +
+    g(r, l') (rows n_filter^2 entries, transient; both flat, which keeps
+    np.add.at on its fast path), scaled by sum_j conj(M_j) (x) M_j. Each
+    call is then one matrix-vector product."""
+    box = spec.data_box
+    if box.size > lifting._DENSE_GRID:
+        def penalty(v):
+            return _scatter_blocks(spec, _gather_blocks(spec, spec.block_weights * v) @ W)
+
+        return penalty
+
+    n = box.size
+    g = _valid_gather(box, spec.filter_box)
+    rows, n_f = g.shape
+    P = np.zeros(n * n, dtype=np.complex128)
+    pairs = (g[:, :, None] * n + g[:, None, :]).ravel()
+    np.add.at(P, pairs, np.broadcast_to(W.T, (rows, n_f, n_f)).ravel())
+    P = P.reshape(n, n)
+    M = spec.block_weights.reshape(spec.n_blocks, n)
+    P *= np.conj(M).T @ M
+
     def penalty(v):
-        return _scatter_blocks(spec, _gather_blocks(spec, spec.block_weights * v) @ W)
+        return (P @ v.ravel()).reshape(box.extent)
 
     return penalty
 
@@ -346,6 +373,8 @@ def irls_direct(spec: LiftingSpec, sampling: SamplingOp, config: IRLSConfig,
     _irls_penalty), whose quadratic
     form ||T(v) W^(1/2)||_F^2 applies every reweighting filter
     (sigma_i^2 + eps)^(p/4 - 1/2) v_i through the exact lifting at once.
+    On grids of at most lifting._DENSE_GRID points the penalty is one dense
+    matrix per outer iteration, and a CG step one matrix-vector product.
     """
     config.validate()
     lam = None if config.equality else config.lam

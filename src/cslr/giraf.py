@@ -30,7 +30,9 @@ The solver alternates two matrix-free steps on gridded Fourier data:
    for a real diagonal D' (lifting.fourier_diagonal): an FFT pair over the
    stacked blocks on large grids, and on grids of at most
    lifting._DENSE_GRID points one dense circulant matrix per block, built
-   once per solve from one inverse FFT.
+   once per inner solve from one inverse FFT. With one block on such a
+   grid, ADMM folds its whole iteration into that matrix: v <- v T + k,
+   one dense matrix product per iteration (see admm_ls).
 
 An epsilon smoothing schedule eps_n = max(eps0 * eta^-n, eps_min) steers the
 reweighting from convex-like to sharply rank-seeking; with eps frozen the
@@ -44,15 +46,19 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
+from functools import cache
+from types import MappingProxyType
 from typing import get_args, get_type_hints
 
 import numpy as np
 
+from . import lifting
 from .grids import ComplexGrid, IndexBox, minkowski_sum, reflect, restrict
 from .lifting import (
     LiftingSpec,
     autocorrelation,
     block_sum,
+    circulant_matrix,
     fourier_diagonal,
     real_gram,
     real_gram_adjoint,
@@ -83,11 +89,14 @@ class SolverError(Exception):
     """Numerical failure inside a solver."""
 
 
-def _field_types(cls) -> dict[str, tuple[type, ...]]:
+@cache
+def _field_types(cls) -> MappingProxyType:
     """The types each field of a config dataclass admits, read off its type
     hints (X | None admits NoneType): the source of the CLI's solver schema
-    and of validate()'s integer check."""
-    return {name: get_args(hint) or (hint,) for name, hint in get_type_hints(cls).items()}
+    and of validate()'s integer check. Read once per class and shared, so
+    read-only."""
+    return MappingProxyType({name: get_args(hint) or (hint,)
+                             for name, hint in get_type_hints(cls).items()})
 
 
 def _check_integers(config) -> None:
@@ -461,6 +470,16 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
     shrinkage F diag(gamma/(d + gamma)) F^* is one
     lifting.fourier_diagonal, built once per call: an FFT per direction
     over the stack, or on small grids one dense matrix product per block.
+
+    With one block (K = 1) on a grid of at most lifting._DENSE_GRID points
+    the iteration is affine in v and folds into one dense matrix (_admm_fold):
+    with x = r~ v + c~ (equality mode: r~ = conj(M) r with zeros on measured
+    entries, c~ = b; else r~ = conj(M) r, c~ = c), s = a v + beta for a = M
+    r~ and beta = M c~, so v <- (2s - v) C + v - s is v <- v T + k with T =
+    diag(2a - 1) C + diag(1 - a) and k = 2 beta C - beta, C the shrinkage's
+    circulant matrix. It starts at v = (M x0) C and ends at x = r~ v + c~,
+    formed only for the callback and the result, with the measured samples
+    reinserted in equality mode.
     A final iterate that is not finite is a SolverError.
     """
     _check_weights(spec, d)
@@ -471,7 +490,6 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
         # no effective regularizer: the least-squares solution is A* b
         return ComplexGrid(spec.data_box, bvals.copy())
 
-    shrink = fourier_diagonal(gam / (d + gam))
     W = spec.block_weights
     if lam is None:
         Wr = np.conj(W) * (1.0 / np.where(wsq > 0, wsq, 1.0))
@@ -483,29 +501,65 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
         Wr, c = np.conj(W) * (rho / denom), bvals / denom
         del denom  # the loop holds four stacks and a few grids, no more
     x = (x0.values if x0 is not None else bvals).copy()
-    S = np.empty_like(W)
-    U = np.empty_like(W)
-    V = np.empty_like(W)
-
-    for it in range(iters):
-        np.multiply(W, x, out=S)
-        if it:
-            np.subtract(V, S, out=U)
-            np.subtract(S, U, out=S)
-        shrink(S, out=V)
-        if it:
-            np.add(V, U, out=V)
-        np.multiply(Wr, V, out=S)
-        block_sum(S, out=x)
+    if len(W) == 1 and d.size <= lifting._DENSE_GRID:
         if lam is None:
-            x.ravel()[measured] = bmeasured
-        else:
-            np.add(x, c, out=x)
-        if callback is not None:
-            callback(it + 1, x)
+            Wr[0].ravel()[measured] = 0.0
+            c = bvals  # zero off the mask
+        _admm_fold(circulant_matrix(gam / (d + gam)), W[0], Wr[0], c, x, iters,
+                   None if lam is not None else (measured, bmeasured), callback)
+    else:
+        shrink = fourier_diagonal(gam / (d + gam))
+        S = np.empty_like(W)
+        U = np.empty_like(W)
+        V = np.empty_like(W)
+        for it in range(iters):
+            np.multiply(W, x, out=S)
+            if it:
+                np.subtract(V, S, out=U)
+                np.subtract(S, U, out=S)
+            shrink(S, out=V)
+            if it:
+                np.add(V, U, out=V)
+            np.multiply(Wr, V, out=S)
+            block_sum(S, out=x)
+            if lam is None:
+                x.ravel()[measured] = bmeasured
+            else:
+                np.add(x, c, out=x)
+            if callback is not None:
+                callback(it + 1, x)
     if not np.all(np.isfinite(x.view(np.float64))):
         raise SolverError("ADMM iterate is not finite")
     return ComplexGrid(spec.data_box, x)
+
+
+def _admm_fold(C: np.ndarray, w: np.ndarray, r: np.ndarray, c: np.ndarray,
+               x: np.ndarray, iters: int, pin, callback) -> None:
+    """One-block ADMM as v <- v T + k (see admm_ls), written into x: C the
+    shrinkage's circulant matrix, turned into T in its own storage; w, r and
+    c the block's M, r~ and c~; pin the measured (flat index, value) pair to
+    reinsert, or None."""
+    xf, wf, rf, cf = x.ravel(), w.ravel(), r.ravel(), c.ravel()
+    a = wf * rf
+    beta = wf * cf
+    v = (wf * xf) @ C
+    k = beta @ C
+    k *= 2.0
+    k -= beta
+    np.multiply(C, (2.0 * a - 1.0)[:, None], out=C)
+    C.reshape(-1)[::len(C) + 1] += 1.0 - a
+    y = np.empty_like(v)
+    for it in range(iters):
+        if it:
+            np.matmul(v, C, out=y)
+            np.add(y, k, out=v)
+        if callback is not None or it == iters - 1:
+            np.multiply(rf, v, out=xf)
+            np.add(xf, cf, out=xf)
+            if pin is not None:
+                xf[pin[0]] = pin[1]
+            if callback is not None:
+                callback(it + 1, x)
 
 
 def cg_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,

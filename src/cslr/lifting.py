@@ -250,6 +250,15 @@ def interleaved(factor: np.ndarray) -> np.ndarray:
 _DENSE_GRID = 240
 
 
+def circulant_matrix(s: np.ndarray) -> np.ndarray:
+    """F diag(s) F^-1 for a real s on the data box, as the dense matrix that
+    right-multiplies a flat row vector: CT[j, k] = c[(j - k) mod extent]
+    with c = ifftn(s) (multi-level indices), one gather through the cached
+    wrapped difference index into a fresh, writable array."""
+    lags = IndexBox((0,) * s.ndim, s.shape)
+    return np.fft.ifftn(s).ravel()[diff_index(lags, lags, lags, wrap=True)]
+
+
 def fourier_diagonal(s: np.ndarray):
     """The operator V -> fftn(s * ifftn(V)) on each block of a (K, *extent)
     stack, for a real s on the data box, returned as apply(V, out): it
@@ -260,9 +269,8 @@ def fourier_diagonal(s: np.ndarray):
     s and runs block_fftn in place. Up to _DENSE_GRID points the operator is
     circulant in the Fourier-index domain, out[k] = sum_j V[j] c[j - k] with
     c = ifftn(s) (multi-level, indices mod the extent), so it is built once
-    as the dense matrix CT[j, k] = c[(j - k) mod extent], one gather through
-    the cached wrapped difference index, and apply multiplies each block's
-    flat vector by CT. It does so as one matmul over a (K, 1, N) stack,
+    as the dense matrix CT = circulant_matrix(s), and apply multiplies each
+    block's flat vector by CT. It does so as one matmul over a (K, 1, N) stack,
     which numpy runs as one vector-matrix product per block and so gives
     each block the bits of its own v @ CT; a (K, N) @ CT product would run
     one matrix-matrix product, whose bits differ."""
@@ -277,8 +285,7 @@ def fourier_diagonal(s: np.ndarray):
 
         return apply
 
-    lags = IndexBox((0,) * s.ndim, s.shape)
-    CT = np.fft.ifftn(s).ravel()[diff_index(lags, lags, lags, wrap=True)]
+    CT = circulant_matrix(s)
 
     def apply(V, out):
         np.matmul(V.reshape(len(V), 1, -1), CT, out=out.reshape(len(out), 1, -1))

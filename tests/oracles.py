@@ -225,19 +225,26 @@ def rect_annihilator(phantom: RectPhantom, filter_box: IndexBox) -> ComplexGrid:
     return ComplexGrid(filter_box, vals)
 
 
-def loop_fourier_diagonal(s: np.ndarray):
-    """The reference for lifting.fourier_diagonal, on one block: the FFT
-    pair fftn(s * ifftn(v)) above lifting._DENSE_GRID points, and up to it
-    the flat vector times the dense matrix CT[j, k] = ifftn(s)[(j - k) mod
-    extent], its entries placed one multi-index at a time."""
-    if s.size > lifting._DENSE_GRID:
-        return lambda v: np.fft.fftn(s * np.fft.ifftn(v))
+def loop_circulant_matrix(s: np.ndarray) -> np.ndarray:
+    """The reference for lifting.circulant_matrix: the dense matrix CT[j, k]
+    = ifftn(s)[(j - k) mod extent], its entries placed one multi-index at a
+    time."""
     c = np.fft.ifftn(s)
     coords = list(np.ndindex(s.shape))
     CT = np.empty((s.size, s.size), dtype=np.complex128)
     for a, j in enumerate(coords):
         for b, k in enumerate(coords):
             CT[a, b] = c[tuple((jj - kk) % e for jj, kk, e in zip(j, k, s.shape))]
+    return CT
+
+
+def loop_fourier_diagonal(s: np.ndarray):
+    """The reference for lifting.fourier_diagonal, on one block: the FFT
+    pair fftn(s * ifftn(v)) above lifting._DENSE_GRID points, and up to it
+    the flat vector times loop_circulant_matrix(s)."""
+    if s.size > lifting._DENSE_GRID:
+        return lambda v: np.fft.fftn(s * np.fft.ifftn(v))
+    CT = loop_circulant_matrix(s)
     return lambda v: (v.ravel() @ CT).reshape(s.shape)
 
 
@@ -245,8 +252,8 @@ def _admm_setup(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
                 lam: float | None, p: float, delta: float):
     """What both ADMM references build before iterating: the per-block
     weights, sum_j |M_j|^2, the mask as floats, rho (None in equality mode)
-    and the shrinkage; None where no effective regularizer leaves the
-    least-squares solution at A* b."""
+    and the shrinkage's diagonal gamma/(d + gamma); None where no effective
+    regularizer leaves the least-squares solution at A* b."""
     _check_coverage(spec, sampling)
     gam = float(np.max(d)) / delta
     if gam <= 0 or (lam is not None and lam * schatten_weight(p) == 0):
@@ -254,7 +261,7 @@ def _admm_setup(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
     ws = [w.weights_on(spec.data_box) for w in spec.weightings]
     wsq = sum(np.abs(w) ** 2 for w in ws)
     rho = None if lam is None else gam * lam * schatten_weight(p)
-    return ws, wsq, sampling.mask.astype(float), rho, loop_fourier_diagonal(gam / (d + gam))
+    return ws, wsq, sampling.mask.astype(float), rho, gam / (d + gam)
 
 
 def loop_admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
@@ -267,12 +274,14 @@ def loop_admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
     M_j x; u_j = v_j - s_j and z_j = shrink(s_j - u_j) after the first
     iteration (z_j = shrink(s_j) on it); v_j = z_j + u_j; x = sum_j
     conj(M_j) r v_j + c, with the scale r and the offset c formed once.
+    With one block on a grid of at most lifting._DENSE_GRID points it runs
+    the folded recurrence of admm_ls instead (loop_admm_fold).
     """
     bvals = sampling.b.values
     setup = _admm_setup(spec, sampling, d, lam, p, delta)
     if setup is None:
         return ComplexGrid(spec.data_box, bvals.copy())
-    ws, wsq, maskf, rho, shrink = setup
+    ws, wsq, maskf, rho, shrink_diag = setup
     if lam is None:
         r, c = 1.0 / np.where(wsq > 0, wsq, 1.0), None
     else:
@@ -281,6 +290,14 @@ def loop_admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
     wr = [np.conj(w) * r for w in ws]
 
     x = (x0.values if x0 is not None else bvals).copy()
+    if len(ws) == 1 and d.size <= lifting._DENSE_GRID:
+        if lam is None:
+            wr[0] = np.where(sampling.mask, 0.0, wr[0])
+            c = bvals
+        x = loop_admm_fold(loop_circulant_matrix(shrink_diag), ws[0], wr[0], c, x, iters,
+                           sampling if lam is None else None, callback)
+        return ComplexGrid(spec.data_box, x)
+    shrink = loop_fourier_diagonal(shrink_diag)
     u = [None for _ in ws]
     v = [None for _ in ws]
     for it in range(iters):
@@ -300,6 +317,35 @@ def loop_admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
     return ComplexGrid(spec.data_box, x)
 
 
+def loop_admm_fold(C, w, r, c, x, iters, pinned, callback):
+    """The folded one-block ADMM of giraf.admm_ls on flat vectors: T[j, k] =
+    (2 a_j - 1) C[j, k], plus (1 - a_j) where j == k, and k = 2 beta C -
+    beta, each entry formed on its own, with a = M r~ and beta = M c~; v
+    starts at (M x0) C, steps as v T + k, and x = r~ v + c~ has the samples
+    of pinned (a SamplingOp, or None) put back."""
+    a, beta = (w * r).ravel(), (w * c).ravel()
+    n = len(a)
+    T = np.empty((n, n), dtype=np.complex128)
+    for j in range(n):
+        for m in range(n):
+            T[j, m] = (2.0 * a[j] - 1.0) * C[j, m]
+        T[j, j] = T[j, j] + (1.0 - a[j])
+    k = np.empty(n, dtype=np.complex128)
+    bc = beta @ C
+    for m in range(n):
+        k[m] = 2.0 * bc[m] - beta[m]
+    v = (w * x).ravel() @ C
+    for it in range(iters):
+        if it:
+            v = v @ T + k
+        x = (r.ravel() * v + c.ravel()).reshape(w.shape)
+        if pinned is not None:
+            x = pinned.insert_data(x)
+        if callback is not None:
+            callback(it + 1, x)
+    return x
+
+
 def z_carrying_admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
                        lam: float | None, p: float, iters: int = 200, delta: float = 10.0,
                        x0: ComplexGrid | None = None, callback=None) -> ComplexGrid:
@@ -312,7 +358,8 @@ def z_carrying_admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
     setup = _admm_setup(spec, sampling, d, lam, p, delta)
     if setup is None:
         return ComplexGrid(spec.data_box, bvals.copy())
-    ws, wsq, maskf, rho, shrink = setup
+    ws, wsq, maskf, rho, shrink_diag = setup
+    shrink = loop_fourier_diagonal(shrink_diag)
     denom = np.where(wsq > 0, wsq, 1.0) if lam is None else maskf + rho * wsq
 
     x = (x0.values if x0 is not None else bvals).copy()

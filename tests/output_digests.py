@@ -10,9 +10,11 @@ solve digests the final grid, every IterationRecord field but `seconds`
 (wall time) and eps0, on the instances `op_rng(workload, 900, i)` of
 dirac1d (i = 0-3), pwc2d (i = 0-5) and pwc2d_large (i = 0-2), at the
 workload's p = 0 and at p = 0.5, and on W3, the 255^2 data / 45^2 filter
-solve of `test_large_scale_completion` (p = 0, mask seed 1). The last line
-digests the `bench.csv` of the benchmark's sweep config with `"timing":
-"none"`, run as `cslr bench --threads 2 --seed 5`. Bits follow the BLAS
+solve of `test_large_scale_completion` (p = 0, mask seed 1). One line
+digests the sweep's irls entry (p = 0) on the sweep config's own dirac63
+instance (seed shift 0), the same way. The last line digests the
+`bench.csv` of the benchmark's sweep config with `"timing": "none"`, run
+as `cslr bench --threads 2 --seed 5`. Bits follow the BLAS
 thread count (README, Determinism), so compare runs at the same count; the
 first line prints it.
 Not a test module: pytest does not collect it.
@@ -59,6 +61,16 @@ def w3_digest() -> str:
                                           config, ground_truth=truth))
 
 
+def irls_digest(workdir: Path) -> str:
+    sweep = SweepWorkload(workdir, smoke=False)
+    config = json.loads(sweep.config_path.read_text())
+    entry = next(e for e in config["sweep"]["solvers"] if e["algorithm"] == "irls")
+    solve, solver_cfg = cli._resolve_solver(entry)
+    truth, sampling = cli._build_instance(config, 0)
+    return trace_digest(solve(cli._build_spec(config), sampling, solver_cfg,
+                              ground_truth=truth))
+
+
 def sweep_digest(workdir: Path) -> str:
     sweep = SweepWorkload(workdir, smoke=False)
     config = json.loads(sweep.config_path.read_text())
@@ -83,6 +95,7 @@ def main() -> None:
                 print(f"{name} i={i} p={p:g} {trace_digest(trace)}", flush=True)
     print(f"W3 p=0 {w3_digest()}", flush=True)
     with tempfile.TemporaryDirectory() as workdir:
+        print(f"irls dirac63 p=0 {irls_digest(Path(workdir))}", flush=True)
         print(f"sweep bench.csv {sweep_digest(Path(workdir))}")
 
 

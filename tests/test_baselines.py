@@ -4,10 +4,12 @@ end-to-end recovery for each solver on a small Dirac instance."""
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from cslr import lifting
 from cslr.baselines import (
     APConfig,
     APProxConfig,
@@ -33,7 +35,13 @@ from cslr.giraf import (
     schatten_weight,
 )
 from cslr.grids import ComplexGrid, IndexBox
-from cslr.lifting import BudgetError, LiftingSpec, lift_normal_diagonal, materialize_exact
+from cslr.lifting import (
+    BudgetError,
+    LiftingSpec,
+    WeightingOp,
+    lift_normal_diagonal,
+    materialize_exact,
+)
 from cslr.models import (
     SamplingOp,
     dirac_fourier,
@@ -44,6 +52,7 @@ from cslr.models import (
     rect_fourier,
 )
 from oracles import irls_fft_penalty, majorizer_gap, random_grid, schatten_p, smoothed_schatten
+from test_giraf import BOTH_SIDES
 from test_lifting import given_specs
 
 
@@ -268,7 +277,15 @@ def test_irls_matches_reweighted_solver():
 @given_specs
 def test_irls_penalty_matches_fft_filter_bank(spec, seed):
     # T^*(T(v) W) against the reweighting filters (sigma_i^2 + eps)^(p/4 -
-    # 1/2) v_i applied one by one as gated FFT convolutions
+    # 1/2) v_i applied one by one as gated FFT convolutions, by gather,
+    # matmul and scatter (FFT side of lifting._DENSE_GRID) and as one dense
+    # matrix (dense side)
+    for dense_grid in BOTH_SIDES:
+        with mock.patch.object(lifting, "_DENSE_GRID", dense_grid):
+            _irls_penalty_against_filter_bank(spec, seed)
+
+
+def _irls_penalty_against_filter_bank(spec, seed):
     rng = np.random.default_rng(seed)
     x = random_grid(rng, spec.data_box)
     v = random_grid(rng, spec.data_box).values
@@ -279,6 +296,39 @@ def test_irls_penalty_matches_fft_filter_bank(spec, seed):
         want = irls_fft_penalty(spec, Vh.conj().T * (s2 + eps) ** (p / 4 - 0.5))(v)
         got = _irls_penalty(spec, _ExactPenalty(spec, x, p).weights(eps))(v)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _penalty_matrix(spec, W, dense_grid):
+    """The IRLS penalty as a matrix, column b its image of the unit vector
+    e_b, built on the given side of lifting._DENSE_GRID."""
+    n = spec.data_box.size
+    with mock.patch.object(lifting, "_DENSE_GRID", dense_grid):
+        penalty = _irls_penalty(spec, W)
+        return np.stack([penalty(e.reshape(spec.data_box.extent)).ravel()
+                         for e in np.eye(n, dtype=np.complex128)], axis=1)
+
+
+@pytest.mark.parametrize("weightings", [
+    (WeightingOp.identity(),),
+    (WeightingOp.fourier_derivative(0),),
+    gradient_weighting(2),
+], ids=["1d-identity", "1d-gradient", "2d-gradient"])
+def test_dense_irls_penalty_is_the_hermitian_scatter_matrix(weightings):
+    # the dense penalty P of one outer iteration equals the gather-matmul-
+    # scatter penalty, column by column, and is Hermitian to rounding
+    if len(weightings) == 2:
+        spec = LiftingSpec(IndexBox((-6, -5), (13, 11)), IndexBox((-2, -1), (5, 3)),
+                           weightings)
+    else:
+        spec = LiftingSpec(IndexBox((-31,), (63,)), IndexBox((-7,), (15,)), weightings)
+    assert spec.data_box.size <= lifting._DENSE_GRID
+    x = random_grid(np.random.default_rng(71), spec.data_box)
+    penalty = _ExactPenalty(spec, x, 0.0)
+    W = penalty.weights(1e-2 * penalty.lam_max)
+    P = _penalty_matrix(spec, W, lifting._DENSE_GRID)
+    want = _penalty_matrix(spec, W, 0)
+    assert np.linalg.norm(P - want) <= 1e-13 * np.linalg.norm(want)
+    assert np.linalg.norm(P - P.conj().T) <= 1e-15 * np.linalg.norm(P)
 
 
 @pytest.mark.parametrize("max_iters", [1, 4])

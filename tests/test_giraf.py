@@ -1146,6 +1146,19 @@ def test_config_validation_errors():
         SolverConfig(oversample_factor=2.0).validate()
 
 
+@pytest.mark.parametrize("cls", [SolverConfig, IRLSConfig])
+def test_validate_reads_type_hints_once_per_class(monkeypatch, cls):
+    # the field types of a config class are read once and cached; a second
+    # validate() keeps its checks without reading the hints again
+    cls().validate()
+    calls = []
+    monkeypatch.setattr(giraf, "get_type_hints", lambda c: calls.append(c) or {})
+    cls().validate()
+    with pytest.raises(ConfigError, match="must be an integer"):
+        cls(inner_iters=2.0).validate()
+    assert calls == []
+
+
 def test_unsampled_dc_with_gradient_weighting_is_rejected():
     box = IndexBox((-4, -4), (9, 9))
     spec = LiftingSpec(box, IndexBox((-1, -1), (3, 3)), gradient_weighting(2))
