@@ -26,7 +26,9 @@ The solver alternates two matrix-free steps on gridded Fourier data:
    z_j + u_j (the x update's input) in place of z_j, and folds the x
    update's real diagonal scale r into conj(M_j) once per call: an
    iteration is s_j = M_j x, u_j = v_j - s_j, v_j = shrink(s_j - u_j) +
-   u_j, x = sum_j conj(M_j) r v_j + c. Each pass of either applies F D' F^*
+   u_j, x = sum_j conj(M_j) r v_j + c. Equality mode (measured samples held
+   exactly) is one choice of r and c: r = 0 on measured entries and c = b,
+   so nothing is reinserted. Each pass of either applies F D' F^*
    for a real diagonal D' (lifting.fourier_diagonal): an FFT pair over the
    stacked blocks on large grids, and on grids of at most
    lifting._DENSE_GRID points one dense circulant matrix per block, built
@@ -458,11 +460,13 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
     z_j. With s_j = M_j x, one iteration is u_j = v_j - s_j (the dual
     update), z_j = shrink(s_j - u_j), v_j = z_j + u_j and x = sum_j
     conj(M_j) r v_j + c; the first iteration, where u = 0, skips the dual
-    update and the sum z + u. The x update's scale is folded into the
-    real r and the grid c once per call: equality mode has r = 1/sum_j
-    |M_j|^2 (1 where that sum is 0), c = 0, and reinserts the measured
-    samples; with lam, r = rho/(mask + rho sum_j |M_j|^2) and c = b/(mask +
-    rho sum_j |M_j|^2), rho = gamma lam C_p.
+    update and the sum z + u. The x update's scale is the real r and the
+    grid c, set once per call: equality mode has r = 0 on measured entries
+    and 1/sum_j |M_j|^2 elsewhere (1 where that sum is 0), and c = b, so x
+    is b on the mask to the last bit and nothing is reinserted; with lam,
+    r = rho/(mask + rho sum_j |M_j|^2) and c = b/(mask + rho sum_j
+    |M_j|^2), rho = gamma lam C_p. Both modes hand conj(M_j) r and c to
+    the same x update.
 
     The K blocks are stacked in (K, *extent) buffers allocated once, and
     every iterate is written into one buffer x, also allocated once;
@@ -473,13 +477,11 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
 
     With one block (K = 1) on a grid of at most lifting._DENSE_GRID points
     the iteration is affine in v and folds into one dense matrix (_admm_fold):
-    with x = r~ v + c~ (equality mode: r~ = conj(M) r with zeros on measured
-    entries, c~ = b; else r~ = conj(M) r, c~ = c), s = a v + beta for a = M
-    r~ and beta = M c~, so v <- (2s - v) C + v - s is v <- v T + k with T =
+    with x = r~ v + c for r~ = conj(M) r, s = a v + beta for a = M r~ and
+    beta = M c, so v <- (2s - v) C + v - s is v <- v T + k with T =
     diag(2a - 1) C + diag(1 - a) and k = 2 beta C - beta, C the shrinkage's
-    circulant matrix. It starts at v = (M x0) C and ends at x = r~ v + c~,
-    formed only for the callback and the result, with the measured samples
-    reinserted in equality mode.
+    circulant matrix. It starts at v = (M x0) C and ends at x = r~ v + c,
+    formed only for the callback and the result.
     A final iterate that is not finite is a SolverError.
     """
     _check_weights(spec, d)
@@ -492,21 +494,18 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
 
     W = spec.block_weights
     if lam is None:
-        Wr = np.conj(W) * (1.0 / np.where(wsq > 0, wsq, 1.0))
-        measured = np.flatnonzero(sampling.mask)
-        bmeasured = bvals.ravel()[measured]
+        r = np.where(sampling.mask, 0.0, 1.0 / np.where(wsq > 0, wsq, 1.0))
+        c = bvals  # zero off the mask
     else:
         rho = gam * lam * schatten_weight(p)
         denom = sampling.mask + rho * wsq
-        Wr, c = np.conj(W) * (rho / denom), bvals / denom
+        r, c = rho / denom, bvals / denom
         del denom  # the loop holds four stacks and a few grids, no more
+    Wr = np.conj(W) * r
+    del r
     x = (x0.values if x0 is not None else bvals).copy()
     if len(W) == 1 and d.size <= lifting._DENSE_GRID:
-        if lam is None:
-            Wr[0].ravel()[measured] = 0.0
-            c = bvals  # zero off the mask
-        _admm_fold(circulant_matrix(gam / (d + gam)), W[0], Wr[0], c, x, iters,
-                   None if lam is not None else (measured, bmeasured), callback)
+        _admm_fold(circulant_matrix(gam / (d + gam)), W[0], Wr[0], c, x, iters, callback)
     else:
         shrink = fourier_diagonal(gam / (d + gam))
         S = np.empty_like(W)
@@ -522,10 +521,7 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
                 np.add(V, U, out=V)
             np.multiply(Wr, V, out=S)
             block_sum(S, out=x)
-            if lam is None:
-                x.ravel()[measured] = bmeasured
-            else:
-                np.add(x, c, out=x)
+            np.add(x, c, out=x)
             if callback is not None:
                 callback(it + 1, x)
     if not np.all(np.isfinite(x.view(np.float64))):
@@ -534,11 +530,11 @@ def admm_ls(spec: LiftingSpec, sampling: SamplingOp, d: np.ndarray,
 
 
 def _admm_fold(C: np.ndarray, w: np.ndarray, r: np.ndarray, c: np.ndarray,
-               x: np.ndarray, iters: int, pin, callback) -> None:
+               x: np.ndarray, iters: int, callback) -> None:
     """One-block ADMM as v <- v T + k (see admm_ls), written into x: C the
     shrinkage's circulant matrix, turned into T in its own storage; w, r and
-    c the block's M, r~ and c~; pin the measured (flat index, value) pair to
-    reinsert, or None."""
+    c the block's M, conj(M) r and c. In equality mode r = 0 on measured
+    entries and c = b, so x = conj(M) r v + c is b there to the last bit."""
     xf, wf, rf, cf = x.ravel(), w.ravel(), r.ravel(), c.ravel()
     a = wf * rf
     beta = wf * cf
@@ -556,8 +552,6 @@ def _admm_fold(C: np.ndarray, w: np.ndarray, r: np.ndarray, c: np.ndarray,
         if callback is not None or it == iters - 1:
             np.multiply(rf, v, out=xf)
             np.add(xf, cf, out=xf)
-            if pin is not None:
-                xf[pin[0]] = pin[1]
             if callback is not None:
                 callback(it + 1, x)
 
@@ -622,9 +616,7 @@ def _cg_normal(penalty, sampling: SamplingOp, lam: float | None, p: float,
         def operator(v):
             return np.where(free, penalty(v), 0.0)
 
-        def full(v):
-            return np.where(free, v, bvals)
-
+        full = sampling.insert_data
         rhs = np.where(free, -penalty(np.where(free, 0.0, bvals)), 0.0)
         x = np.where(free, x0, 0.0) if x0 is not None else np.zeros_like(bvals)
     else:
@@ -751,7 +743,8 @@ def _reweighted_loop(config, n_outer: int, lam: float | None, x: ComplexGrid,
         tl = time.perf_counter()
         x_prev, x = x, least_squares(weights, x)
         phases["least_squares"] += time.perf_counter() - tl
-        data_term = float(np.linalg.norm((x.values - sampling.b.values)[sampling.mask]) ** 2)
+        data_term = None if lam is None else float(
+            np.linalg.norm((x.values - sampling.b.values)[sampling.mask]) ** 2)
         err = None if error is None else error(x)
         seconds = time.perf_counter() - t0
         last = n == n_outer or (tol > 0 and _relative_step(x.values, x_prev.values) < tol)

@@ -10,7 +10,12 @@ solve digests the final grid, every IterationRecord field but `seconds`
 (wall time) and eps0, on the instances `op_rng(workload, 900, i)` of
 dirac1d (i = 0-3), pwc2d (i = 0-5) and pwc2d_large (i = 0-2), at the
 workload's p = 0 and at p = 0.5, and on W3, the 255^2 data / 45^2 filter
-solve of `test_large_scale_completion` (p = 0, mask seed 1). One line
+solve of `test_large_scale_completion` (p = 0, mask seed 1). All of these
+hold the measured samples exactly (equality mode, lam=None); the lines
+marked lam= solve the same instances with a data term instead: dirac1d
+(i = 0-3, one-block ADMM folded into one dense matrix) at lam = 0.05 and
+pwc2d (i = 0-5, the stacked ADMM loop) at lam = 0.1, each at p = 0 and
+p = 0.5. One line
 digests the sweep's irls entry (p = 0) on the sweep config's own dirac63
 instance (seed shift 0), the same way. The last line digests the
 `bench.csv` of the benchmark's sweep config with `"timing": "none"`, run
@@ -38,6 +43,7 @@ from workloads import SweepWorkload, make, op_rng  # noqa: E402
 
 SEED = 900
 INSTANCES = {"dirac1d": 4, "pwc2d": 6, "pwc2d_large": 3}
+LAMS = {"dirac1d": (0.05,), "pwc2d": (0.1,)}  # data-term solves of the same instances
 
 
 def trace_digest(trace) -> str:
@@ -89,10 +95,13 @@ def main() -> None:
         workload = make(name, ROOT, smoke=False)
         for i in range(count):
             truth, sampling = workload.draw(op_rng(name, SEED, i))
-            for p in (workload.config.p, 0.5):
-                config = dataclasses.replace(workload.config, p=p)
-                trace = giraf.giraf_solve(workload.spec, sampling, config, ground_truth=truth)
-                print(f"{name} i={i} p={p:g} {trace_digest(trace)}", flush=True)
+            for lam in (None, *LAMS.get(name, ())):
+                for p in (workload.config.p, 0.5):
+                    config = dataclasses.replace(workload.config, p=p, lam=lam)
+                    trace = giraf.giraf_solve(workload.spec, sampling, config,
+                                              ground_truth=truth)
+                    tag = "" if lam is None else f" lam={lam:g}"
+                    print(f"{name} i={i} p={p:g}{tag} {trace_digest(trace)}", flush=True)
     print(f"W3 p=0 {w3_digest()}", flush=True)
     with tempfile.TemporaryDirectory() as workdir:
         print(f"irls dirac63 p=0 {irls_digest(Path(workdir))}", flush=True)

@@ -845,9 +845,9 @@ def _admm_against_z_carrying(spec, seed, lam, p, with_x0):
 def test_admm_allocates_four_block_stacks(lam):
     # K = 2 on a 65^2 grid, on the FFT side of lifting._DENSE_GRID: one call
     # holds the stacks conj(M) r, S, U and V and grid arrays (the iterate x,
-    # the shrinkage's interleaved factor, c or the measured samples). A
-    # fifth stack, as when the loop carried z and conj(M) apart, breaks the
-    # bound of 4.5 stacks and three complex grids
+    # the shrinkage's interleaved factor, c). A fifth stack, as when the
+    # loop carried z and conj(M) apart, breaks the bound of 4.5 stacks and
+    # three complex grids
     box = IndexBox((-32, -32), (65, 65))
     spec = LiftingSpec(box, IndexBox((-2, -2), (5, 5)), gradient_weighting(2))
     truth = _random_grid(box, np.random.default_rng(56))
@@ -927,17 +927,36 @@ def test_cg_matches_dense_normal_equations():
 
 
 def test_equality_mode_pins_measured_samples_and_solvers_agree():
-    rng = np.random.default_rng(46)
+    # ADMM holds the samples by arithmetic alone (r = 0, c = b on the mask):
+    # one block, folded into one dense matrix or not, and K = 2 in the
+    # stacked loop; every iterate and the result keep b exactly
     box = IndexBox((-6,), (13,))
-    filt = IndexBox((-2,), (5,))
-    spec = LiftingSpec(box, filt)
-    truth = _random_grid(box, rng)
-    samp = SamplingOp.measure(truth, random_mask(box, 0.5, seed=7))
+    spec = LiftingSpec(box, IndexBox((-2,), (5,)))
+    truth = _random_grid(box, np.random.default_rng(46))
+    one_block = (spec, SamplingOp.measure(truth, random_mask(box, 0.5, seed=7)))
+    box = IndexBox((-4, -4), (9, 9))
+    spec = LiftingSpec(box, IndexBox((-1, -1), (3, 3)), gradient_weighting(2))
+    truth = _random_grid(box, np.random.default_rng(47))
+    two_blocks = (spec, SamplingOp.measure(truth, random_mask(box, 0.5, seed=7,
+                                                              force_dc=True)))
+    assert two_blocks[0].n_blocks == 2
+    for spec, samp in (one_block, two_blocks):
+        for dense_grid in BOTH_SIDES:
+            with mock.patch.object(lifting, "_DENSE_GRID", dense_grid):
+                _equality_mode_against_cg(spec, samp)
+
+
+def _equality_mode_against_cg(spec, samp):
+    b = samp.b.values[samp.mask]
     d = filter_update(spec, samp.zero_filled(), 0.1, 0.0)
-    xa = admm_ls(spec, samp, d, None, 0.0, iters=3000, delta=10.0)
-    xc = cg_ls(spec, samp, d, None, 0.0, iters=2000, tol=1e-14)
-    np.testing.assert_array_equal(xa.values[samp.mask], samp.b.values[samp.mask])
-    np.testing.assert_array_equal(xc.values[samp.mask], samp.b.values[samp.mask])
+
+    def pinned(it, x):
+        assert np.array_equal(x[samp.mask], b)
+
+    xa = admm_ls(spec, samp, d, None, 0.0, iters=3000, delta=10.0, callback=pinned)
+    xc = cg_ls(spec, samp, d, None, 0.0, iters=2000, tol=1e-14, callback=pinned)
+    np.testing.assert_array_equal(xa.values[samp.mask], b)
+    np.testing.assert_array_equal(xc.values[samp.mask], b)
     rel = np.linalg.norm(xa.values - xc.values) / np.linalg.norm(xc.values)
     assert rel < 1e-6
 
